@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError, IncompatibleCodebooksError, ShapeError
-from .network import HashCode, NetworkParams, binarize_batch, forward, pack_bits_batch
+from .network import HashCode, NetworkParams, forward, group_codes
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,10 @@ def encode_shard(params: NetworkParams, x, origin: str = "site"):
     if x.shape[0] == 0:
         raise EmptyShardError("cannot encode an empty shard")
     h, _ = forward(params, x)
-    bits = binarize_batch(h)
-    packed = pack_bits_batch(bits)
-    length = params.code_length
-    keys = sorted(set(packed))
-    position = {k: i for i, k in enumerate(keys)}
-    sample_to_entry = np.array([position[k] for k in packed])
+    keys, _, sample_to_entry = group_codes(h)
     degrees = np.bincount(sample_to_entry, minlength=len(keys))
     entries = tuple(
-        CodebookEntry(HashCode(packed=k, length=length), int(d))
+        CodebookEntry(HashCode(packed=k, length=params.code_length), int(d))
         for k, d in zip(keys, degrees)
     )
     return Codebook(entries=entries, origin=origin), sample_to_entry

@@ -2,9 +2,9 @@
 
 Purity is the fraction of samples whose predicted cluster's majority truth
 class matches their own. NMI is mutual information normalized by the
-geometric mean of the two entropies, which lands in [0, 1]; a variant
-normalizing by the plain product (not square-rooted) is available behind
-``strict_paper=True`` for comparison, but it is not bounded by 1.
+geometric mean of the two entropies, which lands in [0, 1]. The paper prints
+the plain product of the entropies as the normalizer, which is not bounded
+by 1.
 
 The cost ledger is pure integer arithmetic over the protocol shape:
 parameters and degrees count 32 bits each, codes L bits each.
@@ -39,7 +39,7 @@ def purity(pred, truth) -> float:
     return float(table.max(axis=1).sum() / table.sum())
 
 
-def nmi(pred, truth, strict_paper: bool = False) -> float:
+def nmi(pred, truth) -> float:
     """Normalized mutual information between two labelings.
 
     Natural logs throughout. If either labeling is a single cluster its
@@ -56,8 +56,6 @@ def nmi(pred, truth, strict_paper: bool = False) -> float:
     h_j = float(-(p_j[p_j > 0] * np.log(p_j[p_j > 0])).sum())
     if h_i == 0.0 or h_j == 0.0:
         return 0.0
-    if strict_paper:
-        return mi / (h_i * h_j)
     return mi / float(np.sqrt(h_i * h_j))
 
 

@@ -289,6 +289,20 @@ def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in packed]
 
 
+def group_codes(h):
+    """Group a batch of outputs by code: returns (keys, code_bits, index).
+
+    ``keys`` holds each distinct code's packed bytes in ascending byte order
+    (each row is one void-typed value, so the sort compares raw bytes),
+    ``code_bits`` their +-1 bits, ``index`` each sample's position in keys.
+    """
+    bits = binarize_batch(h)
+    packed = np.packbits(bits > 0, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    distinct, first, index = np.unique(rows, return_index=True, return_inverse=True)
+    return [d.tobytes() for d in distinct], bits[first], index
+
+
 # Parameter wire format: 4-byte big-endian layer count, then per layer
 # input_dim (4 bytes BE), output_dim (4 bytes BE), activation tag (1 byte),
 # then all values as consecutive 32-bit IEEE-754 big-endian reals. The cost

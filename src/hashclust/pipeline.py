@@ -211,21 +211,14 @@ def run_generate(cfg: PipelineConfig):
     return csv_path, manifest_path
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Execute one full run and return (and optionally write) the results."""
-    timings: dict = {}
-    if cfg.mode == "wire" and cfg.site is not None:
-        return _run_wire_site(cfg, timings)
-
+def _shared_setup(cfg: PipelineConfig, timings: dict):
+    """What coordinator and sites derive alike: ((n, dim), shards, TrainingConfig)."""
     with _phase("dataset", timings):
         samples, truth, _spec = _load_dataset(cfg)
-    n, dim = samples.shape
     with _phase("shard", timings):
         shards = shard_dataset(
             samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")
         )
-    hidden = cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim)
-    net_spec = mlp_spec(dim, hidden, cfg.code_length)
     tcfg = TrainingConfig(
         n_rounds=cfg.rounds,
         n_sites=cfg.sites,
@@ -234,20 +227,31 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
         seed=derive_seed(cfg.seed, "train"),
     )
+    return samples.shape, shards, tcfg
+
+
+def run_pipeline(cfg: PipelineConfig) -> dict:
+    """Execute one full run and return (and optionally write) the results."""
+    timings: dict = {}
+    if cfg.mode == "wire" and cfg.site is not None:
+        return _run_wire_site(cfg, timings)
+
+    (n, dim), shards, tcfg = _shared_setup(cfg, timings)
+    hidden = cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim)
+    net_spec = mlp_spec(dim, hidden, cfg.code_length)
 
     meter = None
     wire_books = None
     with _phase("train", timings):
         if cfg.mode == "sim":
             params, history = train(shards, net_spec, tcfg)
-        elif cfg.listen is not None:
-            host, port = parse_endpoint(cfg.listen)
-            listeners = open_listeners(host, port, cfg.sites)
-            result = serve_global(listeners, net_spec, tcfg, timeout=cfg.timeout)
-            params, history = result.params, result.history
-            meter, wire_books = result.meter, result.site_books
         else:
-            result = run_wire_locally(shards, net_spec, tcfg, timeout=cfg.timeout)
+            if cfg.listen is not None:
+                host, port = parse_endpoint(cfg.listen)
+                listeners = open_listeners(host, port, cfg.sites)
+                result = serve_global(listeners, net_spec, tcfg, timeout=cfg.timeout)
+            else:
+                result = run_wire_locally(shards, net_spec, tcfg, timeout=cfg.timeout)
             params, history = result.params, result.history
             meter, wire_books = result.meter, result.site_books
 
@@ -314,22 +318,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     """Worker-side wire run: local shard only, no metrics."""
-    with _phase("dataset", timings):
-        samples, truth, _spec = _load_dataset(cfg)
-    with _phase("shard", timings):
-        shards = shard_dataset(
-            samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")
-        )
+    _shape, shards, tcfg = _shared_setup(cfg, timings)
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
-    tcfg = TrainingConfig(
-        n_rounds=cfg.rounds,
-        n_sites=cfg.sites,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
-        seed=derive_seed(cfg.seed, "train"),
-    )
     host, base_port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
         run_sub_site(host, base_port + cfg.site, shards[cfg.site], tcfg, timeout=cfg.timeout)

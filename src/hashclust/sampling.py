@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError
-from .network import NetworkParams, binarize_batch, forward, pack_bits_batch
+from .network import NetworkParams, forward, group_codes
 
 
 @dataclass
@@ -41,18 +41,13 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    bits = binarize_batch(h)
-    packed = pack_bits_batch(bits)
-    groups: dict[bytes, list[int]] = {}
-    for idx, key in enumerate(packed):
-        groups.setdefault(key, []).append(idx)
-    keys = sorted(groups)
-    first = [groups[k][0] for k in keys]
+    keys, code_bits, index = group_codes(h)
+    members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
     return BucketIndex(
         code_length=params.code_length,
         codes_packed=tuple(keys),
-        code_bits=bits[first].astype(np.int64),
-        members=tuple(np.array(groups[k]) for k in keys),
+        code_bits=code_bits.astype(np.int64),
+        members=tuple(members),
         n_samples=x.shape[0],
     )
 

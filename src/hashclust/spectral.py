@@ -33,7 +33,10 @@ from .kmeans import kmeans
 from .network import HashCode
 
 BRUTE_FORCE_MAX_VERTICES = 12
-DENSE_SOLVER_MAX_VERTICES = 2 ** 16
+# Checked before build_graph allocates: the dense cut holds several n x n
+# float64 arrays at once. 4000 codes peak at 788 MB RSS, about 45 B per vertex
+# pair, so 2**13 vertices need about 3 GB (of an 8 GB host); 2**16, 190 GB.
+DENSE_SOLVER_MAX_VERTICES = 2 ** 13
 
 
 def hamming(a: HashCode, b: HashCode) -> int:
@@ -58,6 +61,8 @@ class CodeGraph:
 
 def build_graph(book: Codebook) -> CodeGraph:
     """Dense adjacency W_ij = d_i * d_j / hamming(c_i, c_j), zero diagonal."""
+    if len(book) > DENSE_SOLVER_MAX_VERTICES:
+        raise UnsupportedSizeError(f"{len(book)} codes exceed the dense solver bound")
     packed = [e.code.packed for e in book.entries]
     if len(set(packed)) != len(packed):
         raise InvalidCodebookError("duplicate codes in codebook")
@@ -163,8 +168,6 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     n = w.shape[0]
     if k < 1 or k > n:
         raise InvalidKError(f"k={k} incompatible with {n} vertices")
-    if n > DENSE_SOLVER_MAX_VERTICES:
-        raise UnsupportedSizeError(f"{n} vertices exceeds the dense solver bound")
     if k == n:
         return np.arange(n)
     deg = w.sum(axis=1)

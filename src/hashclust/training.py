@@ -114,10 +114,34 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
     return NetworkParams(params.layers, new_values, params.seed)
 
 
-def train(shards, spec, cfg: TrainingConfig):
-    """Run the full protocol for cfg.n_rounds; returns (params, history).
+def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):
+    """The round loop of simulation and wire mode alike; returns (params, history).
 
-    ``shards`` must have exactly cfg.n_sites entries. Deterministic for fixed
+    ``exchange(params, r)`` hands round r's parameters to every site and
+    returns their (gradients, losses) in site order. One loop for both modes
+    keeps their parameter trajectories bitwise the same.
+    """
+    bits = 2 * cfg.n_sites * 32 * param_count(params)
+    history = TrainingHistory()
+    for r in range(cfg.n_rounds):
+        grads, losses = exchange(params, r)
+        params = global_merge(params, grads, cfg.learning_rate)
+        history.records.append(
+            RoundRecord(
+                round_index=r,
+                mean_loss=float(np.mean(losses)),
+                site_losses=tuple(losses),
+                bits=bits,
+            )
+        )
+    return params, history
+
+
+def train(shards, spec, cfg: TrainingConfig):
+    """Run the full protocol in process for cfg.n_rounds; returns (params, history).
+
+    ``shards`` must have exactly cfg.n_sites entries; each round runs one
+    local_round per shard through run_rounds. Deterministic for fixed
     seeds; with n_rounds == 0 the initial parameters come back untouched.
     """
     shards = list(shards)
@@ -125,25 +149,11 @@ def train(shards, spec, cfg: TrainingConfig):
         raise InvalidSpecError(
             f"config says {cfg.n_sites} sites but {len(shards)} shards supplied"
         )
-    params = init_network(spec, cfg.seed)
-    n = param_count(params)
-    history = TrainingHistory()
-    for r in range(cfg.n_rounds):
-        grads, losses = [], []
-        for shard in shards:
-            g, l = local_round(shard, params, cfg, round_index=r)
-            grads.append(g)
-            losses.append(l)
-        params = global_merge(params, grads, cfg.learning_rate)
-        history.records.append(
-            RoundRecord(
-                round_index=r,
-                mean_loss=float(np.mean(losses)),
-                site_losses=tuple(losses),
-                bits=2 * cfg.n_sites * 32 * n,
-            )
-        )
-    return params, history
+
+    def exchange(params, r):
+        return zip(*(local_round(shard, params, cfg, round_index=r) for shard in shards))
+
+    return run_rounds(init_network(spec, cfg.seed), cfg, exchange)
 
 
 def relative_error_ratio(history: TrainingHistory) -> np.ndarray:

@@ -8,9 +8,10 @@ serialization; a gradient payload carries the site's mean batch loss as an
 counts as physical overhead, like the layer header, never as formula bits).
 
 The coordinator opens one listening port per site (base_port + site_index),
-which fixes site identity without putting ids inside frames; gradients are
-then merged in site order exactly as the in-process simulation does, so the
-two modes stay bit-identical.
+which fixes site identity without putting ids inside frames. The rounds
+run through training.run_rounds, the loop the in-process simulation runs,
+which merges the gradients in site order, so the two modes stay
+bit-identical.
 
 Every byte crosses the coordinator, so a single TrafficMeter there observes
 all traffic. Per frame it accrues two counters: "paper" bits (32 per
@@ -24,22 +25,15 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .codebook import Codebook, decode_codes_payload, encode_codes_payload, encode_shard
+from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
 from .errors import InvalidSpecError, ProtocolError
-from .network import (
-    NetworkParams,
-    deserialize_params,
-    init_network,
-    param_count,
-    serialize_params,
-    serialize_values,
-)
-from .training import RoundRecord, TrainingConfig, TrainingHistory, global_merge, local_round
+from .network import NetworkParams, deserialize_params, init_network, serialize_params, serialize_values
+from .training import TrainingConfig, TrainingHistory, local_round, run_rounds
+from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
 TAG_PARAMS = 0x01
 TAG_GRADIENT = 0x02
@@ -178,62 +172,50 @@ class WireGlobalResult:
 
 
 def serve_global(listeners, spec, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> WireGlobalResult:
-    """Coordinator side: initialize, drive the rounds, collect the codebooks.
+    """Coordinator side: initialize, run the rounds, collect the codebooks.
 
-    Listener index is site index; gradients are merged in that order. The
-    loop mirrors training.train exactly, so for identical configs and seeds
-    the parameter trajectory is bitwise the same.
+    Listener index is site index. The rounds run through training.run_rounds,
+    the loop the in-process simulation runs, so for identical configs and
+    seeds the parameter trajectory is bitwise the same. Each round sends the
+    parameters to every site before reading any gradient, so the sites
+    compute in parallel.
     """
     if len(listeners) != cfg.n_sites:
         raise InvalidSpecError(
             f"config says {cfg.n_sites} sites but {len(listeners)} listeners supplied"
         )
     params = init_network(spec, cfg.seed)
-    n = param_count(params)
     meter = TrafficMeter(params.code_length)
     conns = []
+
+    def broadcast(tag, payload):
+        for conn in conns:
+            send_frame(conn, tag, payload)
+            meter.record(tag, payload)
+
+    def collect(tag):
+        for conn in conns:
+            payload = expect_frame(conn, tag)
+            meter.record(tag, payload)
+            yield payload
+
+    def exchange(params, _round):
+        broadcast(TAG_PARAMS, serialize_params(params))
+        return zip(*(_decode_gradient(p) for p in collect(TAG_GRADIENT)))
+
     try:
         for lis in listeners:
             lis.settimeout(timeout)
             conn, _addr = lis.accept()
             conn.settimeout(timeout)
             conns.append(conn)
-        history = TrainingHistory()
-        for r in range(cfg.n_rounds):
-            blob = serialize_params(params)
-            for conn in conns:
-                send_frame(conn, TAG_PARAMS, blob)
-                meter.record(TAG_PARAMS, blob)
-            grads, losses = [], []
-            for conn in conns:
-                payload = expect_frame(conn, TAG_GRADIENT)
-                meter.record(TAG_GRADIENT, payload)
-                g, loss = _decode_gradient(payload)
-                grads.append(g)
-                losses.append(loss)
-            params = global_merge(params, grads, cfg.learning_rate)
-            history.records.append(
-                RoundRecord(
-                    round_index=r,
-                    mean_loss=float(np.mean(losses)),
-                    site_losses=tuple(losses),
-                    bits=2 * cfg.n_sites * 32 * n,
-                )
-            )
-        blob = serialize_params(params)
-        for conn in conns:
-            send_frame(conn, TAG_PARAMS, blob)
-            meter.record(TAG_PARAMS, blob)
-        books = []
-        for site, conn in enumerate(conns):
-            payload = expect_frame(conn, TAG_CODES)
-            meter.record(TAG_CODES, payload)
-            books.append(
-                decode_codes_payload(payload, params.code_length, origin=f"site{site}")
-            )
-        for conn in conns:
-            send_frame(conn, TAG_DONE)
-            meter.record(TAG_DONE, b"")
+        params, history = run_rounds(params, cfg, exchange)
+        broadcast(TAG_PARAMS, serialize_params(params))
+        books = [
+            decode_codes_payload(payload, params.code_length, origin=f"site{site}")
+            for site, payload in enumerate(collect(TAG_CODES))
+        ]
+        broadcast(TAG_DONE, b"")
     finally:
         for conn in conns:
             conn.close()
@@ -242,13 +224,26 @@ def serve_global(listeners, spec, cfg: TrainingConfig, timeout: float = DEFAULT_
     return WireGlobalResult(params=params, history=history, site_books=books, meter=meter)
 
 
+def _dial(host: str, port: int, timeout: float):
+    """Connect, retrying while refused until ``timeout`` has passed, so a
+    site may start before the coordinator listens."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return socket.create_connection((host, port), timeout=timeout)
+        except ConnectionRefusedError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)
+
+
 def run_sub_site(host: str, port: int, shard, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> None:
     """Worker side: one site's whole protocol life, connect to done.
 
     The site learns the network shape from the broadcast itself; only the
     round count, batch policy and seeds come from its local config.
     """
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with _dial(host, port, timeout) as sock:
         sock.settimeout(timeout)
         params = None
         for r in range(cfg.n_rounds):
@@ -265,8 +260,8 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, host: str = "127.0.0.1",
     """Full wire run on loopback: site threads against an in-process coordinator.
 
     Same frames, sockets and accounting as a distributed run; only the
-    process boundary is missing. Site thread failures surface as
-    ProtocolError after the coordinator loop unwinds.
+    process boundary is missing. A site thread failure surfaces as
+    ProtocolError once the coordinator returns or fails.
     """
     shards = list(shards)
     listeners = open_listeners(host, 0, len(shards))
@@ -286,18 +281,14 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, host: str = "127.0.0.1",
     for t in threads:
         t.start()
     try:
-        result = serve_global(listeners, spec, cfg, timeout=timeout)
-    except Exception:
+        return serve_global(listeners, spec, cfg, timeout=timeout)
+    finally:
+        # short joins: after a coordinator failure a site may still wait out
+        # its own timeout, and after success every site has had DONE
         for t in threads:
             t.join(timeout=1.0)
         if failures:
             raise ProtocolError(f"site thread failed: {failures[0]!r}") from failures[0]
-        raise
-    for t in threads:
-        t.join(timeout=timeout)
-    if failures:
-        raise ProtocolError(f"site thread failed: {failures[0]!r}") from failures[0]
-    return result
 
 
 def parse_endpoint(text: str):

@@ -93,16 +93,6 @@ def test_nmi_permutation_invariant():
         assert nmi(rng.permutation(3)[pred], truth) == pytest.approx(base, abs=1e-12)
 
 
-def test_nmi_strict_paper_variant_differs():
-    """The printed normalization divides by the entropy product, not its sqrt."""
-    truth = np.array([0, 0, 1, 1])
-    pred = np.array([0, 0, 1, 1])
-    strict = nmi(pred, truth, strict_paper=True)
-    h = np.log(2.0)
-    assert strict == pytest.approx(h / (h * h), rel=1e-12)
-    assert nmi(pred, truth) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_nmi_natural_log_value():
     # hand-computed small case in nats
     pred = np.array([0, 0, 0, 1])

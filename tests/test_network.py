@@ -12,6 +12,7 @@ from hashclust.network import (
     binarize_batch,
     deserialize_params,
     forward,
+    group_codes,
     init_network,
     mlp_spec,
     pack_bits_batch,
@@ -227,6 +228,18 @@ def test_binarize_batch_matches_binarize():
         one = binarize(hrow)
         assert np.array_equal(row, one.bits)
         assert p == one.packed
+
+
+def test_group_codes_matches_sorted_packed_bytes():
+    # 12 bits pack into two bytes, many of them above 0x7f
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(300, 12))
+    keys, code_bits, index = group_codes(h)
+    packed = pack_bits_batch(binarize_batch(h))
+    assert keys == sorted(set(packed))
+    assert [keys[i] for i in index] == packed
+    for key, bits in zip(keys, code_bits):
+        assert HashCode.from_bits(bits).packed == key
 
 
 # --- serialization ---

@@ -9,10 +9,12 @@ from hashclust.errors import (
     InvalidPartitionError,
     OracleSizeError,
     ShapeError,
+    UnsupportedSizeError,
 )
 from hashclust.kmeans import kmeans
 from hashclust.network import HashCode, init_network, mlp_spec
 from hashclust.spectral import (
+    DENSE_SOLVER_MAX_VERTICES,
     brute_force_ncut,
     build_graph,
     hamming,
@@ -91,6 +93,16 @@ def test_graph_rejects_duplicate_codes():
         CodebookEntry(code=code(1, 1), degree=2),
     )
     with pytest.raises(InvalidCodebookError):
+        build_graph(Codebook(entries=entries, origin="global"))
+
+
+def test_graph_rejects_codebook_above_dense_bound():
+    n = DENSE_SOLVER_MAX_VERTICES + 1
+    entries = tuple(
+        CodebookEntry(code=HashCode(packed=i.to_bytes(2, "big"), length=16), degree=1)
+        for i in range(n)
+    )
+    with pytest.raises(UnsupportedSizeError):
         build_graph(Codebook(entries=entries, origin="global"))
 
 

@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hashclust.wire import (
     listener_ports,
     parse_endpoint,
     recv_frame,
+    run_sub_site,
     run_wire_locally,
     send_frame,
     serve_global,
@@ -224,6 +227,40 @@ def test_wire_zero_rounds():
     assert np.array_equal(result.params.values, sim_params.values)
     assert result.history.records == []
     assert result.meter.frames[TAG_PARAMS] == cfg.n_sites  # final broadcast only
+
+
+def test_site_started_before_coordinator_listens():
+    shards, net, cfg = small_setup(n_sites=1)
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    failures = []
+
+    def site():
+        try:
+            run_sub_site("127.0.0.1", port, shards[0], cfg, timeout=20.0)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            failures.append(exc)
+
+    thread = threading.Thread(target=site, daemon=True)
+    thread.start()
+    time.sleep(0.3)  # the site's first dials are refused
+    result = serve_global(open_listeners("127.0.0.1", port, 1), net, cfg, timeout=20.0)
+    thread.join(timeout=20.0)
+    assert not thread.is_alive()
+    assert not failures
+    assert len(result.history.records) == cfg.n_rounds
+    assert result.meter.frames[TAG_DONE] == 1
+
+
+def test_site_thread_failure_raises_protocol_error():
+    shards, net, cfg = small_setup(n_sites=2)
+    shards = [shards[0].normalized[:1], shards[1]]  # one sample forms no pair
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="site thread failed"):
+        run_wire_locally(shards, net, cfg, timeout=20.0)
+    assert time.monotonic() - start < 10.0
 
 
 def test_serve_global_listener_count_mismatch():
