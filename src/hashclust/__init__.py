@@ -37,7 +37,6 @@ from .network import (
 from .pipeline import PipelineConfig, config_from_file, run_generate, run_pipeline, run_report
 from .sampling import build_buckets, select_batch
 from .spectral import (
-    CodeGraph,
     brute_force_ncut,
     build_graph,
     hamming,
@@ -60,7 +59,6 @@ __all__ = [
     "Codebook",
     "CodebookEntry",
     "ClusterSpec",
-    "CodeGraph",
     "CostLedger",
     "DatasetSpec",
     "HashClustError",

@@ -81,11 +81,6 @@ def merge_codebooks(books) -> Codebook:
     return Codebook(entries=entries, origin="global")
 
 
-def code_transmission_bits(books, code_length: int) -> int:
-    """Formula-level bits for shipping all site codebooks: sum of n_codes * (32 + L)."""
-    return sum(len(b) * (32 + code_length) for b in books)
-
-
 # CODES_PUSH payload: 4-byte big-endian entry count, then per entry a 32-bit
 # IEEE-754 big-endian degree followed by ceil(L/8) packed code bytes.
 
@@ -115,8 +110,3 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
         off += n_bytes
         entries.append(CodebookEntry(code, int(round(deg))))
     return Codebook(entries=tuple(entries), origin=origin)
-
-
-def codes_payload_paper_bits(book: Codebook) -> int:
-    """What the formula ledger charges for this book: n_codes * (32 + L)."""
-    return len(book) * (32 + book.code_length)

@@ -13,10 +13,6 @@ class ShapeError(HashClustError):
     """An array argument has the wrong dimensions or length."""
 
 
-class StaleTraceError(HashClustError):
-    """A forward trace does not belong to the parameters passed to backward."""
-
-
 class EmptyShardError(HashClustError):
     """A local dataset is empty where at least one sample is required."""
 

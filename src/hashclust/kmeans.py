@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import InvalidKError
 
+N_RESTARTS = 10
+MAX_ITER = 300
+
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
@@ -30,9 +33,9 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     labels = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for c in range(centers.shape[0]):
@@ -53,11 +56,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
     return labels, inertia
 
 
-def kmeans(points, k: int, seed, n_restarts: int = 10, max_iter: int = 300):
+def kmeans(points, k: int, seed):
     """Cluster rows of ``points`` into k groups; returns (labels, inertia).
 
-    Runs ``n_restarts`` independent k-means++ starts and keeps the lowest
-    inertia (first winner on ties).
+    Runs ``N_RESTARTS`` independent k-means++ starts of at most ``MAX_ITER``
+    Lloyd iterations and keeps the lowest inertia (first winner on ties).
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -67,9 +70,9 @@ def kmeans(points, k: int, seed, n_restarts: int = 10, max_iter: int = 300):
         return np.arange(n), 0.0
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(N_RESTARTS):
         centers = _plusplus_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers, max_iter)
+        labels, inertia = _lloyd(points, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, best_inertia

@@ -15,13 +15,12 @@ bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, StaleTraceError
+from .errors import InvalidSpecError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
 _ACT_TAG = {"relu": 0, "tanh": 1}
@@ -97,13 +96,6 @@ class NetworkParams:
     def input_dim(self) -> int:
         return self.layers[0].input_dim
 
-    def digest(self) -> bytes:
-        h = hashlib.sha256()
-        for l in self.layers:
-            h.update(struct.pack(">IIB", l.input_dim, l.output_dim, _ACT_TAG[l.activation]))
-        h.update(self.values.tobytes())
-        return h.digest()
-
 
 def param_count(params) -> int:
     """Total number of scalar parameters, weights plus biases over all layers."""
@@ -156,14 +148,17 @@ class ForwardTrace:
     """Intermediates of one forward pass, kept for backpropagation.
 
     ``inputs`` is the batch fed to layer 0; ``pre_acts[i]`` and ``acts[i]``
-    are layer i's pre-activation and activation. ``params_digest`` ties the
-    trace to the exact parameters that produced it.
+    are layer i's pre-activation and activation. ``layers`` and
+    ``weights[i]`` are the specs and weight matrices the pass ran with, so
+    backward differentiates exactly that pass. The weights are views of the
+    parameter vector; no update writes one in place, each builds a new one.
     """
 
     inputs: np.ndarray
+    layers: tuple
+    weights: list = field(default_factory=list)
     pre_acts: list = field(default_factory=list)
     acts: list = field(default_factory=list)
-    params_digest: bytes = b""
 
 
 def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
@@ -185,40 +180,38 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
         raise ShapeError(
             f"input has dimension {x.shape[1]}, network expects {params.input_dim}"
         )
-    trace = ForwardTrace(inputs=x, params_digest=params.digest())
+    trace = ForwardTrace(inputs=x, layers=params.layers)
     a = x
     for (w, b), spec in zip(_split(params), params.layers):
         z = a @ w + b
         a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        trace.weights.append(w)
         trace.pre_acts.append(z)
         trace.acts.append(a)
     return a, trace
 
 
-def backward(params: NetworkParams, trace: ForwardTrace, grad_h) -> np.ndarray:
+def backward(trace: ForwardTrace, grad_h) -> np.ndarray:
     """Vector-Jacobian product through the relaxed network.
 
     ``grad_h`` is the gradient of a scalar loss with respect to the network
     outputs ``h`` (batch contributions already scaled by the caller, e.g. a
     batch mean). Returns the gradient of that same scalar with respect to the
-    flat parameter vector.
+    flat parameter vector, at the weights the trace carries from its forward
+    pass.
 
     Subgradient conventions: ReLU' at 0 is 0.
     """
-    if trace.params_digest != params.digest():
-        raise StaleTraceError("trace was produced by different parameters")
     grad_h = np.asarray(grad_h, dtype=np.float64)
     if grad_h.shape != trace.acts[-1].shape:
         raise ShapeError(
             f"grad_h has shape {grad_h.shape}, outputs have {trace.acts[-1].shape}"
         )
-    grads = [None] * len(params.layers)
+    grads = [None] * len(trace.layers)
     g = grad_h
-    weights = list(_split(params))
-    for i in range(len(params.layers) - 1, -1, -1):
-        spec = params.layers[i]
+    for i in range(len(trace.layers) - 1, -1, -1):
         z, a = trace.pre_acts[i], trace.acts[i]
-        if spec.activation == "relu":
+        if trace.layers[i].activation == "relu":
             dz = g * (z > 0.0)
         else:
             dz = g * (1.0 - a * a)
@@ -227,7 +220,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, grad_h) -> np.ndarray:
         db = dz.sum(axis=0)
         grads[i] = (dw, db)
         if i > 0:
-            g = dz @ weights[i][0].T
+            g = dz @ trace.weights[i].T
     return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
 
 
@@ -344,8 +337,3 @@ def deserialize_params(data: bytes) -> NetworkParams:
         )
     values = np.frombuffer(data, dtype=">f4", count=n, offset=off).astype(np.float64)
     return NetworkParams(layers=tuple(layers), values=values)
-
-
-def param_payload_bits(params) -> int:
-    """Bits the cost ledger charges for one parameter-vector transfer."""
-    return 32 * param_count(params)

@@ -15,8 +15,6 @@ is the standard one regardless, which is what the cited method prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codebook import Codebook
@@ -46,21 +44,8 @@ def hamming(a: HashCode, b: HashCode) -> int:
     return int((a.bits != b.bits).sum())
 
 
-@dataclass(frozen=True)
-class CodeGraph:
-    """Symmetric nonnegative adjacency over codebook vertices, zero diagonal."""
-
-    codes: tuple
-    degrees: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return self.weights.shape[0]
-
-
-def build_graph(book: Codebook) -> CodeGraph:
-    """Dense adjacency W_ij = d_i * d_j / hamming(c_i, c_j), zero diagonal."""
+def build_graph(book: Codebook) -> np.ndarray:
+    """Dense adjacency over the entries: W_ij = d_i * d_j / hamming(c_i, c_j), zero diagonal."""
     if len(book) > DENSE_SOLVER_MAX_VERTICES:
         raise UnsupportedSizeError(f"{len(book)} codes exceed the dense solver bound")
     packed = [e.code.packed for e in book.entries]
@@ -74,13 +59,11 @@ def build_graph(book: Codebook) -> CodeGraph:
     with np.errstate(divide="ignore"):
         weights = np.outer(degrees, degrees) / ham
     np.fill_diagonal(weights, 0.0)
-    return CodeGraph(
-        codes=tuple(e.code for e in book.entries), degrees=degrees, weights=weights
-    )
+    return weights
 
 
 def _adjacency(graph) -> np.ndarray:
-    w = graph.weights if isinstance(graph, CodeGraph) else np.asarray(graph, dtype=np.float64)
+    w = np.asarray(graph, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"adjacency must be square, got {w.shape}")
     return w

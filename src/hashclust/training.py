@@ -90,7 +90,7 @@ def local_round(shard, params: NetworkParams, cfg: TrainingConfig, round_index: 
     bx = x[idx]
     h, trace = forward(params, bx)
     loss, grad_h = batch_loss(bx, h, cfg.loss)
-    return backward(params, trace, grad_h), loss
+    return backward(trace, grad_h), loss
 
 
 def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkParams:

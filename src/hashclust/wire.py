@@ -178,14 +178,9 @@ def serve_global(listeners, spec, cfg: TrainingConfig, timeout: float = DEFAULT_
     the loop the in-process simulation runs, so for identical configs and
     seeds the parameter trajectory is bitwise the same. Each round sends the
     parameters to every site before reading any gradient, so the sites
-    compute in parallel.
+    compute in parallel. A bad listener count or spec fails before any
+    accept; the listeners are closed on every exit.
     """
-    if len(listeners) != cfg.n_sites:
-        raise InvalidSpecError(
-            f"config says {cfg.n_sites} sites but {len(listeners)} listeners supplied"
-        )
-    params = init_network(spec, cfg.seed)
-    meter = TrafficMeter(params.code_length)
     conns = []
 
     def broadcast(tag, payload):
@@ -204,6 +199,12 @@ def serve_global(listeners, spec, cfg: TrainingConfig, timeout: float = DEFAULT_
         return zip(*(_decode_gradient(p) for p in collect(TAG_GRADIENT)))
 
     try:
+        if len(listeners) != cfg.n_sites:
+            raise InvalidSpecError(
+                f"config says {cfg.n_sites} sites but {len(listeners)} listeners supplied"
+            )
+        params = init_network(spec, cfg.seed)
+        meter = TrafficMeter(params.code_length)
         for lis in listeners:
             lis.settimeout(timeout)
             conn, _addr = lis.accept()

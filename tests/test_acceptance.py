@@ -128,7 +128,7 @@ def test_criterion_1_gradient_matches_finite_differences():
                 break
         h, trace = forward(params, x)
         _, dh = batch_loss(x, h, lcfg)
-        analytic = backward(params, trace, dh)
+        analytic = backward(trace, dh)
         fd = finite_difference(batch_objective(params, x, lcfg), params.values)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

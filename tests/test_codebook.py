@@ -4,8 +4,6 @@ import pytest
 from hashclust.codebook import (
     Codebook,
     CodebookEntry,
-    code_transmission_bits,
-    codes_payload_paper_bits,
     decode_codes_payload,
     encode_codes_payload,
     encode_shard,
@@ -127,29 +125,6 @@ def test_merge_mixed_lengths_rejected():
         merge_codebooks([a, b])
 
 
-# --- cost accounting ---
-
-def test_code_bits_hand_example():
-    entries = [(HashCode.from_bits(np.where(np.arange(8) < i, 1, -1) * 1), 1) for i in range(1, 17)]
-    # 16 codes at L=8: 16 * (32 + 8) = 640
-    b = book([(c, d) for c, d in entries])
-    assert code_transmission_bits([b], 8) == 640
-
-
-def test_code_bits_empty():
-    assert code_transmission_bits([], 8) == 0
-
-
-def test_code_bits_upper_bound():
-    rng = np.random.default_rng(5)
-    books = []
-    for seed in range(4):
-        cb, _ = encode_shard(trained_params(seed=seed), rng.normal(size=(20, 3)))
-        books.append(cb)
-    total = code_transmission_bits(books, 4)
-    assert total <= len(books) * (32 + 4) * 2 ** 4
-
-
 # --- wire payload ---
 
 def test_payload_roundtrip():
@@ -162,11 +137,10 @@ def test_payload_roundtrip():
 def test_payload_paper_vs_physical_bits():
     b = book([(code(1, -1, 1), 1), (code(-1, 1, 1), 4), (code(1, 1, 1), 9)])
     blob = encode_codes_payload(b)
-    # paper accounting: 3 entries * (32 + 3) bits
-    assert codes_payload_paper_bits(b) == 3 * 35
     # physical: count header + per entry 4-byte degree + 1 padded code byte
     assert len(blob) == 4 + 3 * (4 + 1)
-    assert codes_payload_paper_bits(b) < len(blob) * 8
+    # paper accounting: 3 entries * (32 + 3) bits
+    assert 3 * (32 + 3) < len(blob) * 8
 
 
 def test_payload_rejects_truncation():

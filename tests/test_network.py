@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashclust.errors import InvalidSpecError, ShapeError, StaleTraceError
+from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
     HashCode,
     LayerSpec,
@@ -17,10 +17,10 @@ from hashclust.network import (
     mlp_spec,
     pack_bits_batch,
     param_count,
-    param_payload_bits,
     serialize_params,
     validate_spec,
 )
+from hashclust.training import global_merge
 
 from oracles import finite_difference
 
@@ -142,7 +142,7 @@ def test_backward_zero_seed_gives_zero_grad():
     params = tiny_params()
     x = np.random.default_rng(2).normal(size=(3, 3))
     h, trace = forward(params, x)
-    g = backward(params, trace, np.zeros_like(h))
+    g = backward(trace, np.zeros_like(h))
     assert np.array_equal(g, np.zeros(param_count(params)))
 
 
@@ -151,18 +151,24 @@ def test_backward_linear_in_seed():
     x = np.random.default_rng(3).normal(size=(3, 3))
     h, trace = forward(params, x)
     seed_grad = np.random.default_rng(4).normal(size=h.shape)
-    g1 = backward(params, trace, seed_grad)
-    g2 = backward(params, trace, 2.0 * seed_grad)
+    g1 = backward(trace, seed_grad)
+    g2 = backward(trace, 2.0 * seed_grad)
     assert np.allclose(g2, 2.0 * g1, rtol=0, atol=1e-15)
 
 
-def test_backward_rejects_stale_trace():
+def test_backward_keeps_the_pass_of_its_trace():
+    """A merge after forward builds new parameters; the trace keeps the old."""
     params = tiny_params(seed=5)
-    x = np.zeros((2, 3))
+    x = np.random.default_rng(5).normal(size=(4, 3))
     h, trace = forward(params, x)
-    other = init_network(params.layers, 99)
-    with pytest.raises(StaleTraceError):
-        backward(other, trace, np.zeros_like(h))
+    seed_grad = np.random.default_rng(6).normal(size=h.shape)
+    g = backward(trace, seed_grad)
+    merged = global_merge(params, [g], 0.5)
+
+    _, fresh = forward(params, x)
+    assert np.array_equal(g, backward(fresh, seed_grad))
+    _, moved = forward(merged, x)
+    assert not np.array_equal(g, backward(moved, seed_grad))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -175,7 +181,7 @@ def test_backward_matches_finite_differences(seed):
     seed_grad = rng.normal(size=(3, dims[-1]))
 
     h, trace = forward(params, x)
-    analytic = backward(params, trace, seed_grad)
+    analytic = backward(trace, seed_grad)
 
     def scalar(values):
         p = NetworkParams(layers=params.layers, values=values)
@@ -249,20 +255,15 @@ def test_serialize_roundtrip():
     back = deserialize_params(serialize_params(params))
     assert back.layers == params.layers
     assert np.array_equal(back.values, params.values)
+    # the layer table is overhead; the values are 32-bit reals
+    header = 4 + 9 * len(params.layers)
+    assert len(serialize_params(params)) == header + 4 * param_count(params)
 
 
 def test_serialize_rejects_truncated():
     blob = serialize_params(tiny_params())
     with pytest.raises(ShapeError):
         deserialize_params(blob[:-2])
-
-
-def test_param_payload_bits_counts_values_only():
-    params = tiny_params(seed=0, dims=(4, 4, 2))
-    # 38 params as 32-bit reals; the layer table is physical overhead.
-    assert param_payload_bits(params) == 32 * param_count(params)
-    header = 4 + 9 * len(params.layers)
-    assert len(serialize_params(params)) == header + 4 * param_count(params)
 
 
 def test_float32_grid_idempotent():

@@ -69,21 +69,21 @@ def test_hamming_length_mismatch():
 
 def test_graph_two_antipodal_codes():
     # degrees 3 and 5 at hamming 4: single off-diagonal weight 15/4
-    g = build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)]))
-    assert g.weights.shape == (2, 2)
-    assert g.weights[0, 0] == g.weights[1, 1] == 0.0
-    assert g.weights[0, 1] == g.weights[1, 0] == pytest.approx(3.75)
+    w = build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)]))
+    assert w.shape == (2, 2)
+    assert w[0, 0] == w[1, 1] == 0.0
+    assert w[0, 1] == w[1, 0] == pytest.approx(3.75)
 
 
 def test_graph_single_vertex():
-    g = build_graph(book([(code(1, -1), 9)]))
-    assert np.array_equal(g.weights, np.zeros((1, 1)))
+    w = build_graph(book([(code(1, -1), 9)]))
+    assert np.array_equal(w, np.zeros((1, 1)))
 
 
 def test_graph_degree_scaling_is_quadratic():
     entries = [(code(1, 1, -1), 2), (code(1, -1, 1), 3), (code(-1, 1, 1), 4)]
-    w1 = build_graph(book(entries)).weights
-    w2 = build_graph(book([(c, 5 * d) for c, d in entries])).weights
+    w1 = build_graph(book(entries))
+    w2 = build_graph(book([(c, 5 * d) for c, d in entries]))
     assert np.allclose(w2, 25.0 * w1)
 
 
@@ -111,7 +111,7 @@ def test_graph_matches_pairwise_formula():
     params = init_network(mlp_spec(3, (4,), 4), 0)
     cb, _ = encode_shard(params, rng.normal(size=(30, 3)), origin="site")
     merged = merge_codebooks([cb])
-    g = build_graph(merged)
+    w = build_graph(merged)
     n = len(merged)
     for i in range(n):
         for j in range(n):
@@ -119,7 +119,7 @@ def test_graph_matches_pairwise_formula():
                 continue
             h = hamming(merged.entries[i].code, merged.entries[j].code)
             expect = merged.entries[i].degree * merged.entries[j].degree / h
-            assert g.weights[i, j] == pytest.approx(expect, rel=1e-12)
+            assert w[i, j] == pytest.approx(expect, rel=1e-12)
 
 
 # --- ncut_value ---

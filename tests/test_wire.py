@@ -2,11 +2,12 @@ import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hashclust.codebook import code_transmission_bits, encode_shard, merge_codebooks
+from hashclust.codebook import encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
 from hashclust.errors import InvalidSpecError, ProtocolError
 from hashclust.network import init_network, mlp_spec, param_count, serialize_params
@@ -203,7 +204,8 @@ def test_wire_meter_matches_cost_formulas():
     m, rounds = cfg.n_sites, cfg.n_rounds
     assert meter.param_bits == 32 * n * m * (rounds + 1)
     assert meter.gradient_bits == 32 * n * m * rounds
-    assert meter.code_bits == code_transmission_bits(result.site_books, net[-1].output_dim)
+    L = net[-1].output_dim
+    assert meter.code_bits == (32 + L) * sum(len(b) for b in result.site_books)
     assert meter.paper_bits == meter.param_bits + meter.gradient_bits + meter.code_bits
     assert meter.frames[TAG_PARAMS] == m * (rounds + 1)
     assert meter.frames[TAG_GRADIENT] == m * rounds
@@ -266,15 +268,23 @@ def test_site_thread_failure_raises_protocol_error():
 def test_serve_global_listener_count_mismatch():
     shards, net, cfg = small_setup(n_sites=2)
     listeners = open_listeners("127.0.0.1", 0, 1)
-    try:
-        with pytest.raises(InvalidSpecError):
-            serve_global(listeners, net, cfg, timeout=1.0)
-    finally:
-        for s in listeners:
-            try:
-                s.close()
-            except OSError:
-                pass
+    with pytest.raises(InvalidSpecError):
+        serve_global(listeners, net, cfg, timeout=1.0)
+    fileno = listeners[0].fileno()
+    listeners[0].close()
+    assert fileno == -1
+
+
+def test_serve_global_bad_spec_closes_listeners():
+    shards, net, cfg = small_setup(n_sites=2)
+    net = net[:-1] + (replace(net[-1], activation="relu"),)
+    listeners = open_listeners("127.0.0.1", 0, 2)
+    with pytest.raises(InvalidSpecError, match="tanh"):
+        serve_global(listeners, net, cfg, timeout=1.0)
+    filenos = [s.fileno() for s in listeners]
+    for s in listeners:
+        s.close()
+    assert filenos == [-1, -1]
 
 
 def test_open_listeners_reports_ports():
