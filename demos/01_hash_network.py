@@ -6,7 +6,7 @@ shows the tanh outputs getting snapped to +-1 codes and packed into bytes.
 
 import numpy as np
 
-from hashclust import binarize, forward, init_network, mlp_spec, param_count
+from hashclust import HashCode, binarize_batch, forward, init_network, mlp_spec, param_count
 from hashclust.network import serialize_params
 
 spec = mlp_spec(input_dim=4, hidden_dims=(4, 4), code_length=8)
@@ -26,10 +26,9 @@ print("\nrelaxed outputs (tanh, in (-1, 1)):")
 print(np.round(h, 3))
 
 print("\nsnapped codes:")
-for row in h:
-    code = binarize(row)
-    bits = "".join("1" if b > 0 else "0" for b in code.bits)
-    print(f"  bits {bits}  packed {code.packed.hex()}")
+for row in binarize_batch(h):
+    bits = "".join("1" if b > 0 else "0" for b in row)
+    print(f"  bits {bits}  packed {HashCode.from_bits(row).packed.hex()}")
 
 # fresh untrained networks already spread nearby points across buckets;
 # training will pull metric structure into the Hamming geometry

@@ -14,8 +14,10 @@ from hashclust import (
     gen_dataset,
     make_dataset_spec,
     mlp_spec,
+    param_count,
     relative_error_ratio,
     shard_dataset,
+    total_cost_bits,
     train,
 )
 
@@ -34,11 +36,13 @@ cfg = TrainingConfig(
 params, history = train(shards, mlp_spec(8, (8, 8), 6), cfg)
 
 print("\nround   mean loss   per-site losses")
-for r in history.records[::5]:
-    sites = "  ".join(f"{v:.4f}" for v in r.site_losses)
-    print(f"{r.round_index:>5}   {r.mean_loss:.5f}   {sites}")
+for i, r in enumerate(history.records):
+    if i % 5 == 0:
+        sites = "  ".join(f"{v:.4f}" for v in r.site_losses)
+        print(f"{i:>5}   {r.mean_loss:.5f}   {sites}")
 
 rer = relative_error_ratio(history)
 print(f"\nloss: first {history.records[0].mean_loss:.5f}  last {history.records[-1].mean_loss:.5f}")
 print(f"relative error ratio: final {rer[-1]:.4f}  (min over rounds is {rer.min():.0f} by construction)")
-print(f"gradient/parameter traffic during training: {history.total_bits} bits")
+ledger = total_cost_bits(cfg.n_sites, param_count(params), cfg.n_rounds, [], params.code_length)
+print(f"gradient/parameter traffic during training: {ledger.training_bits} bits")

@@ -20,13 +20,12 @@ from .datasets import (
     shard_dataset,
 )
 from .errors import HashClustError
-from .loss import LossConfig, batch_loss, pair_loss_discrete, pair_loss_grad, pair_loss_relaxed
-from .metrics import CostLedger, nmi, purity, total_cost_bits, training_cost_bits
+from .loss import LossConfig, batch_loss
+from .metrics import CostLedger, nmi, purity, total_cost_bits
 from .network import (
     HashCode,
     LayerSpec,
     NetworkParams,
-    binarize,
     binarize_batch,
     forward,
     backward,
@@ -36,14 +35,7 @@ from .network import (
 )
 from .pipeline import PipelineConfig, config_from_file, run_generate, run_pipeline, run_report
 from .sampling import build_buckets, select_batch
-from .spectral import (
-    brute_force_ncut,
-    build_graph,
-    hamming,
-    ncut_value,
-    propagate_labels,
-    spectral_cluster,
-)
+from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import (
     TrainingConfig,
     TrainingHistory,
@@ -72,9 +64,7 @@ __all__ = [
     "TrainingHistory",
     "backward",
     "batch_loss",
-    "binarize",
     "binarize_batch",
-    "brute_force_ncut",
     "build_buckets",
     "build_graph",
     "config_from_file",
@@ -83,18 +73,13 @@ __all__ = [
     "gen_cluster",
     "gen_dataset",
     "global_merge",
-    "hamming",
     "init_network",
     "load_csv",
     "local_round",
     "make_dataset_spec",
     "merge_codebooks",
     "mlp_spec",
-    "ncut_value",
     "nmi",
-    "pair_loss_discrete",
-    "pair_loss_grad",
-    "pair_loss_relaxed",
     "param_count",
     "propagate_labels",
     "purity",
@@ -108,5 +93,4 @@ __all__ = [
     "spectral_cluster",
     "total_cost_bits",
     "train",
-    "training_cost_bits",
 ]

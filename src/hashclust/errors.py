@@ -29,14 +29,6 @@ class IncompatibleCodebooksError(HashClustError):
     """Codebooks with mixed code lengths cannot be merged."""
 
 
-class InvalidPartitionError(HashClustError):
-    """A partition has an empty part or out-of-range labels."""
-
-
-class OracleSizeError(HashClustError):
-    """Graph too large for exhaustive enumeration."""
-
-
 class InvalidKError(HashClustError):
     """Requested cluster count exceeds the number of vertices."""
 

@@ -5,9 +5,9 @@ For a pair (x_i, x_j) with codes (or relaxed outputs) the loss is
     | scale * ||x_i - x_j||_2  -  ||c_i - c_j||_1 | * exp(-||x_i - x_j||_2 / temperature)
 
 i.e. the code distance is pulled toward the (scaled) input distance, with
-distant pairs down-weighted exponentially. The discrete form uses +-1 codes
-(L1 distance equals twice the hamming distance); the relaxed form uses the
-tanh outputs so the loss is differentiable.
+distant pairs down-weighted exponentially. On +-1 codes the L1 distance is
+twice the hamming distance; training uses the tanh outputs in their place
+so the loss is differentiable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBatchError, ShapeError
-from .network import HashCode
 
 
 @dataclass(frozen=True)
@@ -33,63 +32,13 @@ class LossConfig:
             raise ValueError("distance_scale and temperature must be positive")
 
 
-def _input_distance(x_i, x_j) -> float:
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != x_j.shape or x_i.ndim != 1:
-        raise ShapeError(f"input vectors disagree: {x_i.shape} vs {x_j.shape}")
-    return float(np.linalg.norm(x_i - x_j))
-
-
-def pair_loss_discrete(x_i, x_j, code_i: HashCode, code_j: HashCode, cfg: LossConfig) -> float:
-    """Loss of one pair with hard +-1 codes."""
-    if code_i.length != code_j.length:
-        raise ShapeError("codes have different lengths")
-    d_in = _input_distance(x_i, x_j)
-    d_code = float(np.abs(code_i.bits - code_j.bits).sum())
-    gap = cfg.distance_scale * d_in - d_code
-    return abs(gap) * float(np.exp(-d_in / cfg.temperature))
-
-
-def pair_loss_relaxed(x_i, x_j, h_i, h_j, cfg: LossConfig) -> float:
-    """Loss of one pair with relaxed (tanh) outputs in place of codes."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape or h_i.ndim != 1:
-        raise ShapeError(f"output vectors disagree: {h_i.shape} vs {h_j.shape}")
-    d_in = _input_distance(x_i, x_j)
-    gap = cfg.distance_scale * d_in - float(np.abs(h_i - h_j).sum())
-    return abs(gap) * float(np.exp(-d_in / cfg.temperature))
-
-
-def pair_loss_grad(x_i, x_j, h_i, h_j, cfg: LossConfig):
-    """Analytic subgradient of the relaxed pair loss w.r.t. h_i and h_j.
-
-    With gap = scale*d_in - ||h_i - h_j||_1 and weight w = exp(-d_in/temp):
-
-        dL/dh_i = -w * sign(gap) * sign(h_i - h_j)   (componentwise)
-        dL/dh_j = -dL/dh_i
-
-    sign(0) is taken as 0 both for the gap and for zero components of
-    h_i - h_j, so the subgradient is deterministic and bounded.
-    """
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape or h_i.ndim != 1:
-        raise ShapeError(f"output vectors disagree: {h_i.shape} vs {h_j.shape}")
-    d_in = _input_distance(x_i, x_j)
-    diff = h_i - h_j
-    gap = cfg.distance_scale * d_in - float(np.abs(diff).sum())
-    w = np.exp(-d_in / cfg.temperature)
-    g_i = -w * np.sign(gap) * np.sign(diff)
-    return g_i, -g_i
-
-
 def batch_loss(batch_x, batch_h, cfg: LossConfig):
     """Mean relaxed loss and per-output gradients over all unordered pairs.
 
     Every one of the C(B,2) pairs contributes; the loss is their mean and the
-    returned (B, L) gradient array is the gradient of that mean.
+    returned (B, L) gradient array is the gradient of that mean. sign(0) is
+    taken as 0 both for the gap and for zero components of h_i - h_j, so
+    the subgradient is deterministic and bounded.
     """
     batch_x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
     batch_h = np.atleast_2d(np.asarray(batch_h, dtype=np.float64))

@@ -59,11 +59,6 @@ def nmi(pred, truth) -> float:
     return mi / float(np.sqrt(h_i * h_j))
 
 
-def training_cost_bits(n_sites: int, n_params: int, n_rounds: int) -> int:
-    """Bits moved during training: gradients up and parameters down, each round."""
-    return n_sites * n_params * 2 * n_rounds * 32
-
-
 @dataclass
 class CostLedger:
     """Per-phase bit counts for all site/coordinator traffic.
@@ -102,7 +97,8 @@ class CostLedger:
 def total_cost_bits(n_sites: int, n_params: int, n_rounds: int, codes_per_site, code_length: int) -> CostLedger:
     """Full ledger for one run; ``codes_per_site`` lists num_m per site."""
     codes_per_site = list(codes_per_site)
-    training = training_cost_bits(n_sites, n_params, n_rounds)
+    # gradients up and parameters down, every round
+    training = n_sites * n_params * 2 * n_rounds * 32
     final_broadcast = n_sites * n_params * 32
     code = sum(n * (32 + code_length) for n in codes_per_site)
     upper = (

@@ -77,7 +77,6 @@ class NetworkParams:
 
     layers: tuple[LayerSpec, ...]
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.layers = validate_spec(self.layers)
@@ -129,7 +128,7 @@ def init_network(spec, seed: int) -> NetworkParams:
         chunks.append(rng.uniform(-bound, bound, size=l.input_dim * l.output_dim))
         chunks.append(np.zeros(l.output_dim))
     values = as_float32_grid(np.concatenate(chunks))
-    return NetworkParams(layers=layers, values=values, seed=seed)
+    return NetworkParams(layers=layers, values=values)
 
 
 def _split(params: NetworkParams):
@@ -147,8 +146,9 @@ def _split(params: NetworkParams):
 class ForwardTrace:
     """Intermediates of one forward pass, kept for backpropagation.
 
-    ``inputs`` is the batch fed to layer 0; ``pre_acts[i]`` and ``acts[i]``
-    are layer i's pre-activation and activation. ``layers`` and
+    ``inputs`` is the batch fed to layer 0; ``acts[i]`` is layer i's
+    activation (a ReLU unit's output is positive exactly where its
+    pre-activation is, so backward needs no pre-activations). ``layers`` and
     ``weights[i]`` are the specs and weight matrices the pass ran with, so
     backward differentiates exactly that pass. The weights are views of the
     parameter vector; no update writes one in place, each builds a new one.
@@ -157,7 +157,6 @@ class ForwardTrace:
     inputs: np.ndarray
     layers: tuple
     weights: list = field(default_factory=list)
-    pre_acts: list = field(default_factory=list)
     acts: list = field(default_factory=list)
 
 
@@ -186,7 +185,6 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
         z = a @ w + b
         a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
         trace.weights.append(w)
-        trace.pre_acts.append(z)
         trace.acts.append(a)
     return a, trace
 
@@ -210,9 +208,9 @@ def backward(trace: ForwardTrace, grad_h) -> np.ndarray:
     grads = [None] * len(trace.layers)
     g = grad_h
     for i in range(len(trace.layers) - 1, -1, -1):
-        z, a = trace.pre_acts[i], trace.acts[i]
+        a = trace.acts[i]
         if trace.layers[i].activation == "relu":
-            dz = g * (z > 0.0)
+            dz = g * (a > 0.0)
         else:
             dz = g * (1.0 - a * a)
         a_prev = trace.inputs if i == 0 else trace.acts[i - 1]
@@ -262,24 +260,10 @@ class HashCode:
         return (raw.astype(np.int8) * 2 - 1)
 
 
-def binarize(h) -> HashCode:
-    """Threshold one relaxed output vector to a code; sign(0) maps to +1."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1:
-        raise ShapeError("binarize takes a single vector; see binarize_batch")
-    return HashCode.from_bits(np.where(h >= 0.0, 1, -1).astype(np.int8))
-
-
 def binarize_batch(h) -> np.ndarray:
-    """Threshold a batch of outputs to a (B, L) array of +-1 (int8)."""
+    """Threshold a batch of outputs to a (B, L) array of +-1 (int8); sign(0) maps to +1."""
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     return np.where(h >= 0.0, 1, -1).astype(np.int8)
-
-
-def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
-    """Packed byte form for each row of a (B, L) +-1 array."""
-    packed = np.packbits((bits > 0).astype(np.uint8), axis=1)
-    return [row.tobytes() for row in packed]
 
 
 def group_codes(h):
@@ -312,7 +296,7 @@ def serialize_params(params: NetworkParams) -> bytes:
 
 def serialize_values(params: NetworkParams, values) -> bytes:
     """Serialize an arbitrary flat vector (e.g. a gradient) with the layer header."""
-    clone = NetworkParams(params.layers, np.asarray(values, dtype=np.float64), params.seed)
+    clone = NetworkParams(params.layers, np.asarray(values, dtype=np.float64))
     return serialize_params(clone)
 
 

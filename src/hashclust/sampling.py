@@ -25,11 +25,8 @@ class BucketIndex:
     uniform draws are reproducible.
     """
 
-    code_length: int
-    codes_packed: tuple
     code_bits: np.ndarray
     members: tuple
-    n_samples: int
 
     def sizes(self) -> np.ndarray:
         return np.array([len(m) for m in self.members])
@@ -41,15 +38,9 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    keys, code_bits, index = group_codes(h)
+    _keys, code_bits, index = group_codes(h)
     members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
-    return BucketIndex(
-        code_length=params.code_length,
-        codes_packed=tuple(keys),
-        code_bits=code_bits.astype(np.int64),
-        members=tuple(members),
-        n_samples=x.shape[0],
-    )
+    return BucketIndex(code_bits=code_bits.astype(np.int64), members=tuple(members))
 
 
 def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
@@ -61,15 +52,16 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if buckets.n_samples == 0 or not buckets.members:
+    counts = buckets.sizes()
+    n_samples = int(counts.sum())
+    if n_samples == 0:
         raise EmptyShardError("no samples to select from")
     rng = np.random.default_rng(seed)
     n_buckets = len(buckets.members)
     remaining = [list(m) for m in buckets.members]
-    counts = buckets.sizes()
     # summed hamming distance from each bucket's code to every picked code
     sums = np.zeros(n_buckets, dtype=np.int64)
-    length = buckets.code_length
+    length = buckets.code_bits.shape[1]
 
     def draw(bucket: int, offset: int | None = None) -> int:
         pool = remaining[bucket]
@@ -82,10 +74,10 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
         return idx
 
     picked = []
-    target = min(batch_size, buckets.n_samples)
+    target = min(batch_size, n_samples)
 
     # first pick: uniform over all samples via the flattened bucket order
-    pos = int(rng.integers(buckets.n_samples))
+    pos = int(rng.integers(n_samples))
     cum = np.cumsum(counts)
     b0 = int(np.searchsorted(cum, pos, side="right"))
     picked.append(draw(b0, pos - (cum[b0 - 1] if b0 else 0)))

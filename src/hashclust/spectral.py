@@ -4,13 +4,9 @@ Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
 codes that sit close in hamming space are strongly tied. The graph is cut
 with the classic spectral relaxation (symmetric normalized Laplacian,
-k smallest eigenvectors, row-normalized embedding, k-means), and an
-exhaustive minimizer over labelings doubles as a test oracle on small
-graphs.
-
-The cut objective evaluated here measures part volume as the *number of
-vertices* in the part (not the weighted degree sum); the spectral relaxation
-is the standard one regardless, which is what the cited method prescribes.
+k smallest eigenvectors, row-normalized embedding, k-means), which is what
+the cited method prescribes. The test suite checks it against an exhaustive
+minimizer of the cut objective on small graphs.
 """
 
 from __future__ import annotations
@@ -22,26 +18,15 @@ from .errors import (
     InconsistentStateError,
     InvalidCodebookError,
     InvalidKError,
-    InvalidPartitionError,
-    OracleSizeError,
     ShapeError,
     UnsupportedSizeError,
 )
 from .kmeans import kmeans
-from .network import HashCode
 
-BRUTE_FORCE_MAX_VERTICES = 12
 # Checked before build_graph allocates: the dense cut holds several n x n
 # float64 arrays at once. 4000 codes peak at 788 MB RSS, about 45 B per vertex
 # pair, so 2**13 vertices need about 3 GB (of an 8 GB host); 2**16, 190 GB.
 DENSE_SOLVER_MAX_VERTICES = 2 ** 13
-
-
-def hamming(a: HashCode, b: HashCode) -> int:
-    """Number of differing positions; L1 distance of +-1 codes is twice this."""
-    if a.length != b.length:
-        raise ShapeError(f"codes have lengths {a.length} and {b.length}")
-    return int((a.bits != b.bits).sum())
 
 
 def build_graph(book: Codebook) -> np.ndarray:
@@ -67,64 +52,6 @@ def _adjacency(graph) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"adjacency must be square, got {w.shape}")
     return w
-
-
-def ncut_value(graph, labels, k: int) -> float:
-    """Normalized-cut objective: half the sum over parts of cut(part) / |part|.
-
-    ``|part|`` counts vertices. Every label in [0, k) must be present.
-    """
-    w = _adjacency(graph)
-    labels = np.asarray(labels)
-    if labels.shape != (w.shape[0],):
-        raise ShapeError("labels must assign every vertex")
-    if labels.min() < 0 or labels.max() >= k:
-        raise InvalidPartitionError(f"labels outside [0, {k})")
-    total = 0.0
-    for c in range(k):
-        mask = labels == c
-        if not mask.any():
-            raise InvalidPartitionError(f"cluster {c} is empty")
-        total += w[mask][:, ~mask].sum() / mask.sum()
-    return 0.5 * total
-
-
-def _growth_strings(n: int, k: int):
-    """All surjective labelings in canonical (restricted growth) form, lex order."""
-    labels = np.zeros(n, dtype=np.int64)
-
-    def rec(i: int, used: int):
-        if i == n:
-            if used == k:
-                yield labels.copy()
-            return
-        # pruning: remaining positions must still be able to reach k labels
-        if used + (n - i) < k:
-            return
-        for v in range(min(used + 1, k)):
-            labels[i] = v
-            yield from rec(i + 1, used + (1 if v == used else 0))
-
-    yield from rec(1, 1) if n else iter(())
-
-
-def brute_force_ncut(graph, k: int) -> np.ndarray:
-    """Exhaustive minimizer of the cut objective; small graphs only.
-
-    Returns the lexicographically smallest label vector among minimizers.
-    """
-    w = _adjacency(graph)
-    n = w.shape[0]
-    if n > BRUTE_FORCE_MAX_VERTICES:
-        raise OracleSizeError(f"{n} vertices exceeds the enumeration bound")
-    if k < 1 or k > n:
-        raise InvalidKError(f"k={k} incompatible with {n} vertices")
-    best, best_value = None, np.inf
-    for labels in _growth_strings(n, k):
-        value = ncut_value(w, labels, k)
-        if value < best_value - 1e-15:
-            best, best_value = labels, value
-    return best
 
 
 def normalized_laplacian(graph) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each round the coordinator broadcasts the current parameters, every site
 computes a gradient on a greedily-selected local batch, and the coordinator
-applies the averaged gradient. Rounds are a strict barrier; the per-round
-bit cost (gradients up, parameters down, 32 bits per value) is recorded as
-it happens.
+applies the averaged gradient. Rounds are a strict barrier. Their bit
+cost is the closed form in metrics.total_cost_bits; a wire run recounts it
+from the frames it actually sent.
 
 Gradients and merged parameters are rounded to the float32 grid at the
 transfer boundaries, matching the wire format, so simulated and networked
@@ -42,10 +42,8 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round_index: int
     mean_loss: float
     site_losses: tuple
-    bits: int
 
 
 @dataclass
@@ -55,18 +53,6 @@ class TrainingHistory:
     @property
     def losses(self) -> np.ndarray:
         return np.array([r.mean_loss for r in self.records])
-
-    @property
-    def min_loss(self) -> float:
-        return float(self.losses.min())
-
-    @property
-    def max_loss(self) -> float:
-        return float(self.losses.max())
-
-    @property
-    def total_bits(self) -> int:
-        return sum(r.bits for r in self.records)
 
 
 def derive_round_seed(base_seed: int, round_index: int) -> int:
@@ -111,7 +97,7 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
             raise ShapeError(f"gradient {i} has shape {g.shape}, expected ({n},)")
         total += as_float32_grid(g)
     new_values = as_float32_grid(params.values - learning_rate * (total / len(grads)))
-    return NetworkParams(params.layers, new_values, params.seed)
+    return NetworkParams(params.layers, new_values)
 
 
 def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):
@@ -121,19 +107,11 @@ def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):
     returns their (gradients, losses) in site order. One loop for both modes
     keeps their parameter trajectories bitwise the same.
     """
-    bits = 2 * cfg.n_sites * 32 * param_count(params)
     history = TrainingHistory()
     for r in range(cfg.n_rounds):
         grads, losses = exchange(params, r)
         params = global_merge(params, grads, cfg.learning_rate)
-        history.records.append(
-            RoundRecord(
-                round_index=r,
-                mean_loss=float(np.mean(losses)),
-                site_losses=tuple(losses),
-                bits=bits,
-            )
-        )
+        history.records.append(RoundRecord(float(np.mean(losses)), tuple(losses)))
     return params, history
 
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
 from .errors import InvalidSpecError, ProtocolError
-from .network import NetworkParams, deserialize_params, init_network, serialize_params, serialize_values
+from .network import (
+    NetworkParams,
+    deserialize_params,
+    init_network,
+    serialize_params,
+    serialize_values,
+    validate_spec,
+)
 from .training import TrainingConfig, TrainingHistory, local_round, run_rounds
 from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
@@ -257,14 +264,21 @@ def run_sub_site(host: str, port: int, shard, cfg: TrainingConfig, timeout: floa
         expect_frame(sock, TAG_DONE)
 
 
-def run_wire_locally(shards, spec, cfg: TrainingConfig, host: str = "127.0.0.1", timeout: float = DEFAULT_TIMEOUT) -> WireGlobalResult:
+def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> WireGlobalResult:
     """Full wire run on loopback: site threads against an in-process coordinator.
 
     Same frames, sockets and accounting as a distributed run; only the
-    process boundary is missing. A site thread failure surfaces as
-    ProtocolError once the coordinator returns or fails.
+    process boundary is missing. A bad spec or shard count raises
+    InvalidSpecError before any socket or thread exists. A site thread
+    failure surfaces as ProtocolError once the coordinator returns or fails.
     """
+    host = "127.0.0.1"
     shards = list(shards)
+    spec = validate_spec(spec)
+    if len(shards) != cfg.n_sites:
+        raise InvalidSpecError(
+            f"config says {cfg.n_sites} sites but {len(shards)} shards supplied"
+        )
     listeners = open_listeners(host, 0, len(shards))
     ports = listener_ports(listeners)
     failures = []

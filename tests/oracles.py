@@ -2,13 +2,167 @@
 
 Everything in here recomputes quantities by a different route than the
 library (finite differences, exhaustive enumeration, brute-force
-recounting) so agreement is meaningful.
+recounting, one pair or one code at a time) so agreement is meaningful.
+No run of the library needs any of it.
 """
 
 import numpy as np
 
+from hashclust.errors import HashClustError, InvalidKError, ShapeError
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import NetworkParams, forward
+from hashclust.network import HashCode, NetworkParams, forward
+from hashclust.spectral import _adjacency
+
+BRUTE_FORCE_MAX_VERTICES = 12
+
+
+class InvalidPartitionError(HashClustError):
+    """A partition has an empty part or out-of-range labels."""
+
+
+class OracleSizeError(HashClustError):
+    """Graph too large for exhaustive enumeration."""
+
+
+# --- codes, one at a time ---
+
+def binarize(h) -> HashCode:
+    """Threshold one relaxed output vector to a code; sign(0) maps to +1."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1:
+        raise ShapeError("binarize takes a single vector; see binarize_batch")
+    return HashCode.from_bits(np.where(h >= 0.0, 1, -1).astype(np.int8))
+
+
+def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
+    """Packed byte form for each row of a (B, L) +-1 array."""
+    packed = np.packbits((bits > 0).astype(np.uint8), axis=1)
+    return [row.tobytes() for row in packed]
+
+
+def hamming(a: HashCode, b: HashCode) -> int:
+    """Number of differing positions; L1 distance of +-1 codes is twice this."""
+    if a.length != b.length:
+        raise ShapeError(f"codes have lengths {a.length} and {b.length}")
+    return int((a.bits != b.bits).sum())
+
+
+# --- the pair loss, one pair at a time ---
+
+def _input_distance(x_i, x_j) -> float:
+    x_i = np.asarray(x_i, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)
+    if x_i.shape != x_j.shape or x_i.ndim != 1:
+        raise ShapeError(f"input vectors disagree: {x_i.shape} vs {x_j.shape}")
+    return float(np.linalg.norm(x_i - x_j))
+
+
+def pair_loss_discrete(x_i, x_j, code_i: HashCode, code_j: HashCode, cfg: LossConfig) -> float:
+    """Loss of one pair with hard +-1 codes."""
+    if code_i.length != code_j.length:
+        raise ShapeError("codes have different lengths")
+    d_in = _input_distance(x_i, x_j)
+    d_code = float(np.abs(code_i.bits - code_j.bits).sum())
+    gap = cfg.distance_scale * d_in - d_code
+    return abs(gap) * float(np.exp(-d_in / cfg.temperature))
+
+
+def pair_loss_relaxed(x_i, x_j, h_i, h_j, cfg: LossConfig) -> float:
+    """Loss of one pair with relaxed (tanh) outputs in place of codes."""
+    h_i = np.asarray(h_i, dtype=np.float64)
+    h_j = np.asarray(h_j, dtype=np.float64)
+    if h_i.shape != h_j.shape or h_i.ndim != 1:
+        raise ShapeError(f"output vectors disagree: {h_i.shape} vs {h_j.shape}")
+    d_in = _input_distance(x_i, x_j)
+    gap = cfg.distance_scale * d_in - float(np.abs(h_i - h_j).sum())
+    return abs(gap) * float(np.exp(-d_in / cfg.temperature))
+
+
+def pair_loss_grad(x_i, x_j, h_i, h_j, cfg: LossConfig):
+    """Analytic subgradient of the relaxed pair loss w.r.t. h_i and h_j.
+
+    With gap = scale*d_in - ||h_i - h_j||_1 and weight w = exp(-d_in/temp):
+
+        dL/dh_i = -w * sign(gap) * sign(h_i - h_j)   (componentwise)
+        dL/dh_j = -dL/dh_i
+
+    sign(0) is taken as 0 both for the gap and for zero components of
+    h_i - h_j, so the subgradient is deterministic and bounded.
+    """
+    h_i = np.asarray(h_i, dtype=np.float64)
+    h_j = np.asarray(h_j, dtype=np.float64)
+    if h_i.shape != h_j.shape or h_i.ndim != 1:
+        raise ShapeError(f"output vectors disagree: {h_i.shape} vs {h_j.shape}")
+    d_in = _input_distance(x_i, x_j)
+    diff = h_i - h_j
+    gap = cfg.distance_scale * d_in - float(np.abs(diff).sum())
+    w = np.exp(-d_in / cfg.temperature)
+    g_i = -w * np.sign(gap) * np.sign(diff)
+    return g_i, -g_i
+
+
+# --- the cut objective and its exhaustive minimizer ---
+
+def ncut_value(graph, labels, k: int) -> float:
+    """Normalized-cut objective: half the sum over parts of cut(part) / |part|.
+
+    ``|part|`` counts vertices (not the weighted degree sum). Every label in
+    [0, k) must be present.
+    """
+    w = _adjacency(graph)
+    labels = np.asarray(labels)
+    if labels.shape != (w.shape[0],):
+        raise ShapeError("labels must assign every vertex")
+    if labels.min() < 0 or labels.max() >= k:
+        raise InvalidPartitionError(f"labels outside [0, {k})")
+    total = 0.0
+    for c in range(k):
+        mask = labels == c
+        if not mask.any():
+            raise InvalidPartitionError(f"cluster {c} is empty")
+        total += w[mask][:, ~mask].sum() / mask.sum()
+    return 0.5 * total
+
+
+def _growth_strings(n: int, k: int):
+    """All surjective labelings in canonical (restricted growth) form, lex order."""
+    labels = np.zeros(n, dtype=np.int64)
+
+    def rec(i: int, used: int):
+        if i == n:
+            if used == k:
+                yield labels.copy()
+            return
+        # pruning: remaining positions must still be able to reach k labels
+        if used + (n - i) < k:
+            return
+        for v in range(min(used + 1, k)):
+            labels[i] = v
+            yield from rec(i + 1, used + (1 if v == used else 0))
+
+    yield from rec(1, 1) if n else iter(())
+
+
+def brute_force_ncut(graph, k: int) -> np.ndarray:
+    """Exhaustive minimizer of the cut objective; small graphs only.
+
+    Returns the lexicographically smallest label vector among minimizers.
+    """
+    w = _adjacency(graph)
+    n = w.shape[0]
+    if n > BRUTE_FORCE_MAX_VERTICES:
+        raise OracleSizeError(f"{n} vertices exceeds the enumeration bound")
+    if k < 1 or k > n:
+        raise InvalidKError(f"k={k} incompatible with {n} vertices")
+    best, best_value = None, np.inf
+    for labels in _growth_strings(n, k):
+        value = ncut_value(w, labels, k)
+        if value < best_value - 1e-15:
+            best, best_value = labels, value
+    return best
+
+
+# --- gradients ---
 
 
 def finite_difference(f, x0, step=1e-5):
@@ -36,6 +190,21 @@ def batch_objective(params: NetworkParams, x, cfg: LossConfig):
     return f
 
 
+def pre_activations(params: NetworkParams, x) -> list:
+    """Every layer's pre-activation ``a_prev @ W + b``, read off the flat vector."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    zs, off = [], 0
+    for layer in params.layers:
+        n_w = layer.input_dim * layer.output_dim
+        w = params.values[off : off + n_w].reshape(layer.input_dim, layer.output_dim)
+        b = params.values[off + n_w : off + n_w + layer.output_dim]
+        off += n_w + layer.output_dim
+        z = a @ w + b
+        zs.append(z)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)
+    return zs
+
+
 def kink_margin(params: NetworkParams, x, cfg: LossConfig) -> float:
     """Distance to the nearest nondifferentiable point of the objective.
 
@@ -43,9 +212,9 @@ def kink_margin(params: NetworkParams, x, cfg: LossConfig) -> float:
     L1 distance between relaxed outputs, and ReLU corners. Finite
     differences are only trusted when this margin is well above the step.
     """
-    h, trace = forward(params, x)
+    h, _ = forward(params, x)
     margins = []
-    for z, layer in zip(trace.pre_acts, params.layers):
+    for z, layer in zip(pre_activations(params, x), params.layers):
         if layer.activation == "relu":
             margins.append(np.abs(z).min())
     n = h.shape[0]

@@ -19,10 +19,12 @@ import pytest
 from conftest import record_criterion
 from oracles import (
     batch_objective,
+    brute_force_ncut,
     disconnected_components,
     finite_difference,
     kink_margin,
     labels_match_up_to_permutation,
+    ncut_value,
     planted_two_cluster,
 )
 
@@ -39,7 +41,7 @@ from hashclust.pipeline import (
     derive_seed,
     run_pipeline,
 )
-from hashclust.spectral import brute_force_ncut, ncut_value, spectral_cluster
+from hashclust.spectral import spectral_cluster
 from hashclust.training import TrainingConfig, global_merge, local_round, relative_error_ratio, train
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"

@@ -17,8 +17,9 @@ from hashclust.network import (
     forward,
     init_network,
     mlp_spec,
-    pack_bits_batch,
 )
+
+from oracles import pack_bits_batch
 
 
 def code(*bits):

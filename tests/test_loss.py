@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from hashclust.errors import InsufficientBatchError, ShapeError
-from hashclust.loss import (
-    LossConfig,
-    batch_loss,
-    pair_loss_discrete,
-    pair_loss_grad,
-    pair_loss_relaxed,
-)
+from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import HashCode
 
-from oracles import finite_difference
+from oracles import finite_difference, pair_loss_discrete, pair_loss_grad, pair_loss_relaxed
 
 
 CFG11 = LossConfig(distance_scale=1.0, temperature=1.0)

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from hashclust.errors import ShapeError
-from hashclust.metrics import (
-    CostLedger,
-    nmi,
-    purity,
-    total_cost_bits,
-    training_cost_bits,
-)
+from hashclust.metrics import CostLedger, nmi, purity, total_cost_bits
 
 
 # --- purity ---
@@ -109,16 +103,20 @@ def test_nmi_natural_log_value():
 
 # --- cost formulas ---
 
+def training_bits(n_sites, n_params, n_rounds):
+    return total_cost_bits(n_sites, n_params, n_rounds, [], 8).training_bits
+
+
 def test_training_cost_hand_example():
-    assert training_cost_bits(10, 1000, 5) == 3_200_000
+    assert training_bits(10, 1000, 5) == 3_200_000
 
 
 def test_training_cost_zero_rounds():
-    assert training_cost_bits(4, 123, 0) == 0
+    assert training_bits(4, 123, 0) == 0
 
 
 def test_training_cost_linear_in_rounds():
-    assert training_cost_bits(3, 77, 12) == 2 * training_cost_bits(3, 77, 6)
+    assert training_bits(3, 77, 12) == 2 * training_bits(3, 77, 6)
 
 
 def test_total_cost_hand_example():

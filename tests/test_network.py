@@ -3,26 +3,25 @@ import pytest
 
 from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
+    ForwardTrace,
     HashCode,
     LayerSpec,
     NetworkParams,
     as_float32_grid,
     backward,
-    binarize,
     binarize_batch,
     deserialize_params,
     forward,
     group_codes,
     init_network,
     mlp_spec,
-    pack_bits_batch,
     param_count,
     serialize_params,
     validate_spec,
 )
 from hashclust.training import global_merge
 
-from oracles import finite_difference
+from oracles import binarize, finite_difference, pack_bits_batch, pre_activations
 
 
 def tiny_params(seed=0, dims=(3, 4, 2)):
@@ -169,6 +168,36 @@ def test_backward_keeps_the_pass_of_its_trace():
     assert np.array_equal(g, backward(fresh, seed_grad))
     _, moved = forward(merged, x)
     assert not np.array_equal(g, backward(moved, seed_grad))
+
+
+def test_backward_relu_derivative_at_zero_is_zero():
+    """ReLU' at 0 is 0: no gradient flows through a unit whose pre-activation is +0.0 or -0.0."""
+    layers = (LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "tanh"))
+    w0 = np.array([[2.0, 0.5, 0.5], [-1.0, -0.25, 0.25]])
+    b0 = np.array([0.0, 0.0, 0.1])
+    w1 = np.array([[0.3, -0.2], [0.4, 0.1], [-0.5, 0.6]])
+    b1 = np.array([0.05, -0.05])
+    params = NetworkParams(layers, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    x = np.array([[1.0, 2.0], [3.0, 6.0]])
+    z0 = pre_activations(params, x)[0]
+    assert np.all(z0[:, :2] == 0.0) and not np.signbit(z0[:, :2]).any()
+    assert np.all(z0[:, 2] > 0.0)
+    h, trace = forward(params, x)
+    # the matmul sums from +0.0, so no forward pass yields -0.0: set the
+    # second unit's pre-activation to -0.0 by hand and rebuild its output
+    z_neg = z0.copy()
+    z_neg[:, 1] = -0.0
+    assert np.signbit(z_neg[:, 1]).all()
+    trace_neg = ForwardTrace(
+        inputs=x, layers=layers, weights=trace.weights,
+        acts=[np.maximum(z_neg, 0.0), trace.acts[1]],
+    )
+    seed_grad = np.random.default_rng(8).normal(size=h.shape)
+    for tr in (trace, trace_neg):
+        g = backward(tr, seed_grad)
+        dw0, db0 = g[:6].reshape(2, 3), g[6:9]
+        assert np.all(dw0[:, :2] == 0.0) and np.all(db0[:2] == 0.0)
+        assert np.all(dw0[:, 2] != 0.0) and db0[2] != 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -221,6 +221,19 @@ def test_run_pipeline_writes_results(tmp_path):
     assert on_disk == json.loads(json.dumps(results))
 
 
+def test_rerun_from_results_config_echo(tmp_path):
+    raw = make_raw(seed=3)  # this seed's run keeps 4 codes with these layers
+    raw["network"] = {"hidden_dims": [5, 4]}
+    first = run_pipeline(apply_overrides(config_from_dict(raw), out=str(tmp_path / "run")))
+    echo = json.loads((tmp_path / "run" / "results.json").read_text())["config"]
+    assert echo["hidden_dims"] == [5, 4]  # the tuple comes back as a list
+    with pytest.raises(InvalidSpecError, match="unknown config keys"):
+        config_from_dict(echo)  # reads the nested file schema, not the echo
+    again = run_pipeline(PipelineConfig(**echo))
+    for key in ("purity", "nmi", "rer_series", "ledger", "cluster_sizes", "codebook_size"):
+        assert again[key] == first[key]
+
+
 def test_run_pipeline_from_csv_matches_generate(tmp_path):
     gen_cfg = apply_overrides(config_from_dict(make_raw(seed=6)), out=str(tmp_path))
     csv_path, _ = run_generate(gen_cfg)

@@ -9,11 +9,10 @@ from hashclust.network import (
     binarize_batch,
     init_network,
     mlp_spec,
-    pack_bits_batch,
 )
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 
-from oracles import hamming_sum
+from oracles import hamming_sum, pack_bits_batch
 
 
 def zero_net(dim, code_length):
@@ -34,13 +33,7 @@ def cube_buckets(per_bucket=1):
     for _ in range(8):
         members.append(list(range(idx, idx + per_bucket)))
         idx += per_bucket
-    return BucketIndex(
-        code_length=3,
-        codes_packed=tuple(packed[i] for i in order),
-        code_bits=bits[order],
-        members=tuple(members),
-        n_samples=8 * per_bucket,
-    )
+    return BucketIndex(code_bits=bits[order], members=tuple(members))
 
 
 # --- build_buckets ---
@@ -50,14 +43,13 @@ def test_zero_network_single_bucket():
     x = np.random.default_rng(0).normal(size=(9, 2))
     buckets = build_buckets(params, x)
     assert len(buckets.members) == 1
-    assert buckets.codes_packed[0] == HashCode.from_bits([1, 1, 1, 1]).packed
+    assert pack_bits_batch(buckets.code_bits) == [HashCode.from_bits([1, 1, 1, 1]).packed]
     assert sorted(buckets.members[0]) == list(range(9))
 
 
 def test_single_sample_single_bucket():
     params = init_network(mlp_spec(3, (3,), 4), 1)
     buckets = build_buckets(params, np.zeros((1, 3)))
-    assert buckets.n_samples == 1
     assert buckets.sizes().tolist() == [1]
 
 
@@ -72,7 +64,7 @@ def test_buckets_partition_the_shard():
 
     h, _ = forward(params, x)
     codes = pack_bits_batch(binarize_batch(h))
-    for packed, members in zip(buckets.codes_packed, buckets.members):
+    for packed, members in zip(pack_bits_batch(buckets.code_bits), buckets.members):
         for i in members:
             assert codes[i] == packed
 
@@ -90,18 +82,15 @@ def test_cube_second_pick_is_opposite_vertex():
     buckets = cube_buckets()
     target_first = HashCode.from_bits([1, 1, 1]).packed
     antipode = HashCode.from_bits([-1, -1, -1]).packed
+    codes = pack_bits_batch(buckets.code_bits)
     seen = 0
     for seed in range(200):
         picks = select_batch(buckets, 2, seed)
-        first_code = next(
-            p for p, m in zip(buckets.codes_packed, buckets.members) if picks[0] in m
-        )
+        first_code = next(p for p, m in zip(codes, buckets.members) if picks[0] in m)
         if first_code != target_first:
             continue
         seen += 1
-        second_code = next(
-            p for p, m in zip(buckets.codes_packed, buckets.members) if picks[1] in m
-        )
+        second_code = next(p for p, m in zip(codes, buckets.members) if picks[1] in m)
         assert second_code == antipode
     assert seen > 0  # the conditioning event actually occurred
 
@@ -165,6 +154,8 @@ def test_argmax_property_with_tie_break():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(40, 4))
     buckets = build_buckets(params, x)
+    codes = pack_bits_batch(buckets.code_bits)
+    assert codes == sorted(codes)
     code_of = {}
     for b, members in enumerate(buckets.members):
         for i in members:
@@ -184,9 +175,7 @@ def test_argmax_property_with_tie_break():
                 best = max(scores.values())
                 assert scores[b] == best
                 winners = [j for j, s in scores.items() if s == best]
-                assert buckets.codes_packed[b] == min(
-                    buckets.codes_packed[j] for j in winners
-                )
+                assert codes[b] == min(codes[j] for j in winners)
             prior_bits.append(buckets.code_bits[b])
             remaining[b] -= 1
 
@@ -195,10 +184,7 @@ def test_select_batch_empty_buckets():
     params = zero_net(2, 3)
     x = np.zeros((1, 2))
     buckets = build_buckets(params, x)
-    empty = BucketIndex(
-        code_length=3, codes_packed=(), code_bits=np.zeros((0, 3), dtype=np.int8),
-        members=(), n_samples=0,
-    )
+    empty = BucketIndex(code_bits=np.zeros((0, 3), dtype=np.int8), members=())
     with pytest.raises(EmptyShardError):
         select_batch(empty, 3, 0)
     # sanity: the nonempty one works

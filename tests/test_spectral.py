@@ -6,8 +6,6 @@ from hashclust.errors import (
     InconsistentStateError,
     InvalidCodebookError,
     InvalidKError,
-    InvalidPartitionError,
-    OracleSizeError,
     ShapeError,
     UnsupportedSizeError,
 )
@@ -15,18 +13,20 @@ from hashclust.kmeans import kmeans
 from hashclust.network import HashCode, init_network, mlp_spec
 from hashclust.spectral import (
     DENSE_SOLVER_MAX_VERTICES,
-    brute_force_ncut,
     build_graph,
-    hamming,
-    ncut_value,
     normalized_laplacian,
     propagate_labels,
     spectral_cluster,
 )
 
 from oracles import (
+    InvalidPartitionError,
+    OracleSizeError,
+    brute_force_ncut,
     disconnected_components,
+    hamming,
     labels_match_up_to_permutation,
+    ncut_value,
     planted_two_cluster,
 )
 

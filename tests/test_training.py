@@ -141,17 +141,6 @@ def test_train_zero_rounds():
     assert np.array_equal(params.values, init_network(spec, cfg.seed).values)
 
 
-def test_train_bit_accounting():
-    rng = np.random.default_rng(4)
-    shards = [rng.uniform(size=(8, 2)) for _ in range(3)]
-    spec = mlp_spec(2, (3,), 2)
-    cfg = small_cfg(n_rounds=5, n_sites=3)
-    params, history = train(shards, spec, cfg)
-    n_params = param_count(params)
-    assert all(r.bits == 2 * 3 * 32 * n_params for r in history.records)
-    assert history.total_bits == 3 * n_params * 2 * 5 * 32  # M * |theta| * 2N * 32
-
-
 def test_train_identical_shards_equal_single_site():
     """M copies of one shard average to the single-site trajectory, bitwise."""
     rng = np.random.default_rng(5)
@@ -178,8 +167,6 @@ def test_train_history_invariants():
     shards = [rng.uniform(size=(12, 2)) for _ in range(2)]
     _, history = train(shards, mlp_spec(2, (3,), 2), small_cfg(n_rounds=6, n_sites=2))
     assert len(history.records) == 6
-    assert history.min_loss <= history.losses.min()
-    assert history.max_loss >= history.losses.max()
     for r in history.records:
         assert r.mean_loss == pytest.approx(np.mean(r.site_losses), rel=1e-12)
 
@@ -194,8 +181,8 @@ def test_round_seed_derivation():
 
 def make_history(losses):
     h = TrainingHistory()
-    for i, v in enumerate(losses):
-        h.records.append(RoundRecord(round_index=i, mean_loss=v, site_losses=(v,), bits=0))
+    for v in losses:
+        h.records.append(RoundRecord(mean_loss=v, site_losses=(v,)))
     return h
 
 

