@@ -31,9 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser("pipeline", help="run the full clustering pipeline")
     pipe.add_argument("--config", required=True, help="JSON config file")
     pipe.add_argument("--mode", choices=["sim", "wire"], help="override the config's mode")
-    pipe.add_argument("--listen", metavar="HOST:PORT", help="coordinator endpoint (wire mode)")
-    pipe.add_argument("--connect", metavar="HOST:PORT", help="coordinator to dial (wire site)")
-    pipe.add_argument("--site", type=int, help="site index for a wire worker")
+    pipe.add_argument("--listen", metavar="HOST:PORT", help="coordinator: the one port every site dials")
+    pipe.add_argument("--connect", metavar="HOST:PORT", help="wire site: the coordinator's port to dial")
+    pipe.add_argument("--site", type=int, help="wire site: the index it names in its hello")
     pipe.add_argument("--seed", type=int, help="override the config's master seed")
     pipe.add_argument("--out", help="output directory (overrides config)")
 

@@ -81,8 +81,8 @@ def merge_codebooks(books) -> Codebook:
     return Codebook(entries=entries, origin="global")
 
 
-# CODES_PUSH payload: 4-byte big-endian entry count, then per entry a 32-bit
-# IEEE-754 big-endian degree followed by ceil(L/8) packed code bytes.
+# CODES_PUSH payload: 4-byte big-endian entry count, then per entry a positive
+# integer degree as a big-endian IEEE-754 float32 and ceil(L/8) packed code bytes.
 
 def encode_codes_payload(book: Codebook) -> bytes:
     parts = [struct.pack(">I", len(book))]
@@ -103,10 +103,12 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
         )
     off = 4
     entries = []
-    for _ in range(count):
+    for i in range(count):
         (deg,) = struct.unpack(">f", data[off : off + 4])
+        if not (deg >= 1 and deg.is_integer()):
+            raise ShapeError(f"codebook entry {i} has degree {deg}, not a positive integer")
         off += 4
         code = HashCode(packed=data[off : off + n_bytes], length=code_length)
         off += n_bytes
-        entries.append(CodebookEntry(code, int(round(deg))))
+        entries.append(CodebookEntry(code, int(deg)))
     return Codebook(entries=tuple(entries), origin=origin)

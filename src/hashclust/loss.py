@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBatchError, ShapeError
+from .errors import InsufficientBatchError, InvalidSpecError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,9 @@ class LossConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.distance_scale <= 0 or self.temperature <= 0:
-            raise ValueError("distance_scale and temperature must be positive")
+        for key in ("distance_scale", "temperature"):
+            if not getattr(self, key) > 0:
+                raise InvalidSpecError(f"{key} must be positive, got {getattr(self, key)!r}")
 
 
 def batch_loss(batch_x, batch_h, cfg: LossConfig):

@@ -12,7 +12,7 @@ parameters and degrees count 32 bits each, codes L bits each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,18 +80,8 @@ class CostLedger:
     measured_physical_bits: int | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "training_bits": self.training_bits,
-            "final_broadcast_bits": self.final_broadcast_bits,
-            "code_bits": self.code_bits,
-            "total_bits": self.total_bits,
-            "upper_bound_bits": self.upper_bound_bits,
-        }
-        if self.measured_paper_bits is not None:
-            out["measured_paper_bits"] = self.measured_paper_bits
-        if self.measured_physical_bits is not None:
-            out["measured_physical_bits"] = self.measured_physical_bits
-        return out
+        """Every field in order; the measured ones only once a wire run set them."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def total_cost_bits(n_sites: int, n_params: int, n_rounds: int, codes_per_site, code_length: int) -> CostLedger:

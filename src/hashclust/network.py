@@ -300,7 +300,8 @@ def serialize_values(params: NetworkParams, values) -> bytes:
     return serialize_params(clone)
 
 
-def deserialize_params(data: bytes) -> NetworkParams:
+def read_layer_header(data: bytes):
+    """The layer specs of a serialized blob, and the offset its values start at."""
     if len(data) < 4:
         raise ShapeError("truncated parameter blob")
     (n_layers,) = struct.unpack(">I", data[:4])
@@ -314,10 +315,13 @@ def deserialize_params(data: bytes) -> NetworkParams:
         if tag not in _TAG_ACT:
             raise ShapeError(f"unknown activation tag {tag}")
         layers.append(LayerSpec(in_dim, out_dim, _TAG_ACT[tag]))
+    return tuple(layers), off
+
+
+def deserialize_params(data: bytes) -> NetworkParams:
+    layers, off = read_layer_header(data)
     n = param_count(layers)
     if len(data) - off != 4 * n:
-        raise ShapeError(
-            f"value section has {len(data) - off} bytes, expected {4 * n}"
-        )
+        raise ShapeError(f"value section has {len(data) - off} bytes, expected {4 * n}")
     values = np.frombuffer(data, dtype=">f4", count=n, offset=off).astype(np.float64)
-    return NetworkParams(layers=tuple(layers), values=values)
+    return NetworkParams(layers=layers, values=values)

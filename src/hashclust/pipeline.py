@@ -18,6 +18,7 @@ rejects that flat echo.
 from __future__ import annotations
 
 import json
+import socket
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -26,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import encode_shard, merge_codebooks
-from .datasets import gen_dataset, load_csv, make_dataset_spec, shard_dataset
+from .datasets import gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
 from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError
 from .loss import LossConfig
 from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
 from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import TrainingConfig, relative_error_ratio, train
-from .wire import open_listeners, parse_endpoint, run_sub_site, run_wire_locally, serve_global
+from .wire import parse_endpoint, run_sub_site, run_wire_locally, serve_global
 
 # fixed spawn keys so each phase draws from an independent stream
 _SEED_STREAMS = {"data": 0, "shard": 1, "train": 2, "cluster": 3}
@@ -98,6 +99,14 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _number(section: dict, key: str, kind, default=None, where: str = ""):
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{where}{key} must be a number, got {value!r}") from exc
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
     dataset = raw.get("dataset")
@@ -126,22 +135,22 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         generate=dict(generate) if generate is not None else None,
         csv=dataset.get("csv"),
         hidden_dims=tuple(hidden) if hidden is not None else None,
-        code_length=int(raw.get("code_length", 8)),
-        clusters=int(raw["clusters"]),
-        sites=int(raw.get("sites", 1)),
-        min_per_site=int(raw.get("min_per_site", 50)),
-        rounds=int(training.get("rounds", 50)),
-        batch_size=int(training.get("batch_size", 32)),
-        learning_rate=float(training.get("learning_rate", 0.05)),
-        distance_scale=float(training.get("distance_scale", 1.0)),
-        temperature=float(training.get("temperature", 1.0)),
+        code_length=_number(raw, "code_length", int, 8),
+        clusters=_number(raw, "clusters", int),
+        sites=_number(raw, "sites", int, 1),
+        min_per_site=_number(raw, "min_per_site", int, 50),
+        rounds=_number(training, "rounds", int, 50, "training."),
+        batch_size=_number(training, "batch_size", int, 32, "training."),
+        learning_rate=_number(training, "learning_rate", float, 0.05, "training."),
+        distance_scale=_number(training, "distance_scale", float, 1.0, "training."),
+        temperature=_number(training, "temperature", float, 1.0, "training."),
         mode=raw.get("mode", "sim"),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw, "seed", int, 0),
         out=raw.get("out"),
         listen=wire_cfg.get("listen"),
         connect=wire_cfg.get("connect"),
         site=wire_cfg.get("site"),
-        timeout=float(wire_cfg.get("timeout", 60.0)),
+        timeout=_number(wire_cfg, "timeout", float, 60.0, "wire."),
     )
 
 
@@ -196,8 +205,6 @@ def run_generate(cfg: PipelineConfig):
     csv_path = out_dir / "dataset.csv"
     manifest_path = out_dir / "manifest.json"
     with _phase("write", timings):
-        from .datasets import save_csv
-
         save_csv(csv_path, samples, truth)
         manifest = {
             "name": cfg.name,
@@ -249,9 +256,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             params, history = train(shards, net_spec, tcfg)
         else:
             if cfg.listen is not None:
-                host, port = parse_endpoint(cfg.listen)
-                listeners = open_listeners(host, port, cfg.sites)
-                result = serve_global(listeners, net_spec, tcfg, timeout=cfg.timeout)
+                listener = socket.create_server(parse_endpoint(cfg.listen))
+                result = serve_global(listener, net_spec, tcfg, timeout=cfg.timeout)
             else:
                 result = run_wire_locally(shards, net_spec, tcfg, timeout=cfg.timeout)
             params, history = result.params, result.history
@@ -321,9 +327,9 @@ def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     _shape, shards, tcfg = _shared_setup(cfg, timings)
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
-    host, base_port = parse_endpoint(cfg.connect)
+    host, port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
-        run_sub_site(host, base_port + cfg.site, shards[cfg.site], tcfg, timeout=cfg.timeout)
+        run_sub_site(host, port, cfg.site, shards[cfg.site], tcfg, timeout=cfg.timeout)
     return {"name": cfg.name, "mode": "wire", "role": "site", "site": cfg.site, "timings": timings}
 
 

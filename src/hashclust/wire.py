@@ -2,26 +2,31 @@
 
 Frame layout: 1-byte tag, 4-byte big-endian payload length, payload.
 Tags: 0x01 parameter broadcast, 0x02 gradient push, 0x03 codes push,
-0x04 done. Parameter and gradient payloads use the self-describing network
-serialization; a gradient payload carries the site's mean batch loss as an
-8-byte big-endian float trailer (telemetry for the convergence series; it
-counts as physical overhead, like the layer header, never as formula bits).
+0x04 done, 0x05 hello. Parameter and gradient payloads use the
+self-describing network serialization; a gradient payload carries the
+site's mean batch loss as an 8-byte big-endian float trailer (telemetry for
+the convergence series; it counts as physical overhead, like the layer
+header, never as formula bits).
 
-The coordinator opens one listening port per site (base_port + site_index),
-which fixes site identity without putting ids inside frames. The rounds
-run through training.run_rounds, the loop the in-process simulation runs,
-which merges the gradients in site order, so the two modes stay
-bit-identical.
+The coordinator listens on one port. A site's first frame is its hello: a
+4-byte big-endian site index and the SHA-256 digest of its TrainingConfig
+repr. The coordinator orders the connections by index and fails at once on
+a malformed hello, an index outside [0, n_sites), an index already taken or
+a digest unlike its own, so a mismatched site can neither diverge silently
+nor wait out its timeout. The rounds run through training.run_rounds, the
+loop the in-process simulation runs, which merges the gradients in site
+order, so the two modes stay bit-identical.
 
 Every byte crosses the coordinator, so a single TrafficMeter there observes
 all traffic. Per frame it accrues two counters: "paper" bits (32 per
 parameter or degree, L per code: the quantities the cost formulas charge)
 and "physical" bits (actual payload bytes; the 5-byte frame header is
-excluded everywhere).
+excluded everywhere). Hello and done frames are physical only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import struct
 import threading
@@ -30,11 +35,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
-from .errors import InvalidSpecError, ProtocolError
+from .errors import InvalidSpecError, ProtocolError, ShapeError
 from .network import (
     NetworkParams,
     deserialize_params,
     init_network,
+    param_count,
+    read_layer_header,
     serialize_params,
     serialize_values,
     validate_spec,
@@ -46,9 +53,11 @@ TAG_PARAMS = 0x01
 TAG_GRADIENT = 0x02
 TAG_CODES = 0x03
 TAG_DONE = 0x04
+TAG_HELLO = 0x05
 
 _FRAME_HEADER = struct.Struct(">BI")
 _LOSS_TRAILER = struct.Struct(">d")
+_HELLO = struct.Struct(">I32s")
 _MAX_PAYLOAD = 1 << 31
 
 DEFAULT_TIMEOUT = 60.0
@@ -64,7 +73,10 @@ def _recv_exact(sock, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        try:
+            chunk = sock.recv(remaining)
+        except OSError as exc:  # timed out or reset: the peer broke off
+            raise ProtocolError(f"receive failed ({remaining} bytes short): {exc!r}") from exc
         if not chunk:
             raise ProtocolError(f"connection closed mid-frame ({remaining} bytes short)")
         chunks.append(chunk)
@@ -86,31 +98,20 @@ def expect_frame(sock, want_tag: int) -> bytes:
     return payload
 
 
+def config_digest(cfg: TrainingConfig) -> bytes:
+    """SHA-256 of the config repr, which names every round, batch and seed setting."""
+    return hashlib.sha256(repr(cfg).encode()).digest()
+
+
 def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytes:
     return serialize_values(params, grad) + _LOSS_TRAILER.pack(loss)
 
 
 def _decode_gradient(payload: bytes):
-    if len(payload) < _LOSS_TRAILER.size:
-        raise ProtocolError("gradient payload too short for the loss trailer")
-    (loss,) = _LOSS_TRAILER.unpack(payload[-_LOSS_TRAILER.size :])
+    # a payload shorter than the trailer leaves an empty blob, which fails first
     blob = deserialize_params(payload[: -_LOSS_TRAILER.size])
+    (loss,) = _LOSS_TRAILER.unpack(payload[-_LOSS_TRAILER.size :])
     return blob.values, loss
-
-
-def _payload_param_count(payload: bytes) -> int:
-    """Parameter count read off a params/gradient payload's layer header."""
-    if len(payload) < 4:
-        raise ProtocolError("parameter payload too short")
-    (n_layers,) = struct.unpack(">I", payload[:4])
-    off, total = 4, 0
-    for _ in range(n_layers):
-        if off + 9 > len(payload):
-            raise ProtocolError("parameter payload truncated in layer header")
-        in_dim, out_dim, _tag = struct.unpack(">IIB", payload[off : off + 9])
-        off += 9
-        total += in_dim * out_dim + out_dim
-    return total
 
 
 class TrafficMeter:
@@ -128,46 +129,20 @@ class TrafficMeter:
         self.frames[tag] += 1
         self.physical_bits += 8 * len(payload)
         if tag == TAG_PARAMS:
-            self.param_bits += 32 * _payload_param_count(payload)
+            self.param_bits += 32 * param_count(read_layer_header(payload)[0])
         elif tag == TAG_GRADIENT:
-            self.gradient_bits += 32 * _payload_param_count(payload)
+            self.gradient_bits += 32 * param_count(read_layer_header(payload)[0])
         elif tag == TAG_CODES:
             if len(payload) < 4:
                 raise ProtocolError("codes payload too short")
             (count,) = struct.unpack(">I", payload[:4])
             self.code_bits += count * (32 + self.code_length)
-        elif tag != TAG_DONE:
+        elif tag not in (TAG_DONE, TAG_HELLO):
             raise ProtocolError(f"unknown frame tag 0x{tag:02x}")
 
     @property
     def paper_bits(self) -> int:
         return self.param_bits + self.gradient_bits + self.code_bits
-
-
-def open_listeners(host: str, base_port: int, n_sites: int):
-    """One listening socket per site.
-
-    base_port > 0 binds consecutive ports base_port..base_port+n_sites-1;
-    base_port == 0 lets the OS pick each port (loopback testing), readable
-    afterwards with listener_ports.
-    """
-    listeners = []
-    try:
-        for site in range(n_sites):
-            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            s.bind((host, base_port + site if base_port else 0))
-            s.listen(1)
-            listeners.append(s)
-    except OSError:
-        for s in listeners:
-            s.close()
-        raise
-    return listeners
-
-
-def listener_ports(listeners) -> list[int]:
-    return [s.getsockname()[1] for s in listeners]
 
 
 @dataclass
@@ -178,57 +153,76 @@ class WireGlobalResult:
     meter: TrafficMeter
 
 
-def serve_global(listeners, spec, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> WireGlobalResult:
-    """Coordinator side: initialize, run the rounds, collect the codebooks.
+def _hello_site(payload: bytes, conns, digest: bytes) -> int:
+    if len(payload) != _HELLO.size:
+        raise ProtocolError(f"hello of {len(payload)} bytes, expected {_HELLO.size}")
+    site, their_digest = _HELLO.unpack(payload)
+    if not 0 <= site < len(conns):
+        raise ProtocolError(f"hello names site {site}, outside [0, {len(conns)})")
+    if conns[site] is not None:
+        raise ProtocolError(f"site {site} connected twice")
+    if their_digest != digest:
+        raise ProtocolError(f"site {site} runs another training config than the coordinator")
+    return site
 
-    Listener index is site index. The rounds run through training.run_rounds,
-    the loop the in-process simulation runs, so for identical configs and
+
+def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> WireGlobalResult:
+    """Coordinator side: accept the sites, run the rounds, collect the codebooks.
+
+    ``listener`` is one listening socket; the connections are kept in the
+    order of the site indices the hellos name. The rounds run through
+    training.run_rounds, as in the simulation, so for identical configs and
     seeds the parameter trajectory is bitwise the same. Each round sends the
     parameters to every site before reading any gradient, so the sites
-    compute in parallel. A bad listener count or spec fails before any
-    accept; the listeners are closed on every exit.
+    compute in parallel. A bad spec fails before any accept; a bad hello or
+    payload raises ProtocolError at once. The listener and every accepted
+    connection are closed on every exit, so the other sites fail at once too.
     """
-    conns = []
+    accepted = []
+    conns = [None] * cfg.n_sites
 
     def broadcast(tag, payload):
         for conn in conns:
             send_frame(conn, tag, payload)
             meter.record(tag, payload)
 
-    def collect(tag):
-        for conn in conns:
+    def collect(tag, decode):
+        out = []
+        for site, conn in enumerate(conns):
             payload = expect_frame(conn, tag)
-            meter.record(tag, payload)
-            yield payload
+            try:
+                meter.record(tag, payload)
+                out.append(decode(payload, site))
+            except (ShapeError, InvalidSpecError) as exc:
+                raise ProtocolError(f"site {site} sent a malformed frame 0x{tag:02x}: {exc}") from exc
+        return out
 
     def exchange(params, _round):
         broadcast(TAG_PARAMS, serialize_params(params))
-        return zip(*(_decode_gradient(p) for p in collect(TAG_GRADIENT)))
+        return zip(*collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload)))
 
     try:
-        if len(listeners) != cfg.n_sites:
-            raise InvalidSpecError(
-                f"config says {cfg.n_sites} sites but {len(listeners)} listeners supplied"
-            )
         params = init_network(spec, cfg.seed)
         meter = TrafficMeter(params.code_length)
-        for lis in listeners:
-            lis.settimeout(timeout)
-            conn, _addr = lis.accept()
+        listener.settimeout(timeout)
+        for _ in range(cfg.n_sites):
+            conn, _addr = listener.accept()
+            accepted.append(conn)
             conn.settimeout(timeout)
-            conns.append(conn)
+            payload = expect_frame(conn, TAG_HELLO)
+            meter.record(TAG_HELLO, payload)
+            conns[_hello_site(payload, conns, config_digest(cfg))] = conn
         params, history = run_rounds(params, cfg, exchange)
         broadcast(TAG_PARAMS, serialize_params(params))
-        books = [
-            decode_codes_payload(payload, params.code_length, origin=f"site{site}")
-            for site, payload in enumerate(collect(TAG_CODES))
-        ]
+        books = collect(
+            TAG_CODES,
+            lambda payload, site: decode_codes_payload(payload, params.code_length, origin=f"site{site}"),
+        )
         broadcast(TAG_DONE, b"")
     finally:
-        for conn in conns:
+        for conn in accepted:
             conn.close()
-        for lis in listeners:
-            lis.close()
+        listener.close()
     return WireGlobalResult(params=params, history=history, site_books=books, meter=meter)
 
 
@@ -245,14 +239,16 @@ def _dial(host: str, port: int, timeout: float):
             time.sleep(0.05)
 
 
-def run_sub_site(host: str, port: int, shard, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT) -> None:
-    """Worker side: one site's whole protocol life, connect to done.
+def run_sub_site(host: str, port: int, site: int, shard, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT):
+    """Worker side: one site's whole protocol life, hello to done.
 
-    The site learns the network shape from the broadcast itself; only the
-    round count, batch policy and seeds come from its local config.
+    The site names itself and its config digest in its hello, then learns
+    the network shape from the broadcast itself; only the round count, batch
+    policy and seeds come from its local config.
     """
     with _dial(host, port, timeout) as sock:
         sock.settimeout(timeout)
+        send_frame(sock, TAG_HELLO, _HELLO.pack(site, config_digest(cfg)))
         params = None
         for r in range(cfg.n_rounds):
             params = deserialize_params(expect_frame(sock, TAG_PARAMS))
@@ -279,27 +275,27 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
         raise InvalidSpecError(
             f"config says {cfg.n_sites} sites but {len(shards)} shards supplied"
         )
-    listeners = open_listeners(host, 0, len(shards))
-    ports = listener_ports(listeners)
+    listener = socket.create_server((host, 0))
+    port = listener.getsockname()[1]
     failures = []
 
-    def site_main(port, shard):
+    def site_main(site, shard):
         try:
-            run_sub_site(host, port, shard, cfg, timeout=timeout)
+            run_sub_site(host, port, site, shard, cfg, timeout=timeout)
         except Exception as exc:  # noqa: BLE001 - reported after join
             failures.append(exc)
 
     threads = [
-        threading.Thread(target=site_main, args=(port, shard), daemon=True)
-        for port, shard in zip(ports, shards)
+        threading.Thread(target=site_main, args=(site, shard), daemon=True)
+        for site, shard in enumerate(shards)
     ]
     for t in threads:
         t.start()
     try:
-        return serve_global(listeners, spec, cfg, timeout=timeout)
+        return serve_global(listener, spec, cfg, timeout=timeout)
     finally:
-        # short joins: after a coordinator failure a site may still wait out
-        # its own timeout, and after success every site has had DONE
+        # short joins: a coordinator failure closes every connection, and
+        # after success every site has had DONE
         for t in threads:
             t.join(timeout=1.0)
         if failures:

@@ -2,10 +2,19 @@
 
 The acceptance tests call record_criterion as they run; the terminal
 summary then shows one PASS/FAIL line per criterion so the verdicts are
-visible in plain pytest output without -s.
+visible in plain pytest output without -s. free_port serves the wire tests.
 """
 
+import socket
+
 ACCEPTANCE_RESULTS = []
+
+
+def free_port() -> int:
+    """A loopback port that was free a moment ago, for a coordinator to bind."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def record_criterion(index: int, passed: bool, detail: str = "") -> None:

@@ -155,3 +155,11 @@ def test_payload_degree_survives_float32():
     b = book([(code(1, -1), 16777215)])  # max exact integer in float32 mantissa range
     back = decode_codes_payload(encode_codes_payload(b), 2, origin="site")
     assert back.entries[0].degree == 16777215
+
+
+@pytest.mark.parametrize("degree", [float("nan"), -3.0, 2.5])
+def test_payload_rejects_bad_degree(degree):
+    good = encode_codes_payload(book([(code(1, -1), 4)]))
+    blob = good[:4] + np.array([degree], dtype=">f4").tobytes() + good[8:]
+    with pytest.raises(ShapeError, match="degree"):
+        decode_codes_payload(blob, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashclust.errors import InsufficientBatchError, ShapeError
+from hashclust.errors import InsufficientBatchError, InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import HashCode
 
@@ -122,9 +122,9 @@ def test_lambda_slope_piecewise_linear():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError, match="distance_scale"):
         LossConfig(distance_scale=0.0, temperature=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError, match="temperature"):
         LossConfig(distance_scale=1.0, temperature=-2.0)
 
 

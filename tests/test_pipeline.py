@@ -1,8 +1,11 @@
 import copy
 import json
 import threading
+import time
 
 import pytest
+
+from conftest import free_port
 
 from hashclust.cli import main
 from hashclust.errors import InvalidSpecError, PipelineError
@@ -263,10 +266,10 @@ def test_run_pipeline_wire_equals_sim():
 
 def test_run_pipeline_explicit_endpoints():
     """Coordinator and workers talk through configured host:port endpoints."""
-    base_port = 41613
+    port = free_port()
     raw = make_raw(seed=3, mode="wire", rounds=4)
     coord_raw = copy.deepcopy(raw)
-    coord_raw["wire"] = {"listen": f"127.0.0.1:{base_port}", "timeout": 30.0}
+    coord_raw["wire"] = {"listen": f"127.0.0.1:{port}", "timeout": 30.0}
     outcomes = {}
 
     def run_coord():
@@ -274,7 +277,7 @@ def test_run_pipeline_explicit_endpoints():
 
     def run_site(i):
         site_raw = copy.deepcopy(raw)
-        site_raw["wire"] = {"connect": f"127.0.0.1:{base_port}", "site": i, "timeout": 30.0}
+        site_raw["wire"] = {"connect": f"127.0.0.1:{port}", "site": i, "timeout": 30.0}
         outcomes[f"site{i}"] = run_pipeline(config_from_dict(site_raw))
 
     threads = [threading.Thread(target=run_coord)]
@@ -318,6 +321,33 @@ def test_wire_site_index_out_of_range():
     raw["wire"] = {"connect": "127.0.0.1:1", "site": 7, "timeout": 1.0}
     with pytest.raises(PipelineError):
         run_pipeline(config_from_dict(raw))
+
+
+def test_site_with_another_site_count_fails_fast():
+    """A site configured for 3 sites names index 2 to a 2-site coordinator:
+    both ends fail at once instead of waiting out their timeouts."""
+    port = free_port()
+    site_raw = make_raw(seed=3, mode="wire", sites=3, rounds=4)
+    site_raw["wire"] = {"connect": f"127.0.0.1:{port}", "site": 2, "timeout": 30.0}
+    coord_raw = make_raw(seed=3, mode="wire", rounds=4)
+    coord_raw["wire"] = {"listen": f"127.0.0.1:{port}", "timeout": 30.0}
+    site_errors = []
+
+    def run_site():
+        try:
+            run_pipeline(config_from_dict(site_raw))
+        except PipelineError as exc:
+            site_errors.append(exc)
+
+    thread = threading.Thread(target=run_site, daemon=True)
+    thread.start()
+    start = time.monotonic()
+    with pytest.raises(PipelineError, match=r"train: hello names site 2, outside \[0, 2\)"):
+        run_pipeline(config_from_dict(coord_raw))
+    thread.join(timeout=5.0)
+    assert time.monotonic() - start < 5.0
+    assert not thread.is_alive()
+    assert len(site_errors) == 1
 
 
 # --- report ---
@@ -405,6 +435,19 @@ def test_cli_config_error_returns_one(tmp_path, capsys):
     code = main(["pipeline", "--config", str(cfg_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value", [("training", "temperature", 0), (None, "code_length", "eight")]
+)
+def test_cli_bad_config_value_returns_one(tmp_path, capsys, section, key, value):
+    raw = make_raw()
+    (raw[section] if section else raw)[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
 
 
 def test_cli_requires_subcommand():

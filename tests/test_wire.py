@@ -7,20 +7,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import free_port
+
 from hashclust.codebook import encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
 from hashclust.errors import InvalidSpecError, ProtocolError
-from hashclust.network import init_network, mlp_spec, param_count, serialize_params
+from hashclust.network import (
+    deserialize_params,
+    init_network,
+    mlp_spec,
+    param_count,
+    serialize_params,
+    serialize_values,
+)
 from hashclust.training import TrainingConfig, train
 from hashclust.wire import (
     TAG_CODES,
     TAG_DONE,
     TAG_GRADIENT,
+    TAG_HELLO,
     TAG_PARAMS,
     TrafficMeter,
+    config_digest,
     expect_frame,
-    open_listeners,
-    listener_ports,
     parse_endpoint,
     recv_frame,
     run_sub_site,
@@ -166,6 +175,14 @@ def test_meter_done_is_physical_only():
     assert meter.frames[TAG_DONE] == 1
 
 
+def test_meter_hello_is_physical_only():
+    meter = TrafficMeter(code_length=8)
+    meter.record(TAG_HELLO, struct.pack(">I", 0) + bytes(32))
+    assert meter.paper_bits == 0
+    assert meter.physical_bits == 8 * 36
+    assert meter.frames[TAG_HELLO] == 1
+
+
 def test_meter_unknown_tag():
     meter = TrafficMeter(code_length=8)
     with pytest.raises(ProtocolError):
@@ -210,6 +227,7 @@ def test_wire_meter_matches_cost_formulas():
     assert meter.frames[TAG_GRADIENT] == m * rounds
     assert meter.frames[TAG_CODES] == m
     assert meter.frames[TAG_DONE] == m
+    assert meter.frames[TAG_HELLO] == m
     # physical strictly exceeds paper: layer tables, padding, loss trailers
     assert meter.physical_bits > meter.paper_bits
 
@@ -232,22 +250,19 @@ def test_wire_zero_rounds():
 
 def test_site_started_before_coordinator_listens():
     shards, net, cfg = small_setup(n_sites=1)
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
+    port = free_port()
     failures = []
 
     def site():
         try:
-            run_sub_site("127.0.0.1", port, shards[0], cfg, timeout=20.0)
+            run_sub_site("127.0.0.1", port, 0, shards[0], cfg, timeout=20.0)
         except Exception as exc:  # noqa: BLE001 - asserted below
             failures.append(exc)
 
     thread = threading.Thread(target=site, daemon=True)
     thread.start()
     time.sleep(0.3)  # the site's first dials are refused
-    result = serve_global(open_listeners("127.0.0.1", port, 1), net, cfg, timeout=20.0)
+    result = serve_global(socket.create_server(("127.0.0.1", port)), net, cfg, timeout=20.0)
     thread.join(timeout=20.0)
     assert not thread.is_alive()
     assert not failures
@@ -281,38 +296,125 @@ def test_run_wire_locally_rejects_bad_input_at_once(bad):
         assert threading.active_count() == n_threads
 
 
-def test_serve_global_listener_count_mismatch():
-    shards, net, cfg = small_setup(n_sites=2)
-    listeners = open_listeners("127.0.0.1", 0, 1)
-    with pytest.raises(InvalidSpecError):
-        serve_global(listeners, net, cfg, timeout=1.0)
-    fileno = listeners[0].fileno()
-    listeners[0].close()
-    assert fileno == -1
-
-
 def test_serve_global_bad_spec_closes_listeners():
     shards, net, cfg = small_setup(n_sites=2)
     net = net[:-1] + (replace(net[-1], activation="relu"),)
-    listeners = open_listeners("127.0.0.1", 0, 2)
+    listener = socket.create_server(("127.0.0.1", 0))
     with pytest.raises(InvalidSpecError, match="tanh"):
-        serve_global(listeners, net, cfg, timeout=1.0)
-    filenos = [s.fileno() for s in listeners]
-    for s in listeners:
-        s.close()
-    assert filenos == [-1, -1]
+        serve_global(listener, net, cfg, timeout=1.0)
+    assert listener.fileno() == -1
 
 
-def test_open_listeners_reports_ports():
-    listeners = open_listeners("127.0.0.1", 0, 3)
-    try:
-        ports = listener_ports(listeners)
-        assert len(ports) == 3
-        assert len(set(ports)) == 3
-        assert all(p > 0 for p in ports)
-    finally:
-        for s in listeners:
-            s.close()
+def test_sites_ordered_by_hello_not_by_dial_order():
+    shards, net, cfg = small_setup(n_sites=3, seed=4)
+    sim_params, sim_history = train(shards, net, cfg)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    threads = []
+    for site in (2, 0, 1):
+        args = ("127.0.0.1", port, site, shards[site], cfg, 20.0)
+        threads.append(threading.Thread(target=run_sub_site, args=args, daemon=True))
+        threads[-1].start()
+        time.sleep(0.1)  # queue the dials in this order
+    result = serve_global(listener, net, cfg, timeout=20.0)
+    for t in threads:
+        t.join(timeout=5.0)
+    assert np.array_equal(result.params.values, sim_params.values)
+    assert np.array_equal(result.history.losses, sim_history.losses)
+
+
+# --- fault injection: the coordinator fails at once, and every site with it ---
+
+def _raw(act):
+    """A hand-driven site 1: says hello, reads round 0's parameters, then acts."""
+
+    def site(port, shards, cfg):
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg))
+            act(sock, deserialize_params(expect_frame(sock, TAG_PARAMS)))
+
+    return site
+
+
+def _site(index, **changes):
+    """A real site on shard 1 that names ``index`` and runs ``cfg`` with ``changes``."""
+    return lambda port, shards, cfg: run_sub_site(
+        "127.0.0.1", port, index, shards[1], replace(cfg, **changes), 5.0
+    )
+
+
+def _gradient_payload(params, cut=0):
+    values = serialize_values(params, np.zeros(param_count(params)))
+    return values[: len(values) - cut] + struct.pack(">d", 0.0)
+
+
+def _drop(sock, params):
+    pass  # the socket closes with round 0's gradient unsent
+
+
+def _truncated_frame(sock, params):
+    payload = _gradient_payload(params)
+    sock.sendall(struct.pack(">BI", TAG_GRADIENT, len(payload)) + payload[: len(payload) // 2])
+    sock.recv(1)  # stalls until the coordinator gives up and closes
+
+
+def _short_payload(sock, params):
+    send_frame(sock, TAG_GRADIENT, _gradient_payload(params, cut=4))
+    sock.recv(1)
+
+
+def _short_hello(port, shards, cfg):
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        send_frame(sock, TAG_HELLO, struct.pack(">I", 1))
+        sock.recv(1)
+
+
+# name: (faulty site 1, coordinator timeout, the ProtocolError it raises)
+FAULTS = {
+    "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
+    "truncated_gradient_frame": (_raw(_truncated_frame), 0.5, "receive failed"),
+    "short_gradient_payload": (_raw(_short_payload), 5.0, "site 1 sent a malformed frame 0x02"),
+    "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
+    "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
+    "duplicate_index": (_site(0), 5.0, "site 0 connected twice"),
+    "out_of_range_index": (_site(2), 5.0, r"hello names site 2, outside \[0, 2\)"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_fails_coordinator_and_sites_at_once(fault):
+    faulty_site, timeout, match = FAULTS[fault]
+    shards, net, cfg = small_setup(n_sites=2)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    errors = {}
+
+    def guarded(name, target, *args):
+        try:
+            target(*args)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors[name] = exc
+
+    threads = [
+        threading.Thread(target=guarded, args=("honest", run_sub_site, "127.0.0.1", port, 0,
+                                               shards[0], cfg, 5.0), daemon=True),
+        threading.Thread(target=guarded, args=("faulty", faulty_site, port, shards, cfg), daemon=True),
+    ]
+    threads[0].start()
+    time.sleep(0.2)  # the honest site dials first
+    threads[1].start()
+    start = time.monotonic()
+    # ``raised`` keeps serve_global's frame and its sockets alive, so the
+    # sites see EOF only if serve_global closes its connections itself
+    with pytest.raises(ProtocolError, match=match) as raised:
+        serve_global(listener, net, cfg, timeout=timeout)
+    assert time.monotonic() - start < 1.0
+    for t in threads:
+        t.join(timeout=1.0)
+        assert not t.is_alive()
+    assert "honest" in errors
+    assert listener.fileno() == -1
+    assert raised.tb is not None
 
 
 # --- endpoints ---
