@@ -107,9 +107,12 @@ def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytes:
     return serialize_values(params, grad) + _LOSS_TRAILER.pack(loss)
 
 
-def _decode_gradient(payload: bytes):
+def _decode_gradient(payload: bytes, layers):
+    """A gradient for the network of ``layers``, and the site's batch loss."""
     # a payload shorter than the trailer leaves an empty blob, which fails first
     blob = deserialize_params(payload[: -_LOSS_TRAILER.size])
+    if blob.layers != layers:
+        raise ShapeError(f"gradient layers {blob.layers} differ from the broadcast {layers}")
     (loss,) = _LOSS_TRAILER.unpack(payload[-_LOSS_TRAILER.size :])
     return blob.values, loss
 
@@ -199,7 +202,8 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
 
     def exchange(params, _round):
         broadcast(TAG_PARAMS, serialize_params(params))
-        return zip(*collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload)))
+        gradients = collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload, params.layers))
+        return zip(*gradients)
 
     try:
         params = init_network(spec, cfg.seed)

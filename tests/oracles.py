@@ -8,10 +8,12 @@ No run of the library needs any of it.
 
 import numpy as np
 
+from hashclust.codebook import Codebook, CodebookEntry
 from hashclust.errors import HashClustError, InvalidKError, ShapeError
+from hashclust.kmeans import kmeans
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import HashCode, NetworkParams, forward
-from hashclust.spectral import _adjacency
+from hashclust.spectral import _adjacency, normalized_laplacian
 
 BRUTE_FORCE_MAX_VERTICES = 12
 
@@ -104,10 +106,12 @@ def pair_loss_grad(x_i, x_j, h_i, h_j, cfg: LossConfig):
 # --- the cut objective and its exhaustive minimizer ---
 
 def ncut_value(graph, labels, k: int) -> float:
-    """Normalized-cut objective: half the sum over parts of cut(part) / |part|.
+    """RatioCut objective (Hagen & Kahng, 1992): half the sum over parts of
+    cut(part) / |part|.
 
-    ``|part|`` counts vertices (not the weighted degree sum). Every label in
-    [0, k) must be present.
+    ``|part|`` counts vertices, not the weighted degree sum, so this is not
+    the volume-normalized Ncut of Shi & Malik that ``spectral_cluster``
+    relaxes. Every label in [0, k) must be present.
     """
     w = _adjacency(graph)
     labels = np.asarray(labels)
@@ -122,6 +126,24 @@ def ncut_value(graph, labels, k: int) -> float:
             raise InvalidPartitionError(f"cluster {c} is empty")
         total += w[mask][:, ~mask].sum() / mask.sum()
     return 0.5 * total
+
+
+def dense_spectral_labels(graph, k: int, seed) -> np.ndarray:
+    """The spectral cut with all eigenvectors from a dense ``eigh``.
+
+    The reference for the iterative eigensolver: the same row-normalized
+    embedding and seeded k-means, from the full eigendecomposition of the
+    normalized Laplacian.
+    """
+    w = _adjacency(graph)
+    deg = w.sum(axis=1)
+    _, vecs = np.linalg.eigh(normalized_laplacian(w))
+    emb = vecs[:, :k]
+    norms = np.linalg.norm(emb, axis=1)
+    emb = emb / np.where(norms > 0, norms, 1.0)[:, None]
+    labels = np.asarray(kmeans(emb, k, seed)[0], dtype=np.int64)
+    labels[deg == 0] = 0
+    return labels
 
 
 def _growth_strings(n: int, k: int):
@@ -242,6 +264,43 @@ def planted_two_cluster(rng, n_vertices=None):
                 w[i, j] = rng.uniform(0.5, 1.0)
             w[j, i] = w[i, j]
     return w, labels
+
+
+def planted_codebook(rng, k, per_group, min_distance=9):
+    """A global codebook of 16-bit codes planted around k centres.
+
+    The centres lie pairwise at least ``min_distance`` apart; each group
+    takes the ``per_group`` codes nearest its centre (ties broken at random),
+    and a code at hamming radius r gets degree 1 + Poisson(64 / 2**r).
+    Returns the codebook, in packed-code order, and each entry's group.
+    """
+    length = 16
+    everything = np.arange(2 ** length)
+
+    def distance(centre):
+        return ((np.bitwise_xor(everything, centre)[:, None] >> np.arange(length)) & 1).sum(axis=1)
+
+    allowed = np.ones(everything.size, dtype=bool)
+    centres = []
+    while len(centres) < k:
+        centres.append(int(rng.choice(everything[allowed])))
+        allowed &= distance(centres[-1]) >= min_distance
+    codes, groups, radius = [], [], []
+    for g, centre in enumerate(centres):
+        dist = distance(centre)
+        pick = np.lexsort((rng.random(everything.size), dist))[:per_group]
+        codes.extend(everything[pick].tolist())
+        groups.extend([g] * per_group)
+        radius.extend(dist[pick].tolist())
+    if 2 * max(radius) >= min_distance:
+        raise ValueError(f"{per_group} codes per group reach past the centre spacing")
+    degrees = 1 + rng.poisson(64.0 / 2.0 ** np.array(radius))
+    order = np.argsort(codes)
+    entries = tuple(
+        CodebookEntry(HashCode(packed=codes[i].to_bytes(2, "big"), length=length), int(degrees[i]))
+        for i in order
+    )
+    return Codebook(entries=entries, origin="global"), np.array(groups)[order]
 
 
 def disconnected_components(rng, k, total):

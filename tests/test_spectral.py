@@ -11,6 +11,7 @@ from hashclust.errors import (
 )
 from hashclust.kmeans import kmeans
 from hashclust.network import HashCode, init_network, mlp_spec
+from hashclust import spectral
 from hashclust.spectral import (
     DENSE_SOLVER_MAX_VERTICES,
     build_graph,
@@ -23,10 +24,12 @@ from oracles import (
     InvalidPartitionError,
     OracleSizeError,
     brute_force_ncut,
+    dense_spectral_labels,
     disconnected_components,
     hamming,
     labels_match_up_to_permutation,
     ncut_value,
+    planted_codebook,
     planted_two_cluster,
 )
 
@@ -120,6 +123,19 @@ def test_graph_matches_pairwise_formula():
             h = hamming(merged.entries[i].code, merged.entries[j].code)
             expect = merged.entries[i].degree * merged.entries[j].degree / h
             assert w[i, j] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [16, 13])
+def test_graph_weights_equal_hamming_weights_exactly(length):
+    rng = np.random.default_rng(length)
+    bits = np.unique(rng.choice([-1, 1], size=(60, length)), axis=0)
+    degrees = rng.integers(1, 10 ** 6, size=len(bits))
+    b = book([(HashCode.from_bits(row), int(d)) for row, d in zip(bits, degrees)])
+    w = build_graph(b)
+    for i, ei in enumerate(b.entries):
+        for j, ej in enumerate(b.entries):
+            expect = 0.0 if i == j else ei.degree * ej.degree / hamming(ei.code, ej.code)
+            assert w[i, j] == expect
 
 
 # --- ncut_value ---
@@ -232,6 +248,58 @@ def test_spectral_matches_bruteforce_on_cliques():
     spectral = spectral_cluster(w, 2, seed=0)
     brute = brute_force_ncut(w, 2)
     assert labels_match_up_to_permutation(spectral, brute)
+
+
+def _iterative_embedding(w, k):
+    return spectral._lobpcg(w, spectral._inv_sqrt(w.sum(axis=1)), k)
+
+
+def _min_principal_cosine(a, b):
+    return np.linalg.svd(np.linalg.qr(a)[0].T @ np.linalg.qr(b)[0], compute_uv=False).min()
+
+
+def test_iterative_embedding_spans_dense_subspace_on_planted_graph():
+    planted, _ = planted_codebook(np.random.default_rng(8), 4, 60)
+    w = build_graph(planted)
+    assert len(planted) >= 5 * 4
+    emb = _iterative_embedding(w, 4)
+    assert emb is not None
+    dense = np.linalg.eigh(normalized_laplacian(w))[1][:, :4]
+    assert _min_principal_cosine(emb, dense) >= 1.0 - 1e-9
+    for seed in (0, 1, 2):
+        assert np.array_equal(spectral_cluster(w, 4, seed), dense_spectral_labels(w, 4, seed))
+
+
+def test_iterative_path_recovers_disconnected_components(monkeypatch):
+    w, truth = disconnected_components(np.random.default_rng(9), 4, 40)
+
+    def no_dense(graph):
+        raise AssertionError("the dense path ran")
+
+    monkeypatch.setattr(spectral, "normalized_laplacian", no_dense)
+    labels = spectral_cluster(w, 4, seed=0)
+    assert labels_match_up_to_permutation(labels, truth)
+
+
+def test_iteration_cap_falls_back_to_dense(monkeypatch):
+    planted, _ = planted_codebook(np.random.default_rng(10), 4, 60)
+    w = build_graph(planted)
+    monkeypatch.setattr(spectral, "LOBPCG_MAX_ITER", 1)
+    assert _iterative_embedding(w, 4) is None
+    assert np.array_equal(spectral_cluster(w, 4, seed=3), dense_spectral_labels(w, 4, seed=3))
+
+
+def test_iterative_embedding_matches_scipy_eigsh():
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    planted, _ = planted_codebook(np.random.default_rng(11), 3, 80)
+    w = build_graph(planted)
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    m = inv_sqrt[:, None] * w * inv_sqrt[None, :]
+    vals, vecs = linalg.eigsh(m, k=3, which="LA", tol=1e-12)
+    emb = _iterative_embedding(w, 3)
+    assert _min_principal_cosine(emb, vecs) >= 1.0 - 1e-9
+    ritz = np.einsum("ij,ij->j", emb, m @ emb)
+    assert np.allclose(ritz, np.sort(vals)[::-1], rtol=0.0, atol=1e-12)
 
 
 def test_spectral_k_equals_n():

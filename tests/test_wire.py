@@ -363,6 +363,12 @@ def _short_payload(sock, params):
     sock.recv(1)
 
 
+def _wrong_gradient_shape(sock, params):
+    # a well-formed gradient, but for a 4-3-4 network instead of the 4-4-4 broadcast
+    send_frame(sock, TAG_GRADIENT, _gradient_payload(init_network(mlp_spec(4, (3,), 4), 0)))
+    sock.recv(1)
+
+
 def _short_hello(port, shards, cfg):
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         send_frame(sock, TAG_HELLO, struct.pack(">I", 1))
@@ -374,6 +380,8 @@ FAULTS = {
     "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
     "truncated_gradient_frame": (_raw(_truncated_frame), 0.5, "receive failed"),
     "short_gradient_payload": (_raw(_short_payload), 5.0, "site 1 sent a malformed frame 0x02"),
+    "wrong_gradient_shape": (_raw(_wrong_gradient_shape), 5.0,
+                             "site 1 sent a malformed frame 0x02: gradient layers"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
     "duplicate_index": (_site(0), 5.0, "site 0 connected twice"),
