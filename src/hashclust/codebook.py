@@ -67,6 +67,9 @@ def merge_codebooks(books) -> Codebook:
     books = list(books)
     if not books:
         raise IncompatibleCodebooksError("no codebooks to merge")
+    for book in books:
+        if not book.entries:
+            raise IncompatibleCodebooksError(f"codebook {book.origin!r} has no entries")
     length = books[0].code_length
     if any(b.code_length != length for b in books):
         raise IncompatibleCodebooksError("codebooks have mixed code lengths")
@@ -97,6 +100,9 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
     if len(data) < 4:
         raise ShapeError("truncated codebook payload")
     (count,) = struct.unpack(">I", data[:4])
+    if count == 0:
+        # every site encodes a nonempty shard
+        raise ShapeError("codebook payload has no entries, a total degree of 0")
     if len(data) != 4 + count * (4 + n_bytes):
         raise ShapeError(
             f"codebook payload has {len(data)} bytes, expected {4 + count * (4 + n_bytes)}"

@@ -2,20 +2,31 @@
 
 Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
-codes that sit close in hamming space are strongly tied. The graph is cut
-with the classic spectral relaxation (symmetric normalized Laplacian,
-k smallest eigenvectors, row-normalized embedding, k-means), which is what
-the cited method prescribes. The k eigenvectors come from LOBPCG (Knyazev,
-SIAM J. Sci. Comput. 2001), a block eigensolver that touches the graph only
-through products W @ X. Graphs under 5k vertices, too small for a basis of 3k
-columns to leave room for the rest of the spectrum, use a dense ``eigh`` of the
-Laplacian (SciPy's lobpcg draws the same line), which is also the fallback
-when LOBPCG does not converge. The test suite checks the cut against an
-exhaustive minimizer of the cut objective on small graphs, and the LOBPCG
+codes that sit close in hamming space are strongly tied. ``build_graph``
+returns a CodeGraph that holds only the integer codes, their degrees and the
+code length L; ``np.asarray`` builds the dense n x n weights from it. The
+graph is cut with the classic spectral relaxation (symmetric normalized
+Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
+which is what the cited method prescribes. The k eigenvectors come from
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001), a block eigensolver that
+touches the graph only through products W @ X. A weight is a function of
+c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto the 2**L code
+cube, a Walsh-Hadamard transform, a multiply by the transformed kernel, the
+transform again, a gather at the codes. That costs O(L * 2**L) per column
+against n**2 for the dense product, and is taken when it is the cheaper of
+the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs under 5k vertices, too
+small for a basis of 3k columns to leave room for the rest of the spectrum,
+use a dense ``eigh`` of the Laplacian (SciPy's lobpcg draws the same line),
+which is also the fallback when LOBPCG does not converge; both build the
+dense weights, up to DENSE_SOLVER_MAX_VERTICES. The test suite checks the
+cut against an exhaustive minimizer of the volume-normalized Ncut on small
+graphs, the transform product against the dense one, and the LOBPCG
 eigenvectors against the dense ones.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +40,19 @@ from .errors import (
 )
 from .kmeans import kmeans
 
-# Checked before build_graph allocates, which holds two n x n float64 arrays at
-# its peak. With LOBPCG, 4000 codes peak at 293 MB RSS, about 18 B per vertex
-# pair, so 2**13 vertices need about 1.2 GB; the dense eigh fallback needs about
-# 45 B per pair, about 3 GB at 2**13 (of an 8 GB host). 2**16 would need 77 GB.
+# Checked before a code graph is made dense, which holds one n x n float64
+# array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
+# dense eigh fallback needs about 45 B per pair, about 3 GB at 2**13 vertices
+# (of an 8 GB host). 2**16 would need 77 GB.
 DENSE_SOLVER_MAX_VERTICES = 2 ** 13
+
+# The Walsh-Hadamard product holds about four float64 arrays over the 2**L
+# code cube: 2 MB at L = 16, 128 MB at this bound of L = 22.
+TRANSFORM_MAX_CODE_LENGTH = 22
+
+# Rows of the dense weights computed at once, so that beside W only one block
+# of code XORs sits in memory: 256 x 2**13 64-bit words, 16 MB, at L <= 64.
+_DENSE_BLOCK_ROWS = 256
 
 # LOBPCG stops when every wanted Ritz pair has a residual norm at most
 # LOBPCG_TOLERANCE (the normalized adjacency has norm at most 1), and gives up
@@ -42,27 +61,142 @@ LOBPCG_TOLERANCE = 1e-8
 LOBPCG_MAX_ITER = 200
 
 
-def build_graph(book: Codebook) -> np.ndarray:
-    """Dense adjacency over the entries: W_ij = d_i * d_j / hamming(c_i, c_j), zero diagonal."""
-    if len(book) > DENSE_SOLVER_MAX_VERTICES:
-        raise UnsupportedSizeError(f"{len(book)} codes exceed the dense solver bound")
+@dataclass(frozen=True, eq=False)
+class CodeGraph:
+    """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = 0, kept as its vertices.
+
+    ``codes`` holds code i as row i of unsigned 64-bit words, its last bit in
+    bit 0 of the last word; ``degrees`` the vertex degrees d_i as float64.
+    ``np.asarray(graph)`` builds the dense n x n weights; ``spectral_cluster``
+    applies W without them when ``matrix_free``.
+    """
+
+    codes: np.ndarray
+    degrees: np.ndarray
+    length: int
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def matrix_free(self) -> bool:
+        """Whether W @ x goes through the Walsh-Hadamard transform: its 2**L
+        cube fits the memory bound, and its L * 2**L operations per column
+        are fewer than the n**2 of the dense product."""
+        return self.length <= TRANSFORM_MAX_CODE_LENGTH and len(self) ** 2 > self.length << self.length
+
+    def __array__(self, dtype=None, copy=None):
+        w = _dense_weights(self)
+        return w if dtype is None else w.astype(dtype, copy=False)
+
+
+def build_graph(book: Codebook) -> CodeGraph:
+    """The code graph of a codebook's entries, as integer codes and degrees."""
     packed = [e.code.packed for e in book.entries]
     if len(set(packed)) != len(packed):
         raise InvalidCodebookError("duplicate codes in codebook")
     length = book.code_length
-    bits = np.stack([e.code.bits for e in book.entries]).astype(np.float64)
+    bits = np.unpackbits(
+        np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1), axis=1, count=length
+    )
+    words = -(-length // 64)
+    aligned = np.zeros((len(packed), 64 * words), dtype=np.uint8)
+    aligned[:, 64 * words - length :] = bits
+    codes = np.packbits(aligned, axis=1).view(">u8").astype(np.uint64)
     degrees = np.array([e.degree for e in book.entries], dtype=np.float64)
-    # inner product of +-1 codes: <a, b> = L - 2 * hamming(a, b). In float64
-    # the matmul sums integers of magnitude at most L exactly, and d_i * d_j
-    # rounds once, as the integer product did when it was divided.
-    ham = bits @ bits.T
-    np.subtract(length, ham, out=ham)
-    ham /= 2.0
-    weights = np.outer(degrees, degrees)
-    with np.errstate(divide="ignore"):
-        weights /= ham
+    return CodeGraph(codes=codes, degrees=degrees, length=length)
+
+
+def _dense_weights(graph: CodeGraph) -> np.ndarray:
+    """The n x n weights, a block of rows at a time; the only place W is built."""
+    n = len(graph)
+    if n > DENSE_SOLVER_MAX_VERTICES:
+        raise UnsupportedSizeError(
+            f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
+        )
+    codes, degrees = graph.codes, graph.degrees
+    weights = np.empty((n, n))
+    for start in range(0, n, _DENSE_BLOCK_ROWS):
+        rows = slice(start, start + _DENSE_BLOCK_ROWS)
+        # popcount of XOR: the exact integer distances. d_i * d_j rounds once
+        # and the division by the distance once.
+        ham = np.bitwise_count(codes[rows, None, :] ^ codes[None, :, :]).sum(axis=2, dtype=np.uint16)
+        block = weights[rows]
+        np.multiply.outer(degrees[rows], degrees, out=block)
+        with np.errstate(divide="ignore"):
+            block /= ham
     np.fill_diagonal(weights, 0.0)
     return weights
+
+
+def _hadamard(bits: int) -> np.ndarray:
+    """The 2**bits x 2**bits Sylvester Hadamard matrix, entries +-1."""
+    index = np.arange(1 << bits)
+    return 1.0 - 2.0 * (np.bitwise_count(index[:, None] & index[None, :]) & 1)
+
+
+def _fwht(v: np.ndarray, stages) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of one contiguous 2**L vector.
+
+    ``stages`` holds Hadamard matrices of 16 x 16 and, when L is not a
+    multiple of 4, one smaller remainder; the index bits split into digits of
+    those radices, lowest digit first. Each stage is one matmul that applies
+    its matrix along one digit of the vector viewed as (blocks, radix,
+    stride), so no stage transposes; the transform is one column at a time so
+    that the vector stays in cache.
+    """
+    stride = 1
+    for h in stages:
+        radix = h.shape[0]
+        if stride == 1:
+            v = v.reshape(-1, radix) @ h
+        else:
+            v = np.matmul(h, v.reshape(-1, radix, stride))
+        stride *= radix
+    return v.reshape(-1)
+
+
+def _transform_product(graph: CodeGraph):
+    """X -> W @ X without the n x n weights.
+
+    W = D K D with K_ij = f(c_i XOR c_j), f(x) = 1 / popcount(x) and f(0) = 0.
+    K is a convolution over the code cube Z_2^L, so the Walsh-Hadamard
+    transform H diagonalizes it: K y = H (Hf * Hy) / 2**L. Each column of
+    D X is scattered onto the cube, transformed, multiplied by Hf, transformed
+    back and gathered at the codes, then scaled by D / 2**L.
+    """
+    length = graph.length
+    size = 1 << length
+    stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
+    index = graph.codes[:, -1].astype(np.intp)
+    popcount = np.bitwise_count(np.arange(size))
+    kernel = np.zeros(size)
+    kernel[1:] = 1.0 / popcount[1:]
+    spectrum = _fwht(kernel, stages)
+    degrees = graph.degrees
+
+    def product(x):
+        y = degrees[:, None] * x
+        out = np.empty_like(y)
+        for j in range(y.shape[1]):
+            cube = np.zeros(size)
+            cube[index] = y[:, j]
+            cube = _fwht(cube, stages)
+            cube *= spectrum
+            out[:, j] = _fwht(cube, stages)[index]
+        out *= (degrees / size)[:, None]
+        return out
+
+    return product
+
+
+def _operator(graph):
+    """(dense weights or None, the product X -> W @ X, the weighted degrees)."""
+    if isinstance(graph, CodeGraph) and graph.matrix_free:
+        product = _transform_product(graph)
+        return None, product, product(np.ones((len(graph), 1)))[:, 0]
+    w = _adjacency(graph)
+    return w, w.__matmul__, w.sum(axis=1)
 
 
 def _adjacency(graph) -> np.ndarray:
@@ -88,7 +222,7 @@ def normalized_laplacian(graph) -> np.ndarray:
     return (lap + lap.T) / 2.0
 
 
-def _lobpcg(w: np.ndarray, inv_sqrt: np.ndarray, k: int):
+def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     """The k largest eigenvectors of M = D^{-1/2} W D^{-1/2}, or None.
 
     These are the eigenvectors of the k smallest eigenvalues of the
@@ -97,16 +231,16 @@ def _lobpcg(w: np.ndarray, inv_sqrt: np.ndarray, k: int):
     its residuals and the previous step's directions, made orthonormal by a
     Householder QR, which stays orthonormal to rounding as the residuals
     shrink (a Cholesky of their Gram matrix would break down). M is applied as
-    scale, W @ X, scale; the Laplacian is never formed. The start block is
-    drawn from a fixed-seed generator, so the result depends on the graph
-    alone. Returns None when LOBPCG_MAX_ITER iterations do not reach
-    LOBPCG_TOLERANCE.
+    scale, ``product`` (X -> W @ X), scale; the Laplacian is never formed. The
+    start block is drawn from a fixed-seed generator, so the result depends
+    on the graph alone. Returns None when LOBPCG_MAX_ITER iterations do not
+    reach LOBPCG_TOLERANCE.
     """
 
     def apply(x):
-        return inv_sqrt[:, None] * (w @ (inv_sqrt[:, None] * x))
+        return inv_sqrt[:, None] * product(inv_sqrt[:, None] * x)
 
-    x = np.linalg.qr(np.random.default_rng(0).standard_normal((w.shape[0], k)))[0]
+    x = np.linalg.qr(np.random.default_rng(0).standard_normal((inv_sqrt.size, k)))[0]
     basis, mbasis = x, apply(x)
     for _ in range(LOBPCG_MAX_ITER):
         g = basis.T @ mbasis
@@ -125,25 +259,26 @@ def _lobpcg(w: np.ndarray, inv_sqrt: np.ndarray, k: int):
 def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """Normalized-cut clustering via the spectral relaxation.
 
-    Takes the eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG
-    from 5k vertices up, dense ``eigh`` below that or when LOBPCG does not
-    converge), row-normalizes the embedding (zero rows stay zero), and runs
-    seeded k-means (k-means++ starts, 10 restarts, 300 iteration cap). Vertices
-    with zero weighted degree go straight to cluster 0. Deterministic for a
-    fixed seed.
+    ``graph`` is a CodeGraph or a dense square weight matrix. Takes the
+    eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG from 5k
+    vertices up, dense ``eigh`` below that or when LOBPCG does not converge),
+    row-normalizes the embedding (zero rows stay zero), and runs seeded
+    k-means (k-means++ starts, 10 restarts, 300 iteration cap). Vertices with
+    zero weighted degree go straight to cluster 0. A matrix-free CodeGraph is
+    made dense only for ``eigh``, which raises UnsupportedSizeError above
+    DENSE_SOLVER_MAX_VERTICES. Deterministic for a fixed seed.
     """
-    w = _adjacency(graph)
-    n = w.shape[0]
+    w, product, deg = _operator(graph)
+    n = deg.size
     if k < 1 or k > n:
         raise InvalidKError(f"k={k} incompatible with {n} vertices")
     if k == n:
         return np.arange(n)
-    deg = w.sum(axis=1)
     if n == 1 or not (deg > 0).any():
         return np.zeros(n, dtype=np.int64)
-    emb = _lobpcg(w, _inv_sqrt(deg), k) if n >= 5 * k else None
+    emb = _lobpcg(product, _inv_sqrt(deg), k) if n >= 5 * k else None
     if emb is None:
-        _, vecs = np.linalg.eigh(normalized_laplacian(w))
+        _, vecs = np.linalg.eigh(normalized_laplacian(graph if w is None else w))
         emb = vecs[:, :k]
     norms = np.linalg.norm(emb, axis=1)
     emb = emb / np.where(norms > 0, norms, 1.0)[:, None]

@@ -106,12 +106,12 @@ def pair_loss_grad(x_i, x_j, h_i, h_j, cfg: LossConfig):
 # --- the cut objective and its exhaustive minimizer ---
 
 def ncut_value(graph, labels, k: int) -> float:
-    """RatioCut objective (Hagen & Kahng, 1992): half the sum over parts of
-    cut(part) / |part|.
+    """Volume-normalized Ncut (Shi & Malik, 2000): the sum over parts of
+    cut(part) / vol(part).
 
-    ``|part|`` counts vertices, not the weighted degree sum, so this is not
-    the volume-normalized Ncut of Shi & Malik that ``spectral_cluster``
-    relaxes. Every label in [0, k) must be present.
+    ``vol(part)`` sums the weighted degrees of the part's vertices; this is
+    the objective ``spectral_cluster`` relaxes. A part of zero volume has no
+    cut either and adds 0. Every label in [0, k) must be present.
     """
     w = _adjacency(graph)
     labels = np.asarray(labels)
@@ -119,13 +119,16 @@ def ncut_value(graph, labels, k: int) -> float:
         raise ShapeError("labels must assign every vertex")
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidPartitionError(f"labels outside [0, {k})")
+    deg = w.sum(axis=1)
     total = 0.0
     for c in range(k):
         mask = labels == c
         if not mask.any():
             raise InvalidPartitionError(f"cluster {c} is empty")
-        total += w[mask][:, ~mask].sum() / mask.sum()
-    return 0.5 * total
+        vol = deg[mask].sum()
+        if vol > 0:
+            total += w[mask][:, ~mask].sum() / vol
+    return total
 
 
 def dense_spectral_labels(graph, k: int, seed) -> np.ndarray:
@@ -166,7 +169,7 @@ def _growth_strings(n: int, k: int):
 
 
 def brute_force_ncut(graph, k: int) -> np.ndarray:
-    """Exhaustive minimizer of the cut objective; small graphs only.
+    """Exhaustive minimizer of ``ncut_value``; small graphs only.
 
     Returns the lexicographically smallest label vector among minimizers.
     """

@@ -126,6 +126,12 @@ def test_merge_mixed_lengths_rejected():
         merge_codebooks([a, b])
 
 
+def test_merge_empty_book_rejected():
+    empty = Codebook(entries=(), origin="site1")
+    with pytest.raises(IncompatibleCodebooksError, match="'site1' has no entries"):
+        merge_codebooks([book([(code(1, 1), 1)]), empty])
+
+
 # --- wire payload ---
 
 def test_payload_roundtrip():
@@ -157,9 +163,12 @@ def test_payload_degree_survives_float32():
     assert back.entries[0].degree == 16777215
 
 
-@pytest.mark.parametrize("degree", [float("nan"), -3.0, 2.5])
+@pytest.mark.parametrize("degree", [float("nan"), -3.0, 2.5, pytest.param(None, id="no_entries")])
 def test_payload_rejects_bad_degree(degree):
     good = encode_codes_payload(book([(code(1, -1), 4)]))
-    blob = good[:4] + np.array([degree], dtype=">f4").tobytes() + good[8:]
+    if degree is None:
+        blob = bytes(4)  # an entry count of 0 and nothing after it
+    else:
+        blob = good[:4] + np.array([degree], dtype=">f4").tobytes() + good[8:]
     with pytest.raises(ShapeError, match="degree"):
         decode_codes_payload(blob, 2)

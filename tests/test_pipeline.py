@@ -303,8 +303,9 @@ def test_run_pipeline_bad_csv_surfaces_as_pipeline_error(tmp_path):
 def test_codebook_above_dense_bound_surfaces_as_pipeline_error(monkeypatch):
     from hashclust import spectral
 
-    # this seed's run yields more than two codes; a bound of 2 stands in for
-    # a codebook too large for the dense solver
+    # this seed's run yields more than two codes, few enough that the cut
+    # builds the dense weights; a bound of 2 stands in for a codebook too
+    # large for them
     monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_VERTICES", 2)
     with pytest.raises(PipelineError, match=r"^cluster: .*dense solver bound"):
         run_pipeline(config_from_dict(make_raw(seed=1)))

@@ -72,21 +72,21 @@ def test_hamming_length_mismatch():
 
 def test_graph_two_antipodal_codes():
     # degrees 3 and 5 at hamming 4: single off-diagonal weight 15/4
-    w = build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)]))
+    w = np.asarray(build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)])))
     assert w.shape == (2, 2)
     assert w[0, 0] == w[1, 1] == 0.0
     assert w[0, 1] == w[1, 0] == pytest.approx(3.75)
 
 
 def test_graph_single_vertex():
-    w = build_graph(book([(code(1, -1), 9)]))
+    w = np.asarray(build_graph(book([(code(1, -1), 9)])))
     assert np.array_equal(w, np.zeros((1, 1)))
 
 
 def test_graph_degree_scaling_is_quadratic():
     entries = [(code(1, 1, -1), 2), (code(1, -1, 1), 3), (code(-1, 1, 1), 4)]
-    w1 = build_graph(book(entries))
-    w2 = build_graph(book([(c, 5 * d) for c, d in entries]))
+    w1 = np.asarray(build_graph(book(entries)))
+    w2 = np.asarray(build_graph(book([(c, 5 * d) for c, d in entries])))
     assert np.allclose(w2, 25.0 * w1)
 
 
@@ -100,13 +100,21 @@ def test_graph_rejects_duplicate_codes():
 
 
 def test_graph_rejects_codebook_above_dense_bound():
+    # 32-bit codes are past the transform's reach, so the cut needs the n x n weights
+    length = 32
+    assert length > spectral.TRANSFORM_MAX_CODE_LENGTH
     n = DENSE_SOLVER_MAX_VERTICES + 1
     entries = tuple(
-        CodebookEntry(code=HashCode(packed=i.to_bytes(2, "big"), length=16), degree=1)
+        CodebookEntry(code=HashCode(packed=i.to_bytes(4, "big"), length=length), degree=1)
         for i in range(n)
     )
-    with pytest.raises(UnsupportedSizeError):
-        build_graph(Codebook(entries=entries, origin="global"))
+    graph = build_graph(Codebook(entries=entries, origin="global"))
+    assert not graph.matrix_free
+    bound = f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
+    with pytest.raises(UnsupportedSizeError, match=bound):
+        np.asarray(graph)
+    with pytest.raises(UnsupportedSizeError, match=bound):
+        spectral_cluster(graph, 2, seed=0)
 
 
 def test_graph_matches_pairwise_formula():
@@ -114,7 +122,7 @@ def test_graph_matches_pairwise_formula():
     params = init_network(mlp_spec(3, (4,), 4), 0)
     cb, _ = encode_shard(params, rng.normal(size=(30, 3)), origin="site")
     merged = merge_codebooks([cb])
-    w = build_graph(merged)
+    w = np.asarray(build_graph(merged))
     n = len(merged)
     for i in range(n):
         for j in range(n):
@@ -131,7 +139,7 @@ def test_graph_weights_equal_hamming_weights_exactly(length):
     bits = np.unique(rng.choice([-1, 1], size=(60, length)), axis=0)
     degrees = rng.integers(1, 10 ** 6, size=len(bits))
     b = book([(HashCode.from_bits(row), int(d)) for row, d in zip(bits, degrees)])
-    w = build_graph(b)
+    w = np.asarray(build_graph(b))
     for i, ei in enumerate(b.entries):
         for j, ej in enumerate(b.entries):
             expect = 0.0 if i == j else ei.degree * ej.degree / hamming(ei.code, ej.code)
@@ -156,7 +164,7 @@ def test_ncut_path_hand_example():
     # path v1 - v2 - v3, unit weights, split {v1} | {v2, v3}
     w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     val = ncut_value(w, np.array([0, 1, 1]), 2)
-    assert val == pytest.approx(0.75)  # 0.5 * (1/1 + 1/2), vol = vertex count
+    assert val == pytest.approx(4.0 / 3.0)  # cut 1 over vol 1, plus cut 1 over vol 2 + 1
 
 
 def test_ncut_empty_part_rejected():
@@ -187,11 +195,12 @@ def test_brute_force_disconnected_components_zero():
 
 
 def test_brute_force_complete_graph_canonical():
-    # K4 with unit weights: every 2-way split has cut-sum/size-sum ratio 2,
-    # so all splits tie and the lexicographically smallest labeling wins.
+    # K4 with unit weights, every degree 3: a 2 | 2 split cuts 4 edges of
+    # volume 6 on each side, 4/6 + 4/6; a 3 | 1 split cuts 3, 3/9 + 3/3. All
+    # splits tie at 4/3, and the lexicographically smallest labeling wins.
     w = np.ones((4, 4)) - np.eye(4)
-    assert ncut_value(w, np.array([0, 0, 1, 1]), 2) == pytest.approx(2.0)
-    assert ncut_value(w, np.array([0, 0, 0, 1]), 2) == pytest.approx(2.0)
+    assert ncut_value(w, np.array([0, 0, 1, 1]), 2) == pytest.approx(4.0 / 3.0)
+    assert ncut_value(w, np.array([0, 0, 0, 1]), 2) == pytest.approx(4.0 / 3.0)
     labels = brute_force_ncut(w, 2)
     assert labels.tolist() == [0, 0, 0, 1]
 
@@ -250,24 +259,29 @@ def test_spectral_matches_bruteforce_on_cliques():
     assert labels_match_up_to_permutation(spectral, brute)
 
 
-def _iterative_embedding(w, k):
-    return spectral._lobpcg(w, spectral._inv_sqrt(w.sum(axis=1)), k)
+def _iterative_embedding(graph, k):
+    _, product, deg = spectral._operator(graph)
+    return spectral._lobpcg(product, spectral._inv_sqrt(deg), k)
 
 
 def _min_principal_cosine(a, b):
     return np.linalg.svd(np.linalg.qr(a)[0].T @ np.linalg.qr(b)[0], compute_uv=False).min()
 
 
-def test_iterative_embedding_spans_dense_subspace_on_planted_graph():
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["dense_product", "transform"])
+def test_iterative_embedding_spans_dense_subspace_on_planted_graph(matrix_free, monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(8), 4, 60)
-    w = build_graph(planted)
+    # 240 codes at L=16 take the dense product unless the transform is forced
+    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", matrix_free)
+    graph = build_graph(planted)
+    w = np.asarray(graph)
     assert len(planted) >= 5 * 4
-    emb = _iterative_embedding(w, 4)
+    emb = _iterative_embedding(graph, 4)
     assert emb is not None
     dense = np.linalg.eigh(normalized_laplacian(w))[1][:, :4]
     assert _min_principal_cosine(emb, dense) >= 1.0 - 1e-9
     for seed in (0, 1, 2):
-        assert np.array_equal(spectral_cluster(w, 4, seed), dense_spectral_labels(w, 4, seed))
+        assert np.array_equal(spectral_cluster(graph, 4, seed), dense_spectral_labels(w, 4, seed))
 
 
 def test_iterative_path_recovers_disconnected_components(monkeypatch):
@@ -292,7 +306,7 @@ def test_iteration_cap_falls_back_to_dense(monkeypatch):
 def test_iterative_embedding_matches_scipy_eigsh():
     linalg = pytest.importorskip("scipy.sparse.linalg")
     planted, _ = planted_codebook(np.random.default_rng(11), 3, 80)
-    w = build_graph(planted)
+    w = np.asarray(build_graph(planted))
     inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
     m = inv_sqrt[:, None] * w * inv_sqrt[None, :]
     vals, vecs = linalg.eigsh(m, k=3, which="LA", tol=1e-12)
@@ -300,6 +314,52 @@ def test_iterative_embedding_matches_scipy_eigsh():
     assert _min_principal_cosine(emb, vecs) >= 1.0 - 1e-9
     ritz = np.einsum("ij,ij->j", emb, m @ emb)
     assert np.allclose(ritz, np.sort(vals)[::-1], rtol=0.0, atol=1e-12)
+
+
+def _random_graph(length):
+    """Up to 300 distinct random L-bit codes with degrees up to 1e6."""
+    rng = np.random.default_rng(length)
+    n = min(2 ** length, 300)
+    n_bytes = (length + 7) // 8
+    entries = [
+        (HashCode(packed=(int(c) << (8 * n_bytes - length)).to_bytes(n_bytes, "big"), length=length), int(d))
+        for c, d in zip(rng.choice(2 ** length, size=n, replace=False), rng.integers(1, 10 ** 6, size=n))
+    ]
+    return build_graph(book(entries)), rng
+
+
+@pytest.mark.parametrize("length", [1, 3, 8, 13, 16])
+def test_transform_product_equals_dense_product(length):
+    graph, rng = _random_graph(length)
+    x = rng.standard_normal((len(graph), 3))
+    expect = np.asarray(graph) @ x
+    err = np.linalg.norm(spectral._transform_product(graph)(x) - expect, axis=0)
+    assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
+
+
+@pytest.mark.parametrize("length", [1, 3, 8, 13, 16])
+def test_transform_degrees_equal_dense_row_sums(length, monkeypatch):
+    graph, _ = _random_graph(length)
+    expect = np.asarray(graph).sum(axis=1)
+    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    w, _, deg = spectral._operator(graph)
+    assert w is None
+    assert np.all(np.abs(deg - expect) <= 1e-13 * expect)
+
+
+@pytest.mark.parametrize("per_group", [1000, 2100])
+def test_large_planted_cut_never_builds_the_dense_weights(per_group, monkeypatch):
+    # 4000 codes, then 8400: more than DENSE_SOLVER_MAX_VERTICES
+    planted, groups = planted_codebook(np.random.default_rng(12), 4, per_group)
+    graph = build_graph(planted)
+    assert graph.matrix_free
+
+    def no_dense(graph):
+        raise AssertionError("the n x n weights were built")
+
+    monkeypatch.setattr(spectral, "_dense_weights", no_dense)
+    labels = spectral_cluster(graph, 4, seed=0)
+    assert labels_match_up_to_permutation(labels, groups)
 
 
 def test_spectral_k_equals_n():

@@ -375,6 +375,17 @@ def _short_hello(port, shards, cfg):
         sock.recv(1)
 
 
+def _empty_codes(port, shards, cfg):
+    # zero gradients through every round, then a codebook of no entries
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg))
+        for _ in range(cfg.n_rounds):
+            send_frame(sock, TAG_GRADIENT, _gradient_payload(deserialize_params(expect_frame(sock, TAG_PARAMS))))
+        expect_frame(sock, TAG_PARAMS)
+        send_frame(sock, TAG_CODES, struct.pack(">I", 0))
+        sock.recv(1)
+
+
 # name: (faulty site 1, coordinator timeout, the ProtocolError it raises)
 FAULTS = {
     "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
@@ -383,6 +394,7 @@ FAULTS = {
     "wrong_gradient_shape": (_raw(_wrong_gradient_shape), 5.0,
                              "site 1 sent a malformed frame 0x02: gradient layers"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
+    "empty_codes": (_empty_codes, 5.0, "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
     "duplicate_index": (_site(0), 5.0, "site 0 connected twice"),
     "out_of_range_index": (_site(2), 5.0, r"hello names site 2, outside \[0, 2\)"),
