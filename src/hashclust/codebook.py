@@ -73,14 +73,13 @@ def merge_codebooks(books) -> Codebook:
     length = books[0].code_length
     if any(b.code_length != length for b in books):
         raise IncompatibleCodebooksError("codebooks have mixed code lengths")
-    totals: dict[bytes, int] = {}
+    # each code keeps the first book's HashCode; frozen, so sharing it is safe
+    merged: dict[bytes, tuple] = {}
     for book in books:
         for e in book.entries:
-            totals[e.code.packed] = totals.get(e.code.packed, 0) + e.degree
-    entries = tuple(
-        CodebookEntry(HashCode(packed=k, length=length), d)
-        for k, d in sorted(totals.items())
-    )
+            code, degree = merged.get(e.code.packed, (e.code, 0))
+            merged[e.code.packed] = (code, degree + e.degree)
+    entries = tuple(CodebookEntry(*merged[k]) for k in sorted(merged))
     return Codebook(entries=entries, origin="global")
 
 

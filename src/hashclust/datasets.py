@@ -117,7 +117,9 @@ class Shard:
     """One site's slice of the dataset plus its local normalization.
 
     ``normalized`` rescales each feature to [0, 1] using minima/ranges
-    computed from this shard alone; constant features map to 0.
+    computed from this shard alone; constant features map to 0. It is
+    computed on first use and kept as one read-only array, since every
+    training round reads it.
     """
 
     x: np.ndarray
@@ -128,8 +130,13 @@ class Shard:
 
     @property
     def normalized(self) -> np.ndarray:
-        safe = np.where(self.feature_range > 0, self.feature_range, 1.0)
-        return (self.x - self.feature_min) / safe
+        cached = self.__dict__.get("_normalized")
+        if cached is None:
+            safe = np.where(self.feature_range > 0, self.feature_range, 1.0)
+            cached = (self.x - self.feature_min) / safe
+            cached.flags.writeable = False
+            object.__setattr__(self, "_normalized", cached)
+        return cached
 
     def __len__(self) -> int:
         return self.x.shape[0]

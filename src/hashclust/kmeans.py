@@ -3,7 +3,10 @@
 Small, dense, and fully deterministic for a fixed seed: restarts draw from a
 single generator in a fixed order, assignment ties go to the lowest cluster
 index (argmin behavior), and an emptied cluster is re-seeded with the point
-farthest from its current center.
+farthest from its current center. A Lloyd step takes every point-centre
+distance from one matrix product ``points @ centers.T`` and gives each point
+the centre the direct distances ||p - c||**2 would give it; the inertia is
+summed from each point's difference to its own centre.
 """
 
 from __future__ import annotations
@@ -33,26 +36,53 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def _assign(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's nearest centre, as the direct distances ||p - c||**2 pick it.
+
+    The distances come from one matrix product: ||c||**2 - 2 c.p differs from
+    ||p - c||**2 by ||p||**2, the same for every centre. Its rounding and that
+    of the direct form differ by less than ``slack``, so a point whose best
+    two centres are further apart gets the same centre either way; the rare
+    point with a second centre within ``slack`` is a near tie and is settled
+    by its direct distances (lowest index on exact ties). Scores are held
+    centre by centre, so each step is one pass over the points.
+    """
+    sq = (centers * centers).sum(axis=1)
+    score = sq[:, None] - 2.0 * (centers @ points.T)
+    best = score[0].copy()
+    labels = np.zeros(points.shape[0], dtype=np.intp)
+    for c in range(1, centers.shape[0]):
+        labels[score[c] < best] = c
+        np.minimum(best, score[c], out=best)
+    best += 4 * (points.shape[1] + 3) * np.finfo(np.float64).eps * (norms + np.sqrt(sq.max())) ** 2
+    near = (score <= best).sum(axis=0) > 1
+    if near.any():
+        d2 = ((points[near, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels[near] = np.argmin(d2, axis=1)
+    return labels
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray):
+    norms = np.sqrt((points * points).sum(axis=1))
     labels = None
     for _ in range(MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
+        previous = centers.copy()
+        new_labels = _assign(points, norms, centers)
         for c in range(centers.shape[0]):
             mask = new_labels == c
             if mask.any():
                 centers[c] = points[mask].mean(axis=0)
             else:
                 # re-seed an empty cluster with the worst-fit point
-                far = int(np.argmax(d2[np.arange(points.shape[0]), new_labels]))
+                fit = ((points - previous[new_labels]) ** 2).sum(axis=1)
+                far = int(np.argmax(fit))
                 centers[c] = points[far]
                 new_labels[far] = c
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    labels = _assign(points, norms, centers)
+    inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
     return labels, inertia
 
 

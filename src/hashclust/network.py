@@ -182,8 +182,12 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
     trace = ForwardTrace(inputs=x, layers=params.layers)
     a = x
     for (w, b), spec in zip(_split(params), params.layers):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        a = a @ w
+        a += b
+        if spec.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        else:
+            np.tanh(a, out=a)
         trace.weights.append(w)
         trace.acts.append(a)
     return a, trace
@@ -290,7 +294,7 @@ def serialize_params(params: NetworkParams) -> bytes:
     parts = [struct.pack(">I", len(params.layers))]
     for l in params.layers:
         parts.append(struct.pack(">IIB", l.input_dim, l.output_dim, _ACT_TAG[l.activation]))
-    parts.append(params.values.astype(">f4").tobytes())
+    parts.append(params.values.astype(">f4"))
     return b"".join(parts)
 
 

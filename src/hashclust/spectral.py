@@ -7,9 +7,11 @@ returns a CodeGraph that holds only the integer codes, their degrees and the
 code length L; ``np.asarray`` builds the dense n x n weights from it. The
 graph is cut with the classic spectral relaxation (symmetric normalized
 Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
-which is what the cited method prescribes. The k eigenvectors come from
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001), a block eigensolver that
-touches the graph only through products W @ X. A weight is a function of
+which is what the cited method prescribes. The first eigenvector is known,
+D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007, Prop. 3); the other
+k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001), a block
+eigensolver that touches the graph only through products W @ X and keeps
+its blocks orthogonal to the known one. A weight is a function of
 c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto the 2**L code
 cube, a Walsh-Hadamard transform, a multiply by the transformed kernel, the
 transform again, a gather at the codes. That costs O(L * 2**L) per column
@@ -227,31 +229,43 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
 
     These are the eigenvectors of the k smallest eigenvalues of the
     normalized Laplacian I - M; they come back in that order, as columns.
-    Each iteration runs Rayleigh-Ritz on span[X, R, P]: the current block,
-    its residuals and the previous step's directions, made orthonormal by a
-    Householder QR, which stays orthonormal to rounding as the residuals
-    shrink (a Cholesky of their Gram matrix would break down). M is applied as
-    scale, ``product`` (X -> W @ X), scale; the Laplacian is never formed. The
-    start block is drawn from a fixed-seed generator, so the result depends
-    on the graph alone. Returns None when LOBPCG_MAX_ITER iterations do not
-    reach LOBPCG_TOLERANCE.
+    The first is known: M has nonnegative entries and spectral radius 1, and
+    v1 = D^{1/2} 1 / ||D^{1/2} 1|| has M v1 = v1 (zero where the degree is
+    zero), so it is column 0 without a product. LOBPCG finds the other k - 1
+    in the complement of v1. Each iteration runs Rayleigh-Ritz on
+    span[X, R, P]: the current block, its residuals and the previous step's
+    directions, made orthonormal to v1 and X by a Householder QR, which stays
+    orthonormal to rounding as the residuals shrink (a Cholesky of their Gram
+    matrix would break down). M is applied as scale, ``product``
+    (X -> W @ X), scale, to at most 2(k - 1) columns at a time; the Laplacian
+    is never formed. The start block is drawn from a fixed-seed generator, so
+    the result depends on the graph alone. Returns None when LOBPCG_MAX_ITER
+    iterations do not reach LOBPCG_TOLERANCE.
     """
+    top = np.zeros((inv_sqrt.size, 1))
+    pos = inv_sqrt > 0
+    top[pos, 0] = 1.0 / inv_sqrt[pos]
+    top /= np.linalg.norm(top)
+    if k == 1:
+        return top
 
     def apply(x):
         return inv_sqrt[:, None] * product(inv_sqrt[:, None] * x)
 
-    x = np.linalg.qr(np.random.default_rng(0).standard_normal((inv_sqrt.size, k)))[0]
+    m = k - 1
+    start = np.random.default_rng(0).standard_normal((inv_sqrt.size, m))
+    x = np.linalg.qr(np.hstack([top, start]))[0][:, 1:]
     basis, mbasis = x, apply(x)
     for _ in range(LOBPCG_MAX_ITER):
         g = basis.T @ mbasis
         vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
-        vals, c = vals[::-1][:k], vecs[:, ::-1][:, :k]
+        vals, c = vals[::-1][:m], vecs[:, ::-1][:, :m]
         x, mx = basis @ c, mbasis @ c
-        p = basis[:, k:] @ c[k:]
+        p = basis[:, m:] @ c[m:]
         r = mx - x * vals
         if np.linalg.norm(r, axis=0).max() <= LOBPCG_TOLERANCE:
-            return x
-        q = np.linalg.qr(np.hstack([x, r, p]))[0][:, k:]
+            return np.hstack([top, x])
+        q = np.linalg.qr(np.hstack([top, x, r, p]))[0][:, k:]
         basis, mbasis = np.hstack([x, q]), np.hstack([mx, apply(q)])
     return None
 

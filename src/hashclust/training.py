@@ -90,14 +90,17 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
     if not grads:
         raise ShapeError("no gradients to merge")
     n = param_count(params)
-    total = np.zeros(n)
+    step = np.zeros(n)
     for i, g in enumerate(grads):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (n,):
             raise ShapeError(f"gradient {i} has shape {g.shape}, expected ({n},)")
-        total += as_float32_grid(g)
-    new_values = as_float32_grid(params.values - learning_rate * (total / len(grads)))
-    return NetworkParams(params.layers, new_values)
+        # float32 widens to float64 exactly, so this adds the float32-grid value
+        step += g.astype(np.float32)
+    step /= len(grads)
+    step *= learning_rate
+    np.subtract(params.values, step, out=step)
+    return NetworkParams(params.layers, as_float32_grid(step))
 
 
 def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):

@@ -10,7 +10,7 @@ import numpy as np
 
 from hashclust.codebook import Codebook, CodebookEntry
 from hashclust.errors import HashClustError, InvalidKError, ShapeError
-from hashclust.kmeans import kmeans
+from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import HashCode, NetworkParams, forward
 from hashclust.spectral import _adjacency, normalized_laplacian
@@ -149,6 +149,35 @@ def dense_spectral_labels(graph, k: int, seed) -> np.ndarray:
     return labels
 
 
+def direct_lloyd(points: np.ndarray, centers: np.ndarray):
+    """Lloyd iterations from every point-centre distance ||p - c||**2 itself.
+
+    The reference for ``kmeans._lloyd``, which takes its assignments from one
+    matrix product: the same steps, the same empty-cluster re-seeding and the
+    same argmin ties, over an (n, k, d) broadcast. Updates ``centers`` in
+    place and returns (labels, inertia).
+    """
+    labels = None
+    for _ in range(MAX_ITER):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for c in range(centers.shape[0]):
+            mask = new_labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(d2[np.arange(points.shape[0]), new_labels]))
+                centers[c] = points[far]
+                new_labels[far] = c
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels, inertia
+
+
 def _growth_strings(n: int, k: int):
     """All surjective labelings in canonical (restricted growth) form, lex order."""
     labels = np.zeros(n, dtype=np.int64)
@@ -228,6 +257,27 @@ def pre_activations(params: NetworkParams, x) -> list:
         zs.append(z)
         a = np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)
     return zs
+
+
+def activations(params: NetworkParams, x) -> list:
+    """Every layer's activation, each a new array: ``max(z, 0)`` or ``tanh(z)``
+    of ``z = a_prev @ W + b``. The reference for ``forward``, which computes
+    them in place."""
+    return [
+        np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)
+        for z, layer in zip(pre_activations(params, x), params.layers)
+    ]
+
+
+def merge_reference(params: NetworkParams, grads, learning_rate: float) -> np.ndarray:
+    """``training.global_merge``'s new values as separate array expressions:
+    each gradient rounded to float32 and back, summed in site order, then
+    ``values - lr * (total / M)`` rounded to float32."""
+    total = np.zeros(params.values.size)
+    for g in grads:
+        total += np.asarray(g, dtype=np.float64).astype(np.float32).astype(np.float64)
+    new_values = params.values - learning_rate * (total / len(grads))
+    return new_values.astype(np.float32).astype(np.float64)
 
 
 def kink_margin(params: NetworkParams, x, cfg: LossConfig) -> float:

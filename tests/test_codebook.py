@@ -87,11 +87,13 @@ def test_encode_empty_shard():
 # --- merge ---
 
 def test_merge_hand_example():
-    c1, c2 = code(1, 1, -1, 1), code(-1, 1, 1, 1)
-    merged = merge_codebooks([book([(c1, 3), (c2, 5)]), book([(c2, 2)])])
+    c1, c2, c2_again = code(1, 1, -1, 1), code(-1, 1, 1, 1), code(-1, 1, 1, 1)
+    merged = merge_codebooks([book([(c1, 3), (c2, 5)]), book([(c2_again, 2)])])
     by_packed = {e.code.packed: e.degree for e in merged.entries}
     assert by_packed == {c1.packed: 3, c2.packed: 7}
     assert merged.origin == "global"
+    # each merged code is the first site book's HashCode object
+    assert {id(e.code) for e in merged.entries} == {id(c1), id(c2)}
 
 
 def test_merge_with_duplicate_of_itself_doubles():

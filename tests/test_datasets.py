@@ -183,6 +183,20 @@ def test_shard_normalization_unit_box():
     assert np.allclose(z.max(axis=0), 1.0)
 
 
+def test_shard_normalized_is_one_read_only_array():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 4)) * 3 - 1
+    x[:, 2] = 7.0
+    shard = make_shard(x, np.zeros(30, dtype=int), 0)
+    z = shard.normalized
+    assert shard.normalized is z
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.5
+    safe = np.where(shard.feature_range > 0, shard.feature_range, 1.0)
+    assert np.array_equal(z, (x - shard.feature_min) / safe)
+
+
 def test_shard_constant_feature_maps_to_zero():
     x = np.column_stack([np.full(6, 3.5), np.arange(6.0)])
     shard = make_shard(x, np.zeros(6, dtype=int), 0)

@@ -21,7 +21,7 @@ from hashclust.network import (
 )
 from hashclust.training import global_merge
 
-from oracles import binarize, finite_difference, pack_bits_batch, pre_activations
+from oracles import activations, binarize, finite_difference, pack_bits_batch, pre_activations
 
 
 def tiny_params(seed=0, dims=(3, 4, 2)):
@@ -125,6 +125,18 @@ def test_forward_rejects_wrong_dimension():
     params = tiny_params()
     with pytest.raises(ShapeError):
         forward(params, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 2), (16, 32, 8, 12)])
+def test_forward_equals_the_out_of_place_expressions_bitwise(dims):
+    params = tiny_params(seed=4, dims=dims)
+    x = np.random.default_rng(2).normal(size=(50, dims[0]))
+    h, trace = forward(params, x)
+    expect = activations(params, x)
+    assert len(trace.acts) == len(expect)
+    for got, want in zip(trace.acts, expect):
+        assert np.array_equal(got, want)
+    assert h is trace.acts[-1]
 
 
 def test_forward_pure():

@@ -9,6 +9,7 @@ from hashclust.errors import (
     ShapeError,
     UnsupportedSizeError,
 )
+from hashclust import kmeans as kmeans_module
 from hashclust.kmeans import kmeans
 from hashclust.network import HashCode, init_network, mlp_spec
 from hashclust import spectral
@@ -25,6 +26,7 @@ from oracles import (
     OracleSizeError,
     brute_force_ncut,
     dense_spectral_labels,
+    direct_lloyd,
     disconnected_components,
     hamming,
     labels_match_up_to_permutation,
@@ -316,6 +318,70 @@ def test_iterative_embedding_matches_scipy_eigsh():
     assert np.allclose(ritz, np.sort(vals)[::-1], rtol=0.0, atol=1e-12)
 
 
+def _known_top(deg):
+    """sqrt(deg) / ||sqrt(deg)||, read off D^{-1/2} as _lobpcg reads it."""
+    inv_sqrt = spectral._inv_sqrt(deg)
+    top = np.zeros_like(inv_sqrt)
+    top[inv_sqrt > 0] = 1.0 / inv_sqrt[inv_sqrt > 0]
+    return top / np.linalg.norm(top)
+
+
+def test_lobpcg_k1_returns_the_known_top_without_a_product():
+    w, _ = planted_two_cluster(np.random.default_rng(13), 9)
+
+    def no_product(x):
+        raise AssertionError("W was applied")
+
+    emb = spectral._lobpcg(no_product, spectral._inv_sqrt(w.sum(axis=1)), 1)
+    assert emb.shape == (9, 1)
+    assert np.array_equal(emb[:, 0], _known_top(w.sum(axis=1)))
+
+
+def _graph_with_isolated_vertices():
+    """A planted 3-component graph of 40 vertices, 5 of them with no edges."""
+    w, truth = disconnected_components(np.random.default_rng(14), 3, 40)
+    isolated = np.array([0, 9, 17, 30, 39])
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    return w, truth, isolated
+
+
+@pytest.mark.parametrize("graph_kind", ["transform", "dense_product", "isolated_vertices"])
+def test_embedding_column_0_is_the_known_top_eigenvector(graph_kind, monkeypatch):
+    if graph_kind == "isolated_vertices":
+        graph, _, isolated = _graph_with_isolated_vertices()
+        k = 3
+    else:
+        monkeypatch.setattr(spectral.CodeGraph, "matrix_free", graph_kind == "transform")
+        graph, k = build_graph(planted_codebook(np.random.default_rng(15), 4, 60)[0]), 4
+    _, _, deg = spectral._operator(graph)
+    assert deg.size >= 5 * k
+    emb = _iterative_embedding(graph, k)
+    assert emb.shape == (deg.size, k)
+    assert np.array_equal(emb[:, 0], _known_top(deg))
+    # the other columns are orthonormal and orthogonal to it
+    assert np.allclose(emb.T @ emb, np.eye(k), atol=1e-12)
+    if graph_kind == "isolated_vertices":
+        assert np.all(emb[isolated, 0] == 0.0)
+        labels = spectral_cluster(graph, k, seed=0)
+        assert np.all(labels[isolated] == 0)
+
+
+def test_lobpcg_applies_w_to_at_most_2k_minus_2_columns(monkeypatch):
+    planted, _ = planted_codebook(np.random.default_rng(16), 4, 60)
+    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    _, product, deg = spectral._operator(build_graph(planted))
+    columns = []
+
+    def counting(x):
+        columns.append(x.shape[1])
+        return product(x)
+
+    assert spectral._lobpcg(counting, spectral._inv_sqrt(deg), 4) is not None
+    assert columns[0] == 3
+    assert len(columns) > 2 and max(columns[1:]) <= 2 * 3
+
+
 def _random_graph(length):
     """Up to 300 distinct random L-bit codes with degrees up to 1e6."""
     rng = np.random.default_rng(length)
@@ -411,6 +477,49 @@ def test_kmeans_deterministic():
     b, ib = kmeans(pts, 4, seed=9)
     assert np.array_equal(a, b)
     assert ia == ib
+
+
+def _kmeans_case(rng, kind):
+    """Random points: normal, on an integer grid (exact ties), or unit rows
+    with some zero rows; n in [3, 400], d in [1, 12], k up to 12."""
+    n, d = int(rng.integers(3, 401)), int(rng.integers(1, 13))
+    k = int(rng.integers(1, min(12, n) + 1))
+    if kind == "grid":
+        return rng.integers(0, 3, size=(n, d)).astype(float), k
+    points = rng.standard_normal((n, d))
+    if kind == "unit_rows":
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        points[rng.random(n) < 0.2] = 0.0
+    return points, k
+
+
+def _kmeans_pair(points, k, seed, monkeypatch):
+    """kmeans as it stands, and with the direct-distance Lloyd of the oracles."""
+    got = kmeans(points, k, seed)
+    with monkeypatch.context() as m:
+        m.setattr(kmeans_module, "_lloyd", direct_lloyd)
+        expect = kmeans(points, k, seed)
+    return got, expect
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "unit_rows"])
+def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
+    rng = np.random.default_rng(["normal", "grid", "unit_rows"].index(kind))
+    for seed in range(100):
+        points, k = _kmeans_case(rng, kind)
+        (labels, inertia), (expect_labels, expect_inertia) = _kmeans_pair(points, k, seed, monkeypatch)
+        assert np.array_equal(labels, expect_labels)
+        assert inertia == expect_inertia
+
+
+def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypatch):
+    planted, _ = planted_codebook(np.random.default_rng(17), 4, 60)
+    emb = _iterative_embedding(build_graph(planted), 4)
+    emb = emb / np.linalg.norm(emb, axis=1)[:, None]
+    for seed in range(5):
+        (labels, inertia), (expect_labels, expect_inertia) = _kmeans_pair(emb, 4, seed, monkeypatch)
+        assert np.array_equal(labels, expect_labels)
+        assert inertia == expect_inertia
 
 
 # --- propagation ---

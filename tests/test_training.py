@@ -23,7 +23,7 @@ from hashclust.training import (
     train,
 )
 
-from oracles import batch_objective, finite_difference, kink_margin
+from oracles import batch_objective, finite_difference, kink_margin, merge_reference
 
 
 def small_cfg(**kw):
@@ -57,6 +57,16 @@ def test_merge_zero_grads_bitwise_noop():
     params = init_network(mlp_spec(3, (4,), 2), 1)
     out = global_merge(params, [np.zeros(param_count(params))] * 3, 0.7)
     assert np.array_equal(out.values, params.values)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 8])
+def test_merge_equals_the_separate_array_expressions_bitwise(n_sites):
+    params = init_network(mlp_spec(16, (32, 8), 12), 5)
+    rng = np.random.default_rng(n_sites)
+    grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=param_count(params)) for _ in range(n_sites)]
+    for lr in (0.05, 0.7, 1e-3):
+        out = global_merge(params, grads, lr)
+        assert np.array_equal(out.values, merge_reference(params, grads, lr))
 
 
 def test_merge_shape_error():
