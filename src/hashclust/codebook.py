@@ -106,14 +106,17 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
         raise ShapeError(
             f"codebook payload has {len(data)} bytes, expected {4 + count * (4 + n_bytes)}"
         )
-    off = 4
-    entries = []
-    for i in range(count):
-        (deg,) = struct.unpack(">f", data[off : off + 4])
-        if not (deg >= 1 and deg.is_integer()):
-            raise ShapeError(f"codebook entry {i} has degree {deg}, not a positive integer")
-        off += 4
-        code = HashCode(packed=data[off : off + n_bytes], length=code_length)
-        off += n_bytes
-        entries.append(CodebookEntry(code, int(deg)))
-    return Codebook(entries=tuple(entries), origin=origin)
+    # a void field keeps a code's trailing zero bytes, which an "S" field strips
+    entry = np.dtype([("degree", ">f4"), ("code", f"V{n_bytes}")])
+    table = np.frombuffer(data, dtype=entry, count=count, offset=4)
+    degrees = table["degree"]
+    positive_integer = np.isfinite(degrees) & (degrees >= 1) & (np.floor(degrees) == degrees)
+    bad = np.flatnonzero(~positive_integer)
+    if bad.size:
+        i = int(bad[0])
+        raise ShapeError(f"codebook entry {i} has degree {float(degrees[i])}, not a positive integer")
+    entries = tuple(
+        CodebookEntry(HashCode(packed=code, length=code_length), int(d))
+        for code, d in zip(table["code"].tolist(), degrees.tolist())
+    )
+    return Codebook(entries=entries, origin=origin)

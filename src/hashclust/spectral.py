@@ -10,20 +10,23 @@ Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
 which is what the cited method prescribes. The first eigenvector is known,
 D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007, Prop. 3); the other
 k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001), a block
-eigensolver that touches the graph only through products W @ X and keeps
-its blocks orthogonal to the known one. A weight is a function of
-c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto the 2**L code
-cube, a Walsh-Hadamard transform, a multiply by the transformed kernel, the
-transform again, a gather at the codes. That costs O(L * 2**L) per column
-against n**2 for the dense product, and is taken when it is the cheaper of
-the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs under 5k vertices, too
-small for a basis of 3k columns to leave room for the rest of the spectrum,
-use a dense ``eigh`` of the Laplacian (SciPy's lobpcg draws the same line),
-which is also the fallback when LOBPCG does not converge; both build the
-dense weights, up to DENSE_SOLVER_MAX_VERTICES. The test suite checks the
-cut against an exhaustive minimizer of the volume-normalized Ncut on small
-graphs, the transform product against the dense one, and the LOBPCG
-eigenvectors against the dense ones.
+eigensolver that touches the graph only through products W @ X and keeps its
+blocks orthogonal to the known one. Each iteration applies W to the k - 1
+new residual directions alone: the previous step's directions P and W @ P
+are combinations of the basis and its W-image, made orthonormal in Ritz
+coordinates (Hetmaniuk & Lehoucq, J. Comput. Phys. 2006). A weight is a
+function of c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto
+the 2**L code cube, a Walsh-Hadamard transform, a multiply by the
+transformed kernel, the transform again, a gather at the codes. That costs
+O(L * 2**L) per column against n**2 for the dense product, and is taken when
+it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
+under 5k vertices, too small for a basis of 3k columns to leave room for the
+rest of the spectrum, use a dense ``eigh`` of the Laplacian (SciPy's lobpcg
+draws the same line), which is also the fallback when LOBPCG does not
+converge; both build the dense weights, up to DENSE_SOLVER_MAX_VERTICES. The
+test suite checks the cut against an exhaustive minimizer of the
+volume-normalized Ncut on small graphs, the transform product against the
+dense one, and the LOBPCG eigenvectors against the dense ones.
 """
 
 from __future__ import annotations
@@ -233,14 +236,17 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     v1 = D^{1/2} 1 / ||D^{1/2} 1|| has M v1 = v1 (zero where the degree is
     zero), so it is column 0 without a product. LOBPCG finds the other k - 1
     in the complement of v1. Each iteration runs Rayleigh-Ritz on
-    span[X, R, P]: the current block, its residuals and the previous step's
-    directions, made orthonormal to v1 and X by a Householder QR, which stays
-    orthonormal to rounding as the residuals shrink (a Cholesky of their Gram
-    matrix would break down). M is applied as scale, ``product``
-    (X -> W @ X), scale, to at most 2(k - 1) columns at a time; the Laplacian
-    is never formed. The start block is drawn from a fixed-seed generator, so
-    the result depends on the graph alone. Returns None when LOBPCG_MAX_ITER
-    iterations do not reach LOBPCG_TOLERANCE.
+    span[X, P, R]: the current block, the previous step's directions and the
+    residuals. X and P are combinations of the basis with orthonormal Ritz
+    coordinates, so they and their M-images come from the basis and its
+    M-image without a product. The residuals are made orthonormal to v1, X
+    and P by a Householder QR, which stays orthonormal to rounding as they
+    shrink (a Cholesky of their Gram matrix would break down). M is applied
+    as scale, ``product`` (X -> W @ X), scale, only to those k - 1 new
+    columns per iteration; the Laplacian is never formed. The start block is
+    drawn from a fixed-seed generator, so the result depends on the graph
+    alone. Returns None when LOBPCG_MAX_ITER iterations do not reach
+    LOBPCG_TOLERANCE.
     """
     top = np.zeros((inv_sqrt.size, 1))
     pos = inv_sqrt > 0
@@ -261,12 +267,18 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
         vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
         vals, c = vals[::-1][:m], vecs[:, ::-1][:, :m]
         x, mx = basis @ c, mbasis @ c
-        p = basis[:, m:] @ c[m:]
         r = mx - x * vals
         if np.linalg.norm(r, axis=0).max() <= LOBPCG_TOLERANCE:
             return np.hstack([top, x])
-        q = np.linalg.qr(np.hstack([top, x, r, p]))[0][:, k:]
-        basis, mbasis = np.hstack([x, q]), np.hstack([mx, apply(q)])
+        # P is the step from the old block, c without its X rows, made
+        # orthonormal to c in Ritz coordinates; empty on the first iteration,
+        # where the reduced QR of the m x 2m coordinates has only m columns.
+        step = c.copy()
+        step[:m] = 0.0
+        pc = np.linalg.qr(np.hstack([c, step]))[0][:, m:]
+        p, mp = basis @ pc, mbasis @ pc
+        q = np.linalg.qr(np.hstack([top, x, p, r]))[0][:, k + pc.shape[1] :]
+        basis, mbasis = np.hstack([x, p, q]), np.hstack([mx, mp, apply(q)])
     return None
 
 

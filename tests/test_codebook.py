@@ -174,3 +174,26 @@ def test_payload_rejects_bad_degree(degree):
         blob = good[:4] + np.array([degree], dtype=">f4").tobytes() + good[8:]
     with pytest.raises(ShapeError, match="degree"):
         decode_codes_payload(blob, 2)
+
+
+@pytest.mark.parametrize(
+    "packed, other, length",
+    [(b"\x00", b"\xf8", 5), (b"\x12\x00", b"\xff\xff", 16)],
+    ids=["L5_all_minus_one", "L16_0x1200"],
+)
+def test_payload_roundtrip_keeps_trailing_zero_bytes(packed, other, length):
+    b = book([(HashCode(packed=packed, length=length), 3), (HashCode(packed=other, length=length), 5)])
+    back = decode_codes_payload(encode_codes_payload(b), length, origin=b.origin)
+    assert back == b
+    assert [e.code.packed for e in back.entries] == [e.code.packed for e in b.entries]
+    assert all(type(e.degree) is int for e in back.entries)
+
+
+@pytest.mark.parametrize("degree", [float("inf"), 0.0, 2.5])
+def test_payload_bad_degree_names_its_entry(degree):
+    b = book([(code(1, -1, -1), 1), (code(1, 1, -1), 2), (code(-1, 1, 1), 3), (code(1, 1, 1), 4)])
+    blob = bytearray(encode_codes_payload(b))
+    # entry 2 starts after the count and two entries of 4 + 1 bytes
+    blob[4 + 2 * 5 : 4 + 2 * 5 + 4] = np.array([degree], dtype=">f4").tobytes()
+    with pytest.raises(ShapeError, match=f"entry 2 has degree {degree},"):
+        decode_codes_payload(bytes(blob), 3)

@@ -382,6 +382,51 @@ def test_lobpcg_applies_w_to_at_most_2k_minus_2_columns(monkeypatch):
     assert len(columns) > 2 and max(columns[1:]) <= 2 * 3
 
 
+def _column_counter(product):
+    """``product`` that also appends the column count of every call to a list."""
+    columns = []
+
+    def counting(x):
+        columns.append(x.shape[1])
+        return product(x)
+
+    return counting, columns
+
+
+def test_lobpcg_applies_w_only_to_the_k_minus_1_new_residual_directions(monkeypatch):
+    # the graph of the test above: W @ P comes from the basis, not a product
+    planted, _ = planted_codebook(np.random.default_rng(16), 4, 60)
+    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    _, product, deg = spectral._operator(build_graph(planted))
+    counting, columns = _column_counter(product)
+    assert spectral._lobpcg(counting, spectral._inv_sqrt(deg), 4) is not None
+    assert len(columns) > 2 and columns == [3] * len(columns)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lobpcg_on_clusterless_codes_is_orthonormal_with_small_fresh_residuals(seed):
+    # 1500 random L=12 codes carry no clusters, so the spectrum has no gap at k
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(2 ** 12, size=1500, replace=False) << 4  # L=12 in two bytes, low bits zero
+    entries = [
+        (HashCode(packed=int(c).to_bytes(2, "big"), length=12), int(d))
+        for c, d in zip(codes, rng.integers(1, 50, size=1500))
+    ]
+    graph = build_graph(book(entries))
+    assert graph.matrix_free
+    _, product, deg = spectral._operator(graph)
+    inv_sqrt = spectral._inv_sqrt(deg)
+    counting, columns = _column_counter(product)
+    emb = spectral._lobpcg(counting, inv_sqrt, 8)
+    assert emb is not None
+    assert columns == [7] * len(columns)
+    assert np.linalg.norm(emb.T @ emb - np.eye(8)) <= 1e-12
+    # the residuals of a fresh product, not of the W-images LOBPCG carried along
+    m_emb = inv_sqrt[:, None] * product(inv_sqrt[:, None] * emb)
+    ritz = np.einsum("ij,ij->j", emb, m_emb)
+    assert np.linalg.norm(m_emb - emb * ritz, axis=0).max() <= spectral.LOBPCG_TOLERANCE
+
+
 def _random_graph(length):
     """Up to 300 distinct random L-bit codes with degrees up to 1e6."""
     rng = np.random.default_rng(length)
