@@ -17,17 +17,18 @@ batch = select_batch(buckets, batch_size=8, seed=7)
 print("\nselected rows:", batch.tolist())
 
 # the greedy rule maximizes summed Hamming distance to what is already
-# picked, so consecutive picks hop between far-apart buckets
-codes = buckets.code_bits
+# picked, so consecutive picks hop between far-apart buckets. Each bucket's
+# code is one 64-bit word here: its 6 bits lead, the rest are zero.
+codes = buckets.codes[:, 0]
 row_code = {}
 for b, members in enumerate(buckets.members):
     for m in members:
-        row_code[int(m)] = codes[b]
+        row_code[int(m)] = int(codes[b])
 
 picked = []
 for row in batch:
-    bits = row_code[int(row)]
-    spread = sum(int(np.sum(bits != p)) for p in picked)
-    label = "".join("1" if v > 0 else "0" for v in bits)
+    code = row_code[int(row)]
+    spread = sum((code ^ p).bit_count() for p in picked)
+    label = format(code >> (64 - 6), "06b")
     print(f"  row {row:>3}  code {label}  summed distance to prior picks: {spread}")
-    picked.append(bits)
+    picked.append(code)

@@ -53,11 +53,11 @@ def encode_shard(params: NetworkParams, x, origin: str = "site"):
     if x.shape[0] == 0:
         raise EmptyShardError("cannot encode an empty shard")
     h, _ = forward(params, x)
-    keys, _, sample_to_entry = group_codes(h)
-    degrees = np.bincount(sample_to_entry, minlength=len(keys))
+    codes, sample_to_entry = group_codes(h)
+    degrees = np.bincount(sample_to_entry, minlength=len(codes))
     entries = tuple(
-        CodebookEntry(HashCode(packed=k, length=params.code_length), int(d))
-        for k, d in zip(keys, degrees)
+        CodebookEntry(HashCode(packed=c.tobytes(), length=params.code_length), int(d))
+        for c, d in zip(codes, degrees)
     )
     return Codebook(entries=entries, origin=origin), sample_to_entry
 
@@ -86,28 +86,29 @@ def merge_codebooks(books) -> Codebook:
 # CODES_PUSH payload: 4-byte big-endian entry count, then per entry a positive
 # integer degree as a big-endian IEEE-754 float32 and ceil(L/8) packed code bytes.
 
+def _entry_dtype(code_length: int) -> np.dtype:
+    """One payload entry as a record: the degree, then the packed code."""
+    # a void field keeps a code's trailing zero bytes, which an "S" field strips
+    return np.dtype([("degree", ">f4"), ("code", f"V{(code_length + 7) // 8}")])
+
+
 def encode_codes_payload(book: Codebook) -> bytes:
-    parts = [struct.pack(">I", len(book))]
-    for e in book.entries:
-        parts.append(struct.pack(">f", float(e.degree)))
-        parts.append(e.code.packed)
-    return b"".join(parts)
+    rows = [(e.degree, e.code.packed) for e in book.entries]
+    return struct.pack(">I", len(book)) + np.array(rows, dtype=_entry_dtype(book.code_length)).tobytes()
 
 
 def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") -> Codebook:
-    n_bytes = (code_length + 7) // 8
+    entry = _entry_dtype(code_length)
     if len(data) < 4:
         raise ShapeError("truncated codebook payload")
     (count,) = struct.unpack(">I", data[:4])
     if count == 0:
         # every site encodes a nonempty shard
         raise ShapeError("codebook payload has no entries, a total degree of 0")
-    if len(data) != 4 + count * (4 + n_bytes):
+    if len(data) != 4 + count * entry.itemsize:
         raise ShapeError(
-            f"codebook payload has {len(data)} bytes, expected {4 + count * (4 + n_bytes)}"
+            f"codebook payload has {len(data)} bytes, expected {4 + count * entry.itemsize}"
         )
-    # a void field keeps a code's trailing zero bytes, which an "S" field strips
-    entry = np.dtype([("degree", ">f4"), ("code", f"V{n_bytes}")])
     table = np.frombuffer(data, dtype=entry, count=count, offset=4)
     degrees = table["degree"]
     positive_integer = np.isfinite(degrees) & (degrees >= 1) & (np.floor(degrees) == degrees)

@@ -271,17 +271,28 @@ def binarize_batch(h) -> np.ndarray:
 
 
 def group_codes(h):
-    """Group a batch of outputs by code: returns (keys, code_bits, index).
+    """Group a batch of outputs by code: returns (codes, index).
 
-    ``keys`` holds each distinct code's packed bytes in ascending byte order
-    (each row is one void-typed value, so the sort compares raw bytes),
-    ``code_bits`` their +-1 bits, ``index`` each sample's position in keys.
+    ``codes`` holds each distinct code's packed bytes, one uint8 row each, in
+    ascending byte order (each row is one void-typed value, so the sort
+    compares raw bytes); ``index`` each sample's row in codes.
     """
-    bits = binarize_batch(h)
-    packed = np.packbits(bits > 0, axis=1)
+    packed = np.packbits(binarize_batch(h) > 0, axis=1)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    distinct, first, index = np.unique(rows, return_index=True, return_inverse=True)
-    return [d.tobytes() for d in distinct], bits[first], index
+    distinct, index = np.unique(rows, return_inverse=True)
+    return distinct.view(np.uint8).reshape(-1, packed.shape[1]), index
+
+
+def code_words(packed) -> np.ndarray:
+    """The compare form of packed code rows: (n, ceil(L/64)) uint64.
+
+    Each row of packed bytes (the HashCode.packed layout) is zero-filled at
+    the end to whole 64-bit words, read big-endian. Word rows then order as
+    their byte rows do, and the popcount of the XOR of two rows is the
+    hamming distance of their codes, for any L.
+    """
+    packed = np.asarray(packed, dtype=np.uint8)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(">u8").astype(np.uint64)
 
 
 # Parameter wire format: 4-byte big-endian layer count, then per layer

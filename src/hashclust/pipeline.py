@@ -99,12 +99,12 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _number(section: dict, key: str, kind, default=None, where: str = ""):
-    value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpecError(f"{where}{key} must be a number, got {value!r}") from exc
+def _number(value, kind, key: str):
+    """A JSON number as ``kind``; a string, a bool, or a fraction for an int raises."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float or isinstance(value, int) or value.is_integer():
+            return kind(value)
+    raise InvalidSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -118,6 +118,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         missing = _GENERATE_KEYS - set(generate)
         if missing:
             raise InvalidSpecError(f"dataset.generate needs keys: {sorted(missing)}")
+        generate = {k: _number(v, int, f"dataset.generate.{k}") for k, v in generate.items()}
     training = raw.get("training", {})
     _reject_unknown(training, _TRAINING_KEYS, "training")
     network = raw.get("network", {})
@@ -125,32 +126,39 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     wire_cfg = raw.get("wire", {})
     _reject_unknown(wire_cfg, _WIRE_KEYS, "wire")
     hidden = network.get("hidden_dims")
+    if not isinstance(hidden, (list, type(None))):
+        raise InvalidSpecError(f"network.hidden_dims must be a list of integers, got {hidden!r}")
+    for key in ("listen", "connect"):
+        if not isinstance(wire_cfg.get(key), (str, type(None))):
+            raise InvalidSpecError(f"wire.{key} must be a string host:port, got {wire_cfg[key]!r}")
     if "clusters" not in raw:
         raise InvalidSpecError("config needs 'clusters' (the number of output clusters)")
     name = raw.get("name")
     if name is None:
         name = "synthetic" if generate is not None else Path(dataset["csv"]).stem
+    site = wire_cfg.get("site")
     return PipelineConfig(
         name=name,
-        generate=dict(generate) if generate is not None else None,
+        generate=generate,
         csv=dataset.get("csv"),
-        hidden_dims=tuple(hidden) if hidden is not None else None,
-        code_length=_number(raw, "code_length", int, 8),
-        clusters=_number(raw, "clusters", int),
-        sites=_number(raw, "sites", int, 1),
-        min_per_site=_number(raw, "min_per_site", int, 50),
-        rounds=_number(training, "rounds", int, 50, "training."),
-        batch_size=_number(training, "batch_size", int, 32, "training."),
-        learning_rate=_number(training, "learning_rate", float, 0.05, "training."),
-        distance_scale=_number(training, "distance_scale", float, 1.0, "training."),
-        temperature=_number(training, "temperature", float, 1.0, "training."),
+        hidden_dims=None if hidden is None
+        else tuple(_number(v, int, "network.hidden_dims") for v in hidden),
+        code_length=_number(raw.get("code_length", 8), int, "code_length"),
+        clusters=_number(raw["clusters"], int, "clusters"),
+        sites=_number(raw.get("sites", 1), int, "sites"),
+        min_per_site=_number(raw.get("min_per_site", 50), int, "min_per_site"),
+        rounds=_number(training.get("rounds", 50), int, "training.rounds"),
+        batch_size=_number(training.get("batch_size", 32), int, "training.batch_size"),
+        learning_rate=_number(training.get("learning_rate", 0.05), float, "training.learning_rate"),
+        distance_scale=_number(training.get("distance_scale", 1.0), float, "training.distance_scale"),
+        temperature=_number(training.get("temperature", 1.0), float, "training.temperature"),
         mode=raw.get("mode", "sim"),
-        seed=_number(raw, "seed", int, 0),
+        seed=_number(raw.get("seed", 0), int, "seed"),
         out=raw.get("out"),
         listen=wire_cfg.get("listen"),
         connect=wire_cfg.get("connect"),
-        site=wire_cfg.get("site"),
-        timeout=_number(wire_cfg, "timeout", float, 60.0, "wire."),
+        site=None if site is None else _number(site, int, "wire.site"),
+        timeout=_number(wire_cfg.get("timeout", 60.0), float, "wire.timeout"),
     )
 
 

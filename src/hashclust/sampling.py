@@ -4,7 +4,9 @@ Samples are bucketed by their current hash code. A batch is drawn greedily:
 the first sample uniformly at random, each later one uniformly from the
 bucket whose code maximizes the summed hamming distance to all codes picked
 so far (counted once per prior pick). Opposite corners of the code cube get
-picked early, which keeps training pairs diverse.
+picked early, which keeps training pairs diverse. Bucket codes are held as
+``network.code_words`` rows, the 64-bit words the code graph compares too, so
+a distance is the popcount of a XOR.
 """
 
 from __future__ import annotations
@@ -14,18 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError
-from .network import NetworkParams, forward, group_codes
+from .network import NetworkParams, code_words, forward, group_codes
 
 
 @dataclass
 class BucketIndex:
     """Partition of local sample indices by current hash code.
 
-    Buckets are kept sorted by packed code bytes so that tie-breaks and
-    uniform draws are reproducible.
+    ``codes`` holds bucket i's code as row i of ``network.code_words``: its
+    packed bytes zero-filled at the end to 64-bit words. Buckets are kept
+    sorted by packed code bytes, which is the order of those rows, so that
+    tie-breaks and uniform draws are reproducible.
     """
 
-    code_bits: np.ndarray
+    codes: np.ndarray
     members: tuple
 
     def sizes(self) -> np.ndarray:
@@ -38,17 +42,18 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    _keys, code_bits, index = group_codes(h)
+    codes, index = group_codes(h)
     members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
-    return BucketIndex(code_bits=code_bits.astype(np.int64), members=tuple(members))
+    return BucketIndex(codes=code_words(codes), members=tuple(members))
 
 
 def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     """Greedy diverse batch; deterministic for a fixed seed.
 
     Returns at most ``batch_size`` sample indices (all of them, in pick
-    order, if the shard is smaller). Ties between buckets at equal summed
-    distance go to the smallest packed code.
+    order, if the shard is smaller). A bucket's distance to a pick is the
+    popcount of the XOR of their ``codes`` rows. Ties between buckets at
+    equal summed distance go to the smallest packed code.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -61,7 +66,6 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     remaining = [list(m) for m in buckets.members]
     # summed hamming distance from each bucket's code to every picked code
     sums = np.zeros(n_buckets, dtype=np.int64)
-    length = buckets.code_bits.shape[1]
 
     def draw(bucket: int, offset: int | None = None) -> int:
         pool = remaining[bucket]
@@ -70,7 +74,7 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
         pool[j] = pool[-1]
         pool.pop()
         counts[bucket] -= 1
-        sums[:] += (length - buckets.code_bits @ buckets.code_bits[bucket]) // 2
+        sums[:] += np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
         return idx
 
     picked = []

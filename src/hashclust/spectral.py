@@ -3,8 +3,11 @@
 Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
 codes that sit close in hamming space are strongly tied. ``build_graph``
-returns a CodeGraph that holds only the integer codes, their degrees and the
-code length L; ``np.asarray`` builds the dense n x n weights from it. The
+returns a CodeGraph that holds only the codes as ``network.code_words`` rows
+(packed bytes zero-filled at the end to 64-bit words, the form batch
+selection compares too), their degrees and the code length L. The kernel
+1 / hamming, 0 at distance 0, is one table, ``CodeGraph.divisors``; both
+products divide by it. ``np.asarray`` builds the dense n x n weights. The
 graph is cut with the classic spectral relaxation (symmetric normalized
 Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
 which is what the cited method prescribes. The first eigenvector is known,
@@ -17,7 +20,8 @@ are combinations of the basis and its W-image, made orthonormal in Ritz
 coordinates (Hetmaniuk & Lehoucq, J. Comput. Phys. 2006). A weight is a
 function of c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto
 the 2**L code cube, a Walsh-Hadamard transform, a multiply by the
-transformed kernel, the transform again, a gather at the codes. That costs
+transformed kernel, the transform again, a gather at the codes; a code's cube
+index is its top L bits, ``codes[:, 0] >> (64 - L)``. That costs
 O(L * 2**L) per column against n**2 for the dense product, and is taken when
 it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
 under 5k vertices, too small for a basis of 3k columns to leave room for the
@@ -44,6 +48,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kmeans import kmeans
+from .network import code_words
 
 # Checked before a code graph is made dense, which holds one n x n float64
 # array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
@@ -55,9 +60,11 @@ DENSE_SOLVER_MAX_VERTICES = 2 ** 13
 # code cube: 2 MB at L = 16, 128 MB at this bound of L = 22.
 TRANSFORM_MAX_CODE_LENGTH = 22
 
-# Rows of the dense weights computed at once, so that beside W only one block
-# of code XORs sits in memory: 256 x 2**13 64-bit words, 16 MB, at L <= 64.
-_DENSE_BLOCK_ROWS = 256
+# Entries of the dense weights computed at once, in whole rows. Beside W, a
+# block's code XORs, distances and divisors then take 512 KB each at L <= 64
+# and stay in cache; blocks of 256 whole rows, 16 MB each at 2**13 codes, made
+# the divisor gather 1.6x slower there.
+_DENSE_BLOCK_ENTRIES = 2 ** 16
 
 # LOBPCG stops when every wanted Ritz pair has a residual norm at most
 # LOBPCG_TOLERANCE (the normalized adjacency has norm at most 1), and gives up
@@ -70,8 +77,9 @@ LOBPCG_MAX_ITER = 200
 class CodeGraph:
     """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = 0, kept as its vertices.
 
-    ``codes`` holds code i as row i of unsigned 64-bit words, its last bit in
-    bit 0 of the last word; ``degrees`` the vertex degrees d_i as float64.
+    ``codes`` holds code i as row i of ``network.code_words``: its packed
+    bytes zero-filled at the end to unsigned 64-bit words, so its first bit is
+    bit 63 of word 0; ``degrees`` the vertex degrees d_i as float64.
     ``np.asarray(graph)`` builds the dense n x n weights; ``spectral_cluster``
     applies W without them when ``matrix_free``.
     """
@@ -90,26 +98,25 @@ class CodeGraph:
         are fewer than the n**2 of the dense product."""
         return self.length <= TRANSFORM_MAX_CODE_LENGTH and len(self) ** 2 > self.length << self.length
 
+    @property
+    def divisors(self) -> np.ndarray:
+        """The kernel as a table over the distance h = 0..L: W_ij = d_i * d_j /
+        divisors[h_ij], with divisors[h] = h, and inf at h = 0 so that W_ii = 0."""
+        return np.array([np.inf, *range(1, self.length + 1)])
+
     def __array__(self, dtype=None, copy=None):
         w = _dense_weights(self)
         return w if dtype is None else w.astype(dtype, copy=False)
 
 
 def build_graph(book: Codebook) -> CodeGraph:
-    """The code graph of a codebook's entries, as integer codes and degrees."""
+    """The code graph of a codebook's entries, as code words and degrees."""
     packed = [e.code.packed for e in book.entries]
     if len(set(packed)) != len(packed):
         raise InvalidCodebookError("duplicate codes in codebook")
-    length = book.code_length
-    bits = np.unpackbits(
-        np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1), axis=1, count=length
-    )
-    words = -(-length // 64)
-    aligned = np.zeros((len(packed), 64 * words), dtype=np.uint8)
-    aligned[:, 64 * words - length :] = bits
-    codes = np.packbits(aligned, axis=1).view(">u8").astype(np.uint64)
+    codes = code_words(np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1))
     degrees = np.array([e.degree for e in book.entries], dtype=np.float64)
-    return CodeGraph(codes=codes, degrees=degrees, length=length)
+    return CodeGraph(codes=codes, degrees=degrees, length=book.code_length)
 
 
 def _dense_weights(graph: CodeGraph) -> np.ndarray:
@@ -119,18 +126,18 @@ def _dense_weights(graph: CodeGraph) -> np.ndarray:
         raise UnsupportedSizeError(
             f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
         )
-    codes, degrees = graph.codes, graph.degrees
+    codes, degrees, divisors = graph.codes, graph.degrees, graph.divisors
     weights = np.empty((n, n))
-    for start in range(0, n, _DENSE_BLOCK_ROWS):
-        rows = slice(start, start + _DENSE_BLOCK_ROWS)
-        # popcount of XOR: the exact integer distances. d_i * d_j rounds once
-        # and the division by the distance once.
-        ham = np.bitwise_count(codes[rows, None, :] ^ codes[None, :, :]).sum(axis=2, dtype=np.uint16)
+    step = max(1, _DENSE_BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        # popcount of XOR: the exact integer distances, as intp so that they
+        # index the divisors without a cast. d_i * d_j rounds once and the
+        # division by the divisor once; inf on the diagonal gives 0.
+        ham = np.bitwise_count(codes[rows, None, :] ^ codes[None, :, :]).sum(axis=2, dtype=np.intp)
         block = weights[rows]
         np.multiply.outer(degrees[rows], degrees, out=block)
-        with np.errstate(divide="ignore"):
-            block /= ham
-    np.fill_diagonal(weights, 0.0)
+        block /= divisors[ham]
     return weights
 
 
@@ -164,7 +171,7 @@ def _fwht(v: np.ndarray, stages) -> np.ndarray:
 def _transform_product(graph: CodeGraph):
     """X -> W @ X without the n x n weights.
 
-    W = D K D with K_ij = f(c_i XOR c_j), f(x) = 1 / popcount(x) and f(0) = 0.
+    W = D K D with K_ij = f(c_i XOR c_j), f(x) = 1 / divisors[popcount(x)].
     K is a convolution over the code cube Z_2^L, so the Walsh-Hadamard
     transform H diagonalizes it: K y = H (Hf * Hy) / 2**L. Each column of
     D X is scattered onto the cube, transformed, multiplied by Hf, transformed
@@ -173,11 +180,9 @@ def _transform_product(graph: CodeGraph):
     length = graph.length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
-    index = graph.codes[:, -1].astype(np.intp)
-    popcount = np.bitwise_count(np.arange(size))
-    kernel = np.zeros(size)
-    kernel[1:] = 1.0 / popcount[1:]
-    spectrum = _fwht(kernel, stages)
+    # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
+    index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
+    spectrum = _fwht(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], stages)
     degrees = graph.degrees
 
     def product(x):

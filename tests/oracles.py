@@ -42,6 +42,15 @@ def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in packed]
 
 
+def word_codes(words: np.ndarray, length: int) -> list[HashCode]:
+    """The code of each ``network.code_words`` row, read one word at a time."""
+    n_bytes = (length + 7) // 8
+    return [
+        HashCode(packed=b"".join(int(w).to_bytes(8, "big") for w in row)[:n_bytes], length=length)
+        for row in words
+    ]
+
+
 def hamming(a: HashCode, b: HashCode) -> int:
     """Number of differing positions; L1 distance of +-1 codes is twice this."""
     if a.length != b.length:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,16 @@ def test_payload_roundtrip_keeps_trailing_zero_bytes(packed, other, length):
     assert back == b
     assert [e.code.packed for e in back.entries] == [e.code.packed for e in b.entries]
     assert all(type(e.degree) is int for e in back.entries)
+
+
+def test_payload_of_three_with_an_all_minus_one_code_is_the_documented_layout():
+    b = book([(code(1, -1, 1, -1, 1), 7), (code(-1, -1, -1, -1, -1), 2), (code(1, 1, 1, 1, 1), 1)])
+    blob = encode_codes_payload(b)
+    # count, then per entry a big-endian float32 degree and the packed code
+    layout = b"".join(struct.pack(">f", e.degree) + e.code.packed for e in b.entries)
+    assert blob == struct.pack(">I", 3) + layout
+    assert blob[4 + 4] == 0x00  # the all -1 code sorts first and packs to a zero byte
+    assert decode_codes_payload(blob, 5, origin=b.origin) == b
 
 
 @pytest.mark.parametrize("degree", [float("inf"), 0.0, 2.5])

@@ -10,6 +10,7 @@ from hashclust.network import (
     as_float32_grid,
     backward,
     binarize_batch,
+    code_words,
     deserialize_params,
     forward,
     group_codes,
@@ -21,7 +22,15 @@ from hashclust.network import (
 )
 from hashclust.training import global_merge
 
-from oracles import activations, binarize, finite_difference, pack_bits_batch, pre_activations
+from oracles import (
+    activations,
+    binarize,
+    finite_difference,
+    hamming,
+    pack_bits_batch,
+    pre_activations,
+    word_codes,
+)
 
 
 def tiny_params(seed=0, dims=(3, 4, 2)):
@@ -281,12 +290,28 @@ def test_group_codes_matches_sorted_packed_bytes():
     # 12 bits pack into two bytes, many of them above 0x7f
     rng = np.random.default_rng(4)
     h = rng.normal(size=(300, 12))
-    keys, code_bits, index = group_codes(h)
+    codes, index = group_codes(h)
+    assert codes.dtype == np.uint8 and codes.shape[1] == 2
+    keys = [row.tobytes() for row in codes]
     packed = pack_bits_batch(binarize_batch(h))
     assert keys == sorted(set(packed))
     assert [keys[i] for i in index] == packed
-    for key, bits in zip(keys, code_bits):
-        assert HashCode.from_bits(bits).packed == key
+
+
+@pytest.mark.parametrize("length", [1, 8, 13, 64, 65, 128])
+def test_code_words_xor_popcount_is_hamming_and_rows_order_as_bytes(length):
+    rng = np.random.default_rng(length)
+    bits = np.vstack([rng.choice([-1, 1], size=(12, length)), -np.ones(length), np.ones(length)])
+    codes = [HashCode.from_bits(row) for row in bits]
+    words = code_words(np.array([list(c.packed) for c in codes], dtype=np.uint8))
+    assert words.dtype == np.uint64 and words.shape == (len(codes), -(-length // 64))
+    assert word_codes(words, length) == codes
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            assert int(np.bitwise_count(words[i] ^ words[j]).sum()) == hamming(a, b)
+    by_words = sorted(range(len(codes)), key=lambda i: tuple(words[i].tolist()))
+    by_bytes = sorted(range(len(codes)), key=lambda i: codes[i].packed)
+    assert by_words == by_bytes
 
 
 # --- serialization ---

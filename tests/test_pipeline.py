@@ -7,7 +7,9 @@ import pytest
 
 from conftest import free_port
 
+from hashclust import pipeline
 from hashclust.cli import main
+from hashclust.codebook import merge_codebooks
 from hashclust.errors import InvalidSpecError, PipelineError
 from hashclust.pipeline import (
     PipelineConfig,
@@ -264,6 +266,32 @@ def test_run_pipeline_wire_equals_sim():
     assert wire["ledger"]["measured_physical_bits"] > wire["ledger"]["total_bits"]
 
 
+def test_run_pipeline_codes_longer_than_64_bits(monkeypatch):
+    """L = 70 spans two code words; wire equals sim, degrees sum to n."""
+    merged = []
+
+    def spy(books):
+        merged.append(merge_codebooks(books))
+        return merged[-1]
+
+    monkeypatch.setattr(pipeline, "merge_codebooks", spy)
+    runs = {}
+    for mode in ("sim", "wire"):
+        raw = make_raw(seed=4, mode=mode)
+        raw["code_length"] = 70
+        runs[mode] = run_pipeline(config_from_dict(raw))
+    sim, wire = runs["sim"], runs["wire"]
+    for key in ("purity", "nmi", "rer_series", "codebook_size", "cluster_sizes"):
+        assert wire[key] == sim[key]
+    for key in ("training_bits", "final_broadcast_bits", "code_bits", "total_bits"):
+        assert wire["ledger"][key] == sim["ledger"][key]
+    assert sim["codebook_size"] <= sim["n_samples"] == 120
+    for book in merged:
+        assert book.code_length == 70
+        assert book.total_degree == 120
+        assert len(book) == sim["codebook_size"]
+
+
 def test_run_pipeline_explicit_endpoints():
     """Coordinator and workers talk through configured host:port endpoints."""
     port = free_port()
@@ -449,6 +477,40 @@ def test_cli_bad_config_value_returns_one(tmp_path, capsys, section, key, value)
     assert main(["pipeline", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("wire", "site"), "1"),
+        (("network", "hidden_dims"), "8"),
+        (("network", "hidden_dims"), [8.5]),
+        (("dataset", "generate", "n_clusters"), "4"),
+        (("wire", "listen"), 9500),
+    ],
+    ids=["site_string", "hidden_dims_string", "hidden_dims_fraction", "n_clusters_string", "listen_int"],
+)
+def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, value):
+    raw = make_raw()
+    section = raw
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ".".join(path) in err
+    assert "Traceback" not in err
+
+
+def test_config_takes_integral_floats_for_integers():
+    raw = make_raw()
+    raw["training"]["rounds"] = 8.0
+    raw["network"] = {"hidden_dims": [5.0, 4]}
+    cfg = config_from_dict(raw)
+    assert cfg.rounds == 8 and type(cfg.rounds) is int
+    assert cfg.hidden_dims == (5, 4)
 
 
 def test_cli_requires_subcommand():

@@ -7,12 +7,13 @@ from hashclust.network import (
     LayerSpec,
     NetworkParams,
     binarize_batch,
+    code_words,
     init_network,
     mlp_spec,
 )
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 
-from oracles import hamming_sum, pack_bits_batch
+from oracles import hamming_sum, pack_bits_batch, word_codes
 
 
 def zero_net(dim, code_length):
@@ -33,7 +34,8 @@ def cube_buckets(per_bucket=1):
     for _ in range(8):
         members.append(list(range(idx, idx + per_bucket)))
         idx += per_bucket
-    return BucketIndex(code_bits=bits[order], members=tuple(members))
+    rows = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(8, 1)
+    return BucketIndex(codes=code_words(rows[order]), members=tuple(members))
 
 
 # --- build_buckets ---
@@ -43,7 +45,7 @@ def test_zero_network_single_bucket():
     x = np.random.default_rng(0).normal(size=(9, 2))
     buckets = build_buckets(params, x)
     assert len(buckets.members) == 1
-    assert pack_bits_batch(buckets.code_bits) == [HashCode.from_bits([1, 1, 1, 1]).packed]
+    assert word_codes(buckets.codes, 4) == [HashCode.from_bits([1, 1, 1, 1])]
     assert sorted(buckets.members[0]) == list(range(9))
 
 
@@ -64,9 +66,9 @@ def test_buckets_partition_the_shard():
 
     h, _ = forward(params, x)
     codes = pack_bits_batch(binarize_batch(h))
-    for packed, members in zip(pack_bits_batch(buckets.code_bits), buckets.members):
+    for code, members in zip(word_codes(buckets.codes, 5), buckets.members):
         for i in members:
-            assert codes[i] == packed
+            assert codes[i] == code.packed
 
 
 def test_build_buckets_empty_shard():
@@ -82,7 +84,7 @@ def test_cube_second_pick_is_opposite_vertex():
     buckets = cube_buckets()
     target_first = HashCode.from_bits([1, 1, 1]).packed
     antipode = HashCode.from_bits([-1, -1, -1]).packed
-    codes = pack_bits_batch(buckets.code_bits)
+    codes = [c.packed for c in word_codes(buckets.codes, 3)]
     seen = 0
     for seed in range(200):
         picks = select_batch(buckets, 2, seed)
@@ -98,10 +100,11 @@ def test_cube_second_pick_is_opposite_vertex():
 def test_cube_third_pick_summed_distance_three():
     """After two opposite picks every remaining vertex scores 3."""
     buckets = cube_buckets()
+    code_bits = [c.bits for c in word_codes(buckets.codes, 3)]
     for seed in range(50):
         picks = select_batch(buckets, 3, seed)
         bits = [
-            next(buckets.code_bits[i] for i in range(8) if picks[j] in buckets.members[i])
+            next(code_bits[i] for i in range(8) if picks[j] in buckets.members[i])
             for j in range(3)
         ]
         if hamming_sum(bits[1], [bits[0]]) != 3:
@@ -154,7 +157,8 @@ def test_argmax_property_with_tie_break():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(40, 4))
     buckets = build_buckets(params, x)
-    codes = pack_bits_batch(buckets.code_bits)
+    code_bits = [c.bits for c in word_codes(buckets.codes, 4)]
+    codes = [c.packed for c in word_codes(buckets.codes, 4)]
     assert codes == sorted(codes)
     code_of = {}
     for b, members in enumerate(buckets.members):
@@ -168,7 +172,7 @@ def test_argmax_property_with_tie_break():
             b = code_of[idx]
             if step > 0:
                 scores = {
-                    j: hamming_sum(buckets.code_bits[j], prior_bits)
+                    j: hamming_sum(code_bits[j], prior_bits)
                     for j in range(len(buckets.members))
                     if remaining[j] > 0
                 }
@@ -176,7 +180,7 @@ def test_argmax_property_with_tie_break():
                 assert scores[b] == best
                 winners = [j for j, s in scores.items() if s == best]
                 assert codes[b] == min(codes[j] for j in winners)
-            prior_bits.append(buckets.code_bits[b])
+            prior_bits.append(code_bits[b])
             remaining[b] -= 1
 
 
@@ -184,7 +188,7 @@ def test_select_batch_empty_buckets():
     params = zero_net(2, 3)
     x = np.zeros((1, 2))
     buckets = build_buckets(params, x)
-    empty = BucketIndex(code_bits=np.zeros((0, 3), dtype=np.int8), members=())
+    empty = BucketIndex(codes=np.zeros((0, 1), dtype=np.uint64), members=())
     with pytest.raises(EmptyShardError):
         select_batch(empty, 3, 0)
     # sanity: the nonempty one works

@@ -135,7 +135,7 @@ def test_graph_matches_pairwise_formula():
             assert w[i, j] == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("length", [16, 13])
+@pytest.mark.parametrize("length", [16, 13, 70])
 def test_graph_weights_equal_hamming_weights_exactly(length):
     rng = np.random.default_rng(length)
     bits = np.unique(rng.choice([-1, 1], size=(60, length)), axis=0)
