@@ -5,6 +5,8 @@ multiplicities (degrees). The coordinator merges the books and the cost
 ledger prices the whole exchange in exact bits.
 """
 
+import numpy as np
+
 from hashclust import (
     LossConfig,
     TrainingConfig,
@@ -42,9 +44,9 @@ merged = merge_codebooks(books)
 print(f"\nmerged: {len(merged)} codes, degrees sum to {merged.total_degree} "
       f"(dataset size {samples.shape[0]})")
 print("heaviest codes:")
-for entry in sorted(merged.entries, key=lambda e: -e.degree)[:5]:
-    bits = "".join("1" if b > 0 else "0" for b in entry.code.bits)
-    print(f"  {bits}  degree {entry.degree}")
+for i in np.argsort(-merged.degrees, kind="stable")[:5]:
+    bits = "".join(str(b) for b in np.unpackbits(merged.codes[i], count=merged.code_length))
+    print(f"  {bits}  degree {merged.degrees[i]}")
 
 ledger = total_cost_bits(
     n_sites=4,

@@ -5,6 +5,14 @@ to one codebook entry carrying a degree (how many samples it represents).
 Sites ship (code, degree) pairs to the coordinator, which merges them by
 summing degrees. Only this small codebook crosses the wire, never the data.
 
+A Codebook holds its codes as arrays: ``codes`` one row of packed uint8
+bytes per code (the ``HashCode.packed`` layout), ``degrees`` the int64
+degrees, row for row. A site's book from ``encode_shard`` and a merged book
+hold distinct codes in ascending byte order; a decoded book keeps its
+payload's order and any repeats, and only ``merge_codebooks`` sorts and sums.
+``Codebook(entries)`` and ``book.entries`` convert from and to a tuple of
+CodebookEntry objects, the boundary form; no library step uses them.
+
 Transmission accounting charges 32 bits per degree (sent as float32) plus L
 bits per code. The wire payload additionally pads codes to byte boundaries
 and carries an entry count; those overhead bits are reported separately as
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError, IncompatibleCodebooksError, ShapeError
-from .network import HashCode, NetworkParams, forward, group_codes
+from .network import HashCode, NetworkParams, forward, group_codes, group_rows
 
 
 @dataclass(frozen=True)
@@ -28,23 +36,60 @@ class CodebookEntry:
     degree: int
 
 
-@dataclass(frozen=True)
 class Codebook:
-    """Deduplicated codes with degrees; entries sorted by packed code bytes."""
+    """Codes with degrees, as arrays: ``codes`` (n, ceil(L/8)) packed uint8
+    rows, ``degrees`` (n,) int64, ``code_length`` L (0 for a book with no
+    entries) and ``origin``.
 
-    entries: tuple
-    origin: str = "global"
+    Built from a tuple of CodebookEntry; ``entries`` converts back on each
+    read. Two books are equal when their origin, code length, code rows and
+    degrees are.
+    """
+
+    def __init__(self, entries=(), origin: str = "global"):
+        entries = tuple(entries)
+        lengths = {e.code.length for e in entries}
+        if len(lengths) > 1:
+            raise IncompatibleCodebooksError("codebook entries have mixed code lengths")
+        length = lengths.pop() if lengths else 0
+        codes = np.frombuffer(b"".join(e.code.packed for e in entries), dtype=np.uint8)
+        self.codes = codes.reshape(len(entries), (length + 7) // 8)
+        self.degrees = np.array([e.degree for e in entries], dtype=np.int64)
+        self.code_length, self.origin = length, origin
+
+    @classmethod
+    def _of(cls, codes, degrees, code_length: int, origin: str) -> "Codebook":
+        """A book straight from its arrays; every library step builds books here."""
+        book = cls.__new__(cls)
+        book.codes, book.degrees, book.code_length, book.origin = codes, degrees, code_length, origin
+        return book
 
     @property
-    def code_length(self) -> int:
-        return self.entries[0].code.length
+    def entries(self) -> tuple:
+        """The book as a tuple of CodebookEntry, the boundary form, built on each read."""
+        return tuple(
+            CodebookEntry(HashCode(packed=c.tobytes(), length=self.code_length), d)
+            for c, d in zip(self.codes, self.degrees.tolist())
+        )
 
     @property
     def total_degree(self) -> int:
-        return sum(e.degree for e in self.entries)
+        return int(self.degrees.sum())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.degrees)
+
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (
+            (self.origin, self.code_length) == (other.origin, other.code_length)
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.degrees, other.degrees)
+        )
+
+    def __repr__(self) -> str:
+        return f"Codebook({len(self)} codes of {self.code_length} bits, origin={self.origin!r})"
 
 
 def encode_shard(params: NetworkParams, x, origin: str = "site"):
@@ -54,33 +99,25 @@ def encode_shard(params: NetworkParams, x, origin: str = "site"):
         raise EmptyShardError("cannot encode an empty shard")
     h, _ = forward(params, x)
     codes, sample_to_entry = group_codes(h)
-    degrees = np.bincount(sample_to_entry, minlength=len(codes))
-    entries = tuple(
-        CodebookEntry(HashCode(packed=c.tobytes(), length=params.code_length), int(d))
-        for c, d in zip(codes, degrees)
-    )
-    return Codebook(entries=entries, origin=origin), sample_to_entry
+    degrees = np.bincount(sample_to_entry, minlength=len(codes)).astype(np.int64, copy=False)
+    return Codebook._of(codes, degrees, params.code_length, origin), sample_to_entry
 
 
 def merge_codebooks(books) -> Codebook:
-    """Union of site codebooks; degrees add where codes coincide."""
+    """Union of site codebooks; degrees add where codes coincide, codes ascend."""
     books = list(books)
     if not books:
         raise IncompatibleCodebooksError("no codebooks to merge")
     for book in books:
-        if not book.entries:
+        if not len(book):
             raise IncompatibleCodebooksError(f"codebook {book.origin!r} has no entries")
     length = books[0].code_length
     if any(b.code_length != length for b in books):
         raise IncompatibleCodebooksError("codebooks have mixed code lengths")
-    # each code keeps the first book's HashCode; frozen, so sharing it is safe
-    merged: dict[bytes, tuple] = {}
-    for book in books:
-        for e in book.entries:
-            code, degree = merged.get(e.code.packed, (e.code, 0))
-            merged[e.code.packed] = (code, degree + e.degree)
-    entries = tuple(CodebookEntry(*merged[k]) for k in sorted(merged))
-    return Codebook(entries=entries, origin="global")
+    codes, index = group_rows(np.concatenate([b.codes for b in books]))
+    # float64 sums of integer degrees are exact below 2**53 samples
+    degrees = np.bincount(index, weights=np.concatenate([b.degrees for b in books]))
+    return Codebook._of(codes, degrees.astype(np.int64), length, "global")
 
 
 # CODES_PUSH payload: 4-byte big-endian entry count, then per entry a positive
@@ -93,11 +130,17 @@ def _entry_dtype(code_length: int) -> np.dtype:
 
 
 def encode_codes_payload(book: Codebook) -> bytes:
-    rows = [(e.degree, e.code.packed) for e in book.entries]
-    return struct.pack(">I", len(book)) + np.array(rows, dtype=_entry_dtype(book.code_length)).tobytes()
+    if not len(book):
+        raise ShapeError("codebook has no entries")
+    table = np.empty(len(book), dtype=_entry_dtype(book.code_length))
+    table["degree"] = book.degrees
+    table.view(np.uint8).reshape(len(book), -1)[:, 4:] = book.codes
+    return struct.pack(">I", len(book)) + table.tobytes()
 
 
 def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") -> Codebook:
+    """The book a payload carries, in payload order, repeats kept; its codes
+    are a read-only view of ``data``."""
     entry = _entry_dtype(code_length)
     if len(data) < 4:
         raise ShapeError("truncated codebook payload")
@@ -109,15 +152,11 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
         raise ShapeError(
             f"codebook payload has {len(data)} bytes, expected {4 + count * entry.itemsize}"
         )
-    table = np.frombuffer(data, dtype=entry, count=count, offset=4)
-    degrees = table["degree"]
+    degrees = np.frombuffer(data, dtype=entry, count=count, offset=4)["degree"]
     positive_integer = np.isfinite(degrees) & (degrees >= 1) & (np.floor(degrees) == degrees)
     bad = np.flatnonzero(~positive_integer)
     if bad.size:
         i = int(bad[0])
         raise ShapeError(f"codebook entry {i} has degree {float(degrees[i])}, not a positive integer")
-    entries = tuple(
-        CodebookEntry(HashCode(packed=code, length=code_length), int(d))
-        for code, d in zip(table["code"].tolist(), degrees.tolist())
-    )
-    return Codebook(entries=entries, origin=origin)
+    codes = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, entry.itemsize)[:, 4:]
+    return Codebook._of(codes, degrees.astype(np.int64), code_length, origin)

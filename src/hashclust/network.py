@@ -274,13 +274,23 @@ def group_codes(h):
     """Group a batch of outputs by code: returns (codes, index).
 
     ``codes`` holds each distinct code's packed bytes, one uint8 row each, in
-    ascending byte order (each row is one void-typed value, so the sort
-    compares raw bytes); ``index`` each sample's row in codes.
+    ascending byte order; ``index`` each sample's row in codes.
     """
-    packed = np.packbits(binarize_batch(h) > 0, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    distinct, index = np.unique(rows, return_inverse=True)
-    return distinct.view(np.uint8).reshape(-1, packed.shape[1]), index
+    return group_rows(np.packbits(binarize_batch(h) > 0, axis=1))
+
+
+def void_rows(packed) -> np.ndarray:
+    """Each row of a 2-D uint8 array as one void-typed value, so that sorts,
+    searches and equality compare a row's raw bytes."""
+    packed = np.ascontiguousarray(packed, dtype=np.uint8)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def group_rows(packed):
+    """The distinct rows of a 2-D uint8 array in ascending byte order, and
+    each row's index in them: returns (distinct, index)."""
+    distinct, index = np.unique(void_rows(packed), return_inverse=True)
+    return distinct.view(np.uint8).reshape(-1, np.shape(packed)[1]), index
 
 
 def code_words(packed) -> np.ndarray:

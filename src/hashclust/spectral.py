@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kmeans import kmeans
-from .network import code_words
+from .network import code_words, void_rows
 
 # Checked before a code graph is made dense, which holds one n x n float64
 # array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
@@ -110,13 +110,14 @@ class CodeGraph:
 
 
 def build_graph(book: Codebook) -> CodeGraph:
-    """The code graph of a codebook's entries, as code words and degrees."""
-    packed = [e.code.packed for e in book.entries]
-    if len(set(packed)) != len(packed):
+    """The code graph of a codebook's codes, as code words and degrees."""
+    rows = void_rows(book.codes)
+    # stable sorting is a linear pass over a merged book, whose codes ascend
+    ordered = rows[np.argsort(rows, kind="stable")]
+    if (ordered[1:] == ordered[:-1]).any():
         raise InvalidCodebookError("duplicate codes in codebook")
-    codes = code_words(np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1))
-    degrees = np.array([e.degree for e in book.entries], dtype=np.float64)
-    return CodeGraph(codes=codes, degrees=degrees, length=book.code_length)
+    degrees = book.degrees.astype(np.float64)
+    return CodeGraph(codes=code_words(book.codes), degrees=degrees, length=book.code_length)
 
 
 def _dense_weights(graph: CodeGraph) -> np.ndarray:
@@ -324,19 +325,27 @@ def propagate_labels(partition, global_book: Codebook, site_maps) -> list[np.nda
 
     ``site_maps`` is a list of (site codebook, per-sample entry index) pairs
     as returned by encode_shard; the result is one label array per site, in
-    the same sample order.
+    the same sample order. A site code is found in the global book by a
+    binary search over code bytes, in any global order; a code missing there,
+    or a site book of another code length, raises InconsistentStateError.
     """
     partition = np.asarray(partition)
     if partition.shape != (len(global_book),):
         raise ShapeError("partition does not match the global codebook")
-    position = {e.code.packed: i for i, e in enumerate(global_book.entries)}
+    codes = void_rows(global_book.codes)
+    order = np.argsort(codes, kind="stable")
     out = []
     for book, sample_to_entry in site_maps:
-        try:
-            vertex = np.array([position[e.code.packed] for e in book.entries])
-        except KeyError:
+        if book.code_length != global_book.code_length:
+            raise InconsistentStateError(
+                f"codebook {book.origin!r} has {book.code_length}-bit codes, "
+                f"the global book {global_book.code_length}-bit codes"
+            )
+        rows = void_rows(book.codes)
+        vertex = order[np.searchsorted(codes, rows, sorter=order).clip(max=len(codes) - 1)]
+        if not (codes[vertex] == rows).all():
             raise InconsistentStateError(
                 f"codebook {book.origin!r} holds a code missing from the global book"
-            ) from None
+            )
         out.append(partition[vertex[np.asarray(sample_to_entry)]])
     return out

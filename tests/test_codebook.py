@@ -94,8 +94,8 @@ def test_merge_hand_example():
     by_packed = {e.code.packed: e.degree for e in merged.entries}
     assert by_packed == {c1.packed: 3, c2.packed: 7}
     assert merged.origin == "global"
-    # each merged code is the first site book's HashCode object
-    assert {id(e.code) for e in merged.entries} == {id(c1), id(c2)}
+    # each merged code holds the first site book's code bytes
+    assert {e.code.packed for e in merged.entries} == {c1.packed, c2.packed}
 
 
 def test_merge_with_duplicate_of_itself_doubles():
@@ -128,6 +128,11 @@ def test_merge_mixed_lengths_rejected():
     b = book([(code(1, 1, 1), 1)])
     with pytest.raises(IncompatibleCodebooksError):
         merge_codebooks([a, b])
+
+
+def test_book_of_mixed_code_lengths_rejected():
+    with pytest.raises(IncompatibleCodebooksError, match="mixed code lengths"):
+        Codebook((CodebookEntry(code(1, 1), 1), CodebookEntry(code(1, 1, 1), 1)))
 
 
 def test_merge_empty_book_rejected():
@@ -209,3 +214,34 @@ def test_payload_bad_degree_names_its_entry(degree):
     blob[4 + 2 * 5 : 4 + 2 * 5 + 4] = np.array([degree], dtype=">f4").tobytes()
     with pytest.raises(ShapeError, match=f"entry 2 has degree {degree},"):
         decode_codes_payload(bytes(blob), 3)
+
+
+def test_payload_of_an_empty_book_is_refused():
+    with pytest.raises(ShapeError, match="codebook has no entries"):
+        encode_codes_payload(Codebook(entries=(), origin="site0"))
+
+
+# a payload as a site could send it: codes out of order, one code twice
+UNSORTED = [(code(1, 1, -1, 1, -1), 2), (code(-1, 1, 1, -1, -1), 3), (code(1, 1, -1, 1, -1), 4),
+            (code(-1, -1, -1, -1, 1), 1)]
+
+
+def unsorted_payload():
+    return struct.pack(">I", len(UNSORTED)) + b"".join(
+        struct.pack(">f", d) + c.packed for c, d in UNSORTED
+    )
+
+
+def test_payload_with_unsorted_repeated_codes_decodes_in_payload_order():
+    back = decode_codes_payload(unsorted_payload(), 5, origin="site3")
+    assert [(e.code, e.degree) for e in back.entries] == UNSORTED
+    assert back.codes.tolist() == [list(c.packed) for c, _ in UNSORTED]
+    assert back.degrees.tolist() == [2, 3, 4, 1] and back.total_degree == 10
+    assert back.origin == "site3" and back.code_length == 5 and len(back) == 4
+
+
+def test_payload_with_unsorted_repeated_codes_merges_like_its_clean_twin():
+    decoded = decode_codes_payload(unsorted_payload(), 5, origin="site3")
+    twin = book([(UNSORTED[0][0], 6), (UNSORTED[1][0], 3), (UNSORTED[3][0], 1)], origin="global")
+    assert merge_codebooks([decoded]) == twin
+    assert merge_codebooks([decoded]) == merge_codebooks([decode_codes_payload(encode_codes_payload(twin), 5)])

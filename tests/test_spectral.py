@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hashclust.codebook import Codebook, CodebookEntry, encode_shard, merge_codebooks
+from hashclust import codebook, network
+from hashclust.codebook import (
+    Codebook,
+    CodebookEntry,
+    decode_codes_payload,
+    encode_codes_payload,
+    encode_shard,
+    merge_codebooks,
+)
 from hashclust.errors import (
     InconsistentStateError,
     InvalidCodebookError,
@@ -605,3 +613,58 @@ def test_propagate_unknown_code():
     site_book = book([(code(-1, -1), 2)], origin="site0")
     with pytest.raises(InconsistentStateError):
         propagate_labels(np.array([0]), global_book, [(site_book, np.zeros(2, dtype=int))])
+
+
+def _labels_by_code(partition, global_book, site_book):
+    """Each sample's label, looked up by its code's bytes: the dict the arrays replace."""
+    vertex = {e.code.packed: i for i, e in enumerate(global_book.entries)}
+    return np.repeat([partition[vertex[e.code.packed]] for e in site_book.entries], site_book.degrees)
+
+
+@pytest.mark.parametrize("global_order", ["merged", "reversed"])
+def test_propagate_from_a_payload_with_unsorted_repeated_codes(global_order):
+    site = [(code(1, 1, -1, 1, -1), 2), (code(-1, 1, 1, -1, -1), 3), (code(1, 1, -1, 1, -1), 4),
+            (code(-1, -1, -1, -1, 1), 1)]
+    payload = encode_codes_payload(Codebook(tuple(CodebookEntry(c, d) for c, d in site)))
+    decoded = decode_codes_payload(payload, 5, origin="site0")
+    global_book = merge_codebooks([decoded])
+    if global_order == "reversed":
+        global_book = Codebook(global_book.entries[::-1])
+    partition = np.array([7, 5, 9])
+    (labels,) = propagate_labels(partition, global_book, [(decoded, np.repeat(np.arange(4), [2, 3, 4, 1]))])
+    assert np.array_equal(labels, _labels_by_code(partition, global_book, decoded))
+    assert labels[0] == labels[-2]  # the repeated code: one label
+
+
+@pytest.mark.parametrize("length", [8, 12, 24])
+def test_propagate_rejects_a_site_book_of_another_code_length(length):
+    global_book = book([(HashCode(packed=b"\x12\x30", length=16), 2), (HashCode(packed=b"\xab\xc0", length=16), 1)])
+    # at L = 12 the site code has the same two bytes as a global code
+    site_book = book([(HashCode(packed=b"\x12\x30\x00"[: (length + 7) // 8], length=length), 2)], origin="site0")
+    with pytest.raises(InconsistentStateError, match=f"'site0' has {length}-bit codes"):
+        propagate_labels(np.array([0, 1]), global_book, [(site_book, np.zeros(2, dtype=int))])
+
+
+def test_global_site_path_builds_no_code_objects(monkeypatch):
+    planted, groups = planted_codebook(np.random.default_rng(18), 2, 60)
+    # site 1 holds every second code, in reverse order
+    payloads = [encode_codes_payload(planted), encode_codes_payload(Codebook(planted.entries[::-2]))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a code object was built")
+
+    monkeypatch.setattr(codebook, "CodebookEntry", refuse)
+    monkeypatch.setattr(codebook, "HashCode", refuse)
+    monkeypatch.setattr(network, "HashCode", refuse)
+    books = [decode_codes_payload(p, 16, origin=f"site{i}") for i, p in enumerate(payloads)]
+    merged = merge_codebooks(books)
+    partition = spectral_cluster(build_graph(merged), 2, seed=0)
+    per_site = propagate_labels(partition, merged, [(b, np.repeat(np.arange(len(b)), b.degrees)) for b in books])
+    monkeypatch.undo()
+
+    degrees = planted.degrees.copy()
+    degrees[1::2] *= 2
+    assert np.array_equal(merged.codes, planted.codes) and np.array_equal(merged.degrees, degrees)
+    assert labels_match_up_to_permutation(partition, groups)
+    for b, labels in zip(books, per_site):
+        assert np.array_equal(labels, _labels_by_code(partition, merged, b))
