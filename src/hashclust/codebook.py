@@ -158,5 +158,11 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
     if bad.size:
         i = int(bad[0])
         raise ShapeError(f"codebook entry {i} has degree {float(degrees[i])}, not a positive integer")
+    if code_length < 1:
+        raise ShapeError("code length must be >= 1")
     codes = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, entry.itemsize)[:, 4:]
+    pad = 8 * codes.shape[1] - code_length
+    bad = np.flatnonzero(codes[:, -1] & ((1 << pad) - 1))
+    if bad.size:
+        raise ShapeError(f"codebook entry {int(bad[0])} has padding bits set in its packed code")
     return Codebook._of(codes, degrees.astype(np.int64), code_length, origin)

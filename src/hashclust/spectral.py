@@ -111,10 +111,7 @@ class CodeGraph:
 
 def build_graph(book: Codebook) -> CodeGraph:
     """The code graph of a codebook's codes, as code words and degrees."""
-    rows = void_rows(book.codes)
-    # stable sorting is a linear pass over a merged book, whose codes ascend
-    ordered = rows[np.argsort(rows, kind="stable")]
-    if (ordered[1:] == ordered[:-1]).any():
+    if len(np.unique(void_rows(book.codes))) != len(book):
         raise InvalidCodebookError("duplicate codes in codebook")
     degrees = book.degrees.astype(np.float64)
     return CodeGraph(codes=code_words(book.codes), degrees=degrees, length=book.code_length)

@@ -216,6 +216,25 @@ def test_payload_bad_degree_names_its_entry(degree):
         decode_codes_payload(bytes(blob), 3)
 
 
+def test_payload_code_with_padding_bits_set_is_refused():
+    # an L=5 code uses the top 5 bits of its byte; 0x01 sets a padding bit
+    blob = struct.pack(">I", 1) + struct.pack(">f", 1) + b"\x01"
+    with pytest.raises(ShapeError, match="entry 0 has padding bits set"):
+        decode_codes_payload(blob, 5)
+
+
+def test_payload_bad_padding_names_its_entry():
+    blob = bytearray(encode_codes_payload(book([(code(1, -1, -1), 1), (code(1, 1, -1), 2), (code(-1, 1, 1), 3)])))
+    blob[4 + 2 * 5 + 4] |= 0x10  # entry 2's code byte, bit 5 of 3 used
+    with pytest.raises(ShapeError, match="entry 2 has padding bits set"):
+        decode_codes_payload(bytes(blob), 3)
+
+
+def test_payload_of_a_code_length_below_one_is_refused():
+    with pytest.raises(ShapeError, match="code length must be >= 1"):
+        decode_codes_payload(struct.pack(">I", 1) + struct.pack(">f", 1), 0)
+
+
 def test_payload_of_an_empty_book_is_refused():
     with pytest.raises(ShapeError, match="codebook has no entries"):
         encode_codes_payload(Codebook(entries=(), origin="site0"))
