@@ -12,6 +12,7 @@ so the loss is differentiable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ def batch_loss(batch_x, batch_h, cfg: LossConfig):
     if n < 2:
         raise InsufficientBatchError("need at least 2 samples to form a pair")
 
-    ii, jj = np.triu_indices(n, k=1)
-    d_in = np.linalg.norm(batch_x[ii] - batch_x[jj], axis=1)
+    ii, jj, order = _pair_tables(n)
+    dx = batch_x[ii] - batch_x[jj]
+    # np.linalg.norm(dx, axis=1): its sum of squares, without its copy of dx
+    d_in = np.sqrt(np.add.reduce(np.square(dx, out=dx), axis=1))
     diff = batch_h[ii] - batch_h[jj]
     gap = cfg.distance_scale * d_in - np.abs(diff).sum(axis=1)
     w = np.exp(-d_in / cfg.temperature)
@@ -59,7 +62,31 @@ def batch_loss(batch_x, batch_h, cfg: LossConfig):
 
     # dL_pair/dh_i = -w * sign(gap) * sign(h_i - h_j); scaled by 1/n_pairs for the mean
     per_pair = (-(w * np.sign(gap))[:, None] * np.sign(diff)) / n_pairs
-    grads = np.zeros_like(batch_h)
-    np.add.at(grads, ii, per_pair)
-    np.add.at(grads, jj, -per_pair)
-    return loss, grads
+    # terms[:, r] lists, in order, what np.add.at(grads, ii, per_pair) and
+    # then np.add.at(grads, jj, -per_pair) add to grads[r]. Summed in that
+    # order from +0.0, the columns give those scatters' sums bit for bit. A
+    # sum over the leading (slow) axis adds one slice at a time, in order.
+    terms = np.concatenate([per_pair, -per_pair])[order]
+    terms[0] += 0.0  # the +0.0 start: a first term of -0.0 becomes +0.0
+    return loss, np.add.reduce(terms, axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_tables(n: int):
+    """The pairs of a batch of n, and each sample's terms in scatter order.
+
+    ``ii``, ``jj`` are np.triu_indices(n, k=1): pair p is (ii[p], jj[p]).
+    ``order[:, r]`` indexes the stacked (per_pair, -per_pair) terms: first
+    r's pairs as i, by ascending j, then its pairs as j, negated, by
+    ascending i, n - 1 terms in all.
+    """
+    ii, jj = np.triu_indices(n, k=1)
+    p = np.arange(ii.size)
+    signed = np.empty((n, n), dtype=np.intp)
+    signed[ii, jj] = p
+    signed[jj, ii] = ii.size + p
+    r = np.arange(n)
+    order = signed[r, (r + 1 + np.arange(n - 1)[:, None]) % n]
+    for table in (ii, jj, order):
+        table.flags.writeable = False
+    return ii, jj, order

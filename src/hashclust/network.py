@@ -209,21 +209,26 @@ def backward(trace: ForwardTrace, grad_h) -> np.ndarray:
         raise ShapeError(
             f"grad_h has shape {grad_h.shape}, outputs have {trace.acts[-1].shape}"
         )
-    grads = [None] * len(trace.layers)
+    # dW and db of each layer go straight into their place in the flat vector
+    out = np.empty(sum(l.n_params for l in trace.layers))
+    end = out.size
     g = grad_h
     for i in range(len(trace.layers) - 1, -1, -1):
+        layer = trace.layers[i]
         a = trace.acts[i]
-        if trace.layers[i].activation == "relu":
+        if layer.activation == "relu":
             dz = g * (a > 0.0)
         else:
             dz = g * (1.0 - a * a)
         a_prev = trace.inputs if i == 0 else trace.acts[i - 1]
-        dw = a_prev.T @ dz
-        db = dz.sum(axis=0)
-        grads[i] = (dw, db)
+        start = end - layer.n_params
+        n_w = layer.input_dim * layer.output_dim
+        np.matmul(a_prev.T, dz, out=out[start : start + n_w].reshape(layer.input_dim, layer.output_dim))
+        dz.sum(axis=0, out=out[start + n_w : end])
+        end = start
         if i > 0:
             g = dz @ trace.weights[i].T
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,10 @@ def code_words(packed) -> np.ndarray:
     hamming distance of their codes, for any L.
     """
     packed = np.asarray(packed, dtype=np.uint8)
-    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(">u8").astype(np.uint64)
+    n, width = packed.shape
+    padded = np.zeros((n, width + -width % 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    return padded.view(">u8").astype(np.uint64)
 
 
 # Parameter wire format: 4-byte big-endian layer count, then per layer
@@ -311,32 +319,48 @@ def code_words(packed) -> np.ndarray:
 # ledger counts the values section only (32 bits per parameter); the header
 # is physical overhead.
 
-def serialize_params(params: NetworkParams) -> bytes:
-    parts = [struct.pack(">I", len(params.layers))]
-    for l in params.layers:
-        parts.append(struct.pack(">IIB", l.input_dim, l.output_dim, _ACT_TAG[l.activation]))
-    parts.append(params.values.astype(">f4"))
-    return b"".join(parts)
+_LAYER_COUNT = struct.Struct(">I")
+_LAYER_HEADER = struct.Struct(">IIB")
 
 
-def serialize_values(params: NetworkParams, values) -> bytes:
+def write_blob(layers, values, trailer: bytes = b"") -> bytearray:
+    """One buffer, written in place: the layer header, ``values`` as
+    big-endian float32, then ``trailer`` (the gradient frame's loss)."""
+    off = _LAYER_COUNT.size + _LAYER_HEADER.size * len(layers)
+    n = len(values)
+    blob = bytearray(off + 4 * n + len(trailer))
+    _LAYER_COUNT.pack_into(blob, 0, len(layers))
+    for i, l in enumerate(layers):
+        _LAYER_HEADER.pack_into(
+            blob, _LAYER_COUNT.size + _LAYER_HEADER.size * i,
+            l.input_dim, l.output_dim, _ACT_TAG[l.activation],
+        )
+    np.frombuffer(blob, dtype=">f4", count=n, offset=off)[:] = values
+    blob[off + 4 * n :] = trailer
+    return blob
+
+
+def serialize_params(params: NetworkParams) -> bytearray:
+    return write_blob(params.layers, params.values)
+
+
+def serialize_values(params: NetworkParams, values) -> bytearray:
     """Serialize an arbitrary flat vector (e.g. a gradient) with the layer header."""
-    clone = NetworkParams(params.layers, np.asarray(values, dtype=np.float64))
-    return serialize_params(clone)
+    return serialize_params(NetworkParams(params.layers, np.asarray(values, dtype=np.float64)))
 
 
 def read_layer_header(data: bytes):
     """The layer specs of a serialized blob, and the offset its values start at."""
     if len(data) < 4:
         raise ShapeError("truncated parameter blob")
-    (n_layers,) = struct.unpack(">I", data[:4])
-    off = 4
+    (n_layers,) = _LAYER_COUNT.unpack_from(data)
+    off = _LAYER_COUNT.size
     layers = []
     for _ in range(n_layers):
-        if off + 9 > len(data):
+        if off + _LAYER_HEADER.size > len(data):
             raise ShapeError("truncated layer header")
-        in_dim, out_dim, tag = struct.unpack(">IIB", data[off : off + 9])
-        off += 9
+        in_dim, out_dim, tag = _LAYER_HEADER.unpack_from(data, off)
+        off += _LAYER_HEADER.size
         if tag not in _TAG_ACT:
             raise ShapeError(f"unknown activation tag {tag}")
         layers.append(LayerSpec(in_dim, out_dim, _TAG_ACT[tag]))

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError
-from .network import NetworkParams, code_words, forward, group_codes
+from .network import NetworkParams, code_words, forward
+
+# the summed distance of a bucket with no member left: far below every real
+# sum, which is >= 0, however many rows are added to it
+_DRAWN_EMPTY = np.iinfo(np.int64).min // 2
 
 
 @dataclass
@@ -42,9 +46,15 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    codes, index = group_codes(h)
-    members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
-    return BucketIndex(codes=code_words(codes), members=tuple(members))
+    # a code bit is set where binarize_batch gives +1; a stable sort of the
+    # word rows orders the samples by code, and by index within a code
+    words = code_words(np.packbits(h >= 0.0, axis=1))
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return BucketIndex(codes=ordered[starts], members=tuple(np.split(order, starts[1:])))
 
 
 def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
@@ -57,24 +67,33 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    counts = buckets.sizes()
-    n_samples = int(counts.sum())
+    counts = buckets.sizes().tolist()
+    n_samples = sum(counts)
     if n_samples == 0:
         raise EmptyShardError("no samples to select from")
     rng = np.random.default_rng(seed)
-    n_buckets = len(buckets.members)
-    remaining = [list(m) for m in buckets.members]
-    # summed hamming distance from each bucket's code to every picked code
-    sums = np.zeros(n_buckets, dtype=np.int64)
+    # the members of a bucket not drawn yet are the first counts[b] of its pool
+    pools = {}
+    # each bucket's distance row: the hamming distance from every bucket's
+    # code to its own, counted when the bucket is first drawn from
+    rows = {}
+    # summed hamming distance from each bucket's code to every picked code;
+    # a bucket with no member left is held at _DRAWN_EMPTY, never the argmax
+    sums = np.array([0 if c else _DRAWN_EMPTY for c in counts], dtype=np.int64)
 
     def draw(bucket: int, offset: int | None = None) -> int:
-        pool = remaining[bucket]
-        j = int(rng.integers(len(pool))) if offset is None else offset
+        if bucket not in pools:
+            pools[bucket] = np.asarray(buckets.members[bucket]).tolist()
+            rows[bucket] = np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
+        pool = pools[bucket]
+        size = counts[bucket]
+        j = int(rng.integers(size)) if offset is None else offset
         idx = pool[j]
-        pool[j] = pool[-1]
-        pool.pop()
-        counts[bucket] -= 1
-        sums[:] += np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
+        pool[j] = pool[size - 1]
+        counts[bucket] = size - 1
+        np.add(sums, rows[bucket], out=sums)
+        if size == 1:
+            sums[bucket] = _DRAWN_EMPTY
         return idx
 
     picked = []
@@ -84,10 +103,8 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     pos = int(rng.integers(n_samples))
     cum = np.cumsum(counts)
     b0 = int(np.searchsorted(cum, pos, side="right"))
-    picked.append(draw(b0, pos - (cum[b0 - 1] if b0 else 0)))
+    picked.append(draw(b0, int(pos - (cum[b0 - 1] if b0 else 0))))
 
     while len(picked) < target:
-        alive = counts > 0
-        best = int(np.argmax(np.where(alive, sums, -1)))
-        picked.append(draw(best))
-    return np.array(picked)
+        picked.append(draw(int(sums.argmax())))
+    return np.array(picked, dtype=np.int64)

@@ -8,6 +8,15 @@ site's mean batch loss as an 8-byte big-endian float trailer (telemetry for
 the convergence series; it counts as physical overhead, like the layer
 header, never as formula bits).
 
+Each payload is copied once on either side. A sender writes it into one
+buffer (a gradient's header, values and trailer alike) and hands that
+buffer and the 5-byte header to sendmsg together; a partial send resumes
+where it stopped, so the two are never joined. A receiver reads the header,
+then receives the payload into a new bytearray of exactly its length.
+Every frame owns its buffer, so a decoded gradient (a big-endian float32
+view of its frame, merged as it is) and a decoded codebook (views of its
+frame) stay valid whatever frames follow.
+
 The coordinator listens on one port. A site's first frame is its hello: a
 4-byte big-endian site index and the SHA-256 digest of its TrainingConfig
 repr. The coordinator orders the connections by index and fails at once on
@@ -34,6 +43,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
 from .errors import InvalidSpecError, ProtocolError, ShapeError
 from .network import (
@@ -43,10 +54,11 @@ from .network import (
     param_count,
     read_layer_header,
     serialize_params,
-    serialize_values,
     validate_spec,
+    write_blob,
 )
 from .training import TrainingConfig, TrainingHistory, local_round, run_rounds
+from .network import serialize_values  # noqa: F401 - unused; perfbench/layers.py wraps wire.serialize_values
 from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
 TAG_PARAMS = 0x01
@@ -64,31 +76,45 @@ DEFAULT_TIMEOUT = 60.0
 
 
 def send_frame(sock, tag: int, payload: bytes = b"") -> None:
+    """Send one frame: the header and ``payload`` go to sendmsg as two
+    buffers, never joined; a partial send resumes where it stopped."""
     if len(payload) >= _MAX_PAYLOAD:
         raise ProtocolError(f"payload of {len(payload)} bytes exceeds the frame limit")
-    sock.sendall(_FRAME_HEADER.pack(tag, len(payload)) + payload)
+    parts = [memoryview(_FRAME_HEADER.pack(tag, len(payload))), memoryview(payload).cast("B")]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
-def _recv_exact(sock, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
+def _recv_into(sock, buffer) -> None:
+    """Fill ``buffer`` from the socket, or raise ProtocolError."""
+    view = memoryview(buffer)
+    got = 0
+    while got < len(view):
         try:
-            chunk = sock.recv(remaining)
+            n = sock.recv_into(view[got:])
         except OSError as exc:  # timed out or reset: the peer broke off
-            raise ProtocolError(f"receive failed ({remaining} bytes short): {exc!r}") from exc
-        if not chunk:
-            raise ProtocolError(f"connection closed mid-frame ({remaining} bytes short)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            raise ProtocolError(f"receive failed ({len(view) - got} bytes short): {exc!r}") from exc
+        if not n:
+            raise ProtocolError(f"connection closed mid-frame ({len(view) - got} bytes short)")
+        got += n
 
 
 def recv_frame(sock):
-    tag, length = _FRAME_HEADER.unpack(_recv_exact(sock, _FRAME_HEADER.size))
+    """One frame as (tag, payload). The payload is a new bytearray of its
+    own, received in place, so what is decoded from it as views stays valid
+    whatever frames follow."""
+    header = bytearray(_FRAME_HEADER.size)
+    _recv_into(sock, header)
+    tag, length = _FRAME_HEADER.unpack(header)
     if length >= _MAX_PAYLOAD:
         raise ProtocolError(f"declared payload of {length} bytes exceeds the frame limit")
-    return tag, _recv_exact(sock, length)
+    payload = bytearray(length)
+    _recv_into(sock, payload)
+    return tag, payload
 
 
 def expect_frame(sock, want_tag: int) -> bytes:
@@ -103,18 +129,26 @@ def config_digest(cfg: TrainingConfig) -> bytes:
     return hashlib.sha256(repr(cfg).encode()).digest()
 
 
-def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytes:
-    return serialize_values(params, grad) + _LOSS_TRAILER.pack(loss)
+def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytearray:
+    """The gradient payload, header, values and loss trailer, in one buffer."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != params.values.shape:
+        raise ShapeError(f"gradient has shape {grad.shape}, expected {params.values.shape}")
+    return write_blob(params.layers, grad, _LOSS_TRAILER.pack(loss))
 
 
-def _decode_gradient(payload: bytes, layers):
-    """A gradient for the network of ``layers``, and the site's batch loss."""
-    # a payload shorter than the trailer leaves an empty blob, which fails first
-    blob = deserialize_params(payload[: -_LOSS_TRAILER.size])
-    if blob.layers != layers:
-        raise ShapeError(f"gradient layers {blob.layers} differ from the broadcast {layers}")
-    (loss,) = _LOSS_TRAILER.unpack(payload[-_LOSS_TRAILER.size :])
-    return blob.values, loss
+def _decode_gradient(payload, layers):
+    """A gradient for the network of ``layers`` as a big-endian float32 view
+    of ``payload``, and the site's batch loss."""
+    got, off = read_layer_header(payload)
+    if got != layers:
+        raise ShapeError(f"gradient layers {got} differ from the broadcast {layers}")
+    n = param_count(layers)
+    end = len(payload) - _LOSS_TRAILER.size
+    if end - off != 4 * n:
+        raise ShapeError(f"value section has {end - off} bytes, expected {4 * n}")
+    (loss,) = _LOSS_TRAILER.unpack_from(payload, end)
+    return np.frombuffer(payload, dtype=">f4", count=n, offset=off), loss
 
 
 class TrafficMeter:

@@ -12,7 +12,8 @@ from hashclust.codebook import Codebook, CodebookEntry
 from hashclust.errors import HashClustError, InvalidKError, ShapeError
 from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import HashCode, NetworkParams, forward
+from hashclust.network import HashCode, NetworkParams, code_words, forward, group_codes
+from hashclust.sampling import BucketIndex
 from hashclust.spectral import _adjacency, normalized_laplacian
 
 BRUTE_FORCE_MAX_VERTICES = 12
@@ -276,6 +277,78 @@ def activations(params: NetworkParams, x) -> list:
         np.maximum(z, 0.0) if layer.activation == "relu" else np.tanh(z)
         for z, layer in zip(pre_activations(params, x), params.layers)
     ]
+
+
+# --- the site step and the merge as plain array expressions ---
+
+def batch_loss_reference(batch_x, batch_h, cfg: LossConfig):
+    """``loss.batch_loss`` with the gradient scattered by np.add.at: each
+    pair's term added to its i row, then subtracted from its j row."""
+    batch_x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
+    batch_h = np.atleast_2d(np.asarray(batch_h, dtype=np.float64))
+    ii, jj = np.triu_indices(batch_x.shape[0], k=1)
+    d_in = np.linalg.norm(batch_x[ii] - batch_x[jj], axis=1)
+    diff = batch_h[ii] - batch_h[jj]
+    gap = cfg.distance_scale * d_in - np.abs(diff).sum(axis=1)
+    w = np.exp(-d_in / cfg.temperature)
+    loss = float(np.mean(np.abs(gap) * w))
+    per_pair = (-(w * np.sign(gap))[:, None] * np.sign(diff)) / ii.size
+    grads = np.zeros_like(batch_h)
+    np.add.at(grads, ii, per_pair)
+    np.add.at(grads, jj, -per_pair)
+    return loss, grads
+
+
+def backward_reference(trace, grad_h) -> np.ndarray:
+    """``network.backward`` with each layer's (dW, db) built apart and the
+    flat vector joined from them at the end."""
+    grads = [None] * len(trace.layers)
+    g = np.asarray(grad_h, dtype=np.float64)
+    for i in range(len(trace.layers) - 1, -1, -1):
+        a = trace.acts[i]
+        dz = g * (a > 0.0) if trace.layers[i].activation == "relu" else g * (1.0 - a * a)
+        a_prev = trace.inputs if i == 0 else trace.acts[i - 1]
+        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+        if i > 0:
+            g = dz @ trace.weights[i].T
+    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+
+
+def build_buckets_reference(params: NetworkParams, x) -> BucketIndex:
+    """``sampling.build_buckets`` through ``network.group_codes``: the
+    distinct packed codes, and each bucket's samples by a stable argsort."""
+    h, _ = forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    codes, index = group_codes(h)
+    members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
+    return BucketIndex(codes=code_words(codes), members=tuple(members))
+
+
+def select_batch_reference(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
+    """``sampling.select_batch`` with a Python list per bucket and every
+    distance row counted again at every pick."""
+    counts = buckets.sizes()
+    n_samples = int(counts.sum())
+    rng = np.random.default_rng(seed)
+    remaining = [list(m) for m in buckets.members]
+    sums = np.zeros(len(remaining), dtype=np.int64)
+
+    def draw(bucket, offset=None):
+        pool = remaining[bucket]
+        j = int(rng.integers(len(pool))) if offset is None else offset
+        idx = pool[j]
+        pool[j] = pool[-1]
+        pool.pop()
+        counts[bucket] -= 1
+        sums[:] += np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
+        return idx
+
+    pos = int(rng.integers(n_samples))
+    cum = np.cumsum(counts)
+    b0 = int(np.searchsorted(cum, pos, side="right"))
+    picked = [draw(b0, pos - (cum[b0 - 1] if b0 else 0))]
+    while len(picked) < min(batch_size, n_samples):
+        picked.append(draw(int(np.argmax(np.where(counts > 0, sums, -1)))))
+    return np.array(picked)
 
 
 def merge_reference(params: NetworkParams, grads, learning_rate: float) -> np.ndarray:

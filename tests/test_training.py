@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hashclust.errors import DegenerateHistoryWarning, InsufficientBatchError, ShapeError
+from hashclust.errors import DegenerateHistoryWarning, InsufficientBatchError, InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig
 from hashclust.network import (
     LayerSpec,
@@ -37,6 +37,13 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return TrainingConfig(**base)
+
+
+@pytest.mark.parametrize("batch_size", [1, 0, -3])
+def test_config_rejects_a_batch_without_a_pair(batch_size):
+    with pytest.raises(InvalidSpecError, match="a batch needs a pair"):
+        small_cfg(batch_size=batch_size)
+    small_cfg(batch_size=2)
 
 
 # --- global_merge ---

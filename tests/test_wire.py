@@ -9,7 +9,7 @@ import pytest
 
 from conftest import free_port
 
-from hashclust.codebook import encode_shard, merge_codebooks
+from hashclust.codebook import decode_codes_payload, encode_codes_payload, encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
 from hashclust.errors import InvalidSpecError, ProtocolError
 from hashclust.network import (
@@ -28,6 +28,8 @@ from hashclust.wire import (
     TAG_HELLO,
     TAG_PARAMS,
     TrafficMeter,
+    _decode_gradient,
+    _encode_gradient,
     config_digest,
     expect_frame,
     parse_endpoint,
@@ -120,6 +122,69 @@ def test_recv_frame_eof_mid_payload():
         with pytest.raises(ProtocolError):
             recv_frame(b)
     finally:
+        b.close()
+
+
+def test_large_frame_roundtrips_through_partial_sends():
+    # 4 MB is far beyond a socket buffer, so the sender's sendmsg returns
+    # short and resumes mid-payload while a reader drains the other end
+    payload = np.random.default_rng(0).integers(0, 256, size=4 << 20, dtype=np.uint8).tobytes()
+    a, b = socket.socketpair()
+    a.settimeout(10.0)
+    b.settimeout(10.0)
+    received = {}
+
+    def reader():
+        received["first"] = expect_frame(b, TAG_PARAMS)
+        received["second"] = expect_frame(b, TAG_DONE)
+
+    t = threading.Thread(target=reader, daemon=True)
+    try:
+        t.start()
+        send_frame(a, TAG_PARAMS, payload)
+        send_frame(a, TAG_DONE, b"")
+        t.join(timeout=10.0)
+        assert received["first"] == payload
+        assert received["second"] == b""
+    finally:
+        a.close()
+        b.close()
+
+
+def test_peer_closing_mid_payload_reports_the_bytes_short():
+    a, b = socket.socketpair()
+    try:
+        a.sendall(struct.pack(">BI", TAG_GRADIENT, 1 << 20) + bytes(1000))
+        a.close()
+        with pytest.raises(ProtocolError, match=r"connection closed mid-frame \(1047576 bytes short\)"):
+            expect_frame(b, TAG_GRADIENT)
+    finally:
+        b.close()
+
+
+def test_decoded_frames_survive_later_frames_on_the_connection():
+    params = init_network(mlp_spec(6, (5,), 12), seed=3)
+    x = np.random.default_rng(3).uniform(size=(40, 6))
+    book, _ = encode_shard(params, x)
+    grad = np.random.default_rng(4).normal(size=param_count(params))
+    a, b = socket.socketpair()
+    try:
+        send_frame(a, TAG_CODES, encode_codes_payload(book))
+        send_frame(a, TAG_GRADIENT, _encode_gradient(params, grad, 0.5))
+        got_book = decode_codes_payload(expect_frame(b, TAG_CODES), params.code_length, origin="site")
+        got_grad, loss = _decode_gradient(expect_frame(b, TAG_GRADIENT), params.layers)
+        codes, degrees, values = got_book.codes.copy(), got_book.degrees.copy(), got_grad.copy()
+        for _ in range(3):  # later frames of other contents on the same connection
+            send_frame(a, TAG_CODES, encode_codes_payload(merge_codebooks([book, book])))
+            send_frame(a, TAG_PARAMS, serialize_values(params, -grad))
+            expect_frame(b, TAG_CODES)
+            expect_frame(b, TAG_PARAMS)
+        assert got_book == book
+        assert np.array_equal(got_book.codes, codes) and np.array_equal(got_book.degrees, degrees)
+        assert np.array_equal(got_grad, values)
+        assert np.array_equal(got_grad, grad.astype(np.float32)) and loss == 0.5
+    finally:
+        a.close()
         b.close()
 
 
