@@ -10,6 +10,8 @@ bytes per code (the ``HashCode.packed`` layout), ``degrees`` the int64
 degrees, row for row. A site's book from ``encode_shard`` and a merged book
 hold distinct codes in ascending byte order; a decoded book keeps its
 payload's order and any repeats, and only ``merge_codebooks`` sorts and sums.
+Both sorts group the rows on their ``network.code_words`` form, through
+``network.group_rows``.
 ``Codebook(entries)`` and ``book.entries`` convert from and to a tuple of
 CodebookEntry objects, the boundary form; no library step uses them.
 
@@ -141,6 +143,8 @@ def encode_codes_payload(book: Codebook) -> bytes:
 def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") -> Codebook:
     """The book a payload carries, in payload order, repeats kept; its codes
     are a read-only view of ``data``."""
+    if code_length < 1:
+        raise ShapeError("code length must be >= 1")
     entry = _entry_dtype(code_length)
     if len(data) < 4:
         raise ShapeError("truncated codebook payload")
@@ -158,8 +162,6 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
     if bad.size:
         i = int(bad[0])
         raise ShapeError(f"codebook entry {i} has degree {float(degrees[i])}, not a positive integer")
-    if code_length < 1:
-        raise ShapeError("code length must be >= 1")
     codes = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, entry.itemsize)[:, 4:]
     pad = 8 * codes.shape[1] - code_length
     bad = np.flatnonzero(codes[:, -1] & ((1 << pad) - 1))

@@ -284,18 +284,27 @@ def group_codes(h):
     return group_rows(np.packbits(binarize_batch(h) > 0, axis=1))
 
 
-def void_rows(packed) -> np.ndarray:
-    """Each row of a 2-D uint8 array as one void-typed value, so that sorts,
-    searches and equality compare a row's raw bytes."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint8)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
 def group_rows(packed):
     """The distinct rows of a 2-D uint8 array in ascending byte order, and
     each row's index in them: returns (distinct, index)."""
-    distinct, index = np.unique(void_rows(packed), return_inverse=True)
-    return distinct.view(np.uint8).reshape(-1, np.shape(packed)[1]), index
+    packed = np.asarray(packed, dtype=np.uint8)
+    order, starts = group_words(code_words(packed))
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    return packed[order[starts]], index
+
+
+def group_words(words):
+    """The one grouping of code rows, given as ``code_words``: returns (order,
+    starts). ``order`` sorts the rows stably, so codes ascend in byte order and
+    equal codes keep their row order; ``starts`` holds where in ``order`` each
+    distinct code begins."""
+    # lexsort needs a key; rows of no words, which only an empty book has, are all equal
+    order = np.lexsort(words.T[::-1]) if words.size else np.arange(len(words))
+    ordered = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(first)
 
 
 def code_words(packed) -> np.ndarray:

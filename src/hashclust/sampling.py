@@ -6,7 +6,8 @@ bucket whose code maximizes the summed hamming distance to all codes picked
 so far (counted once per prior pick). Opposite corners of the code cube get
 picked early, which keeps training pairs diverse. Bucket codes are held as
 ``network.code_words`` rows, the 64-bit words the code graph compares too, so
-a distance is the popcount of a XOR.
+a distance is the popcount of a XOR; ``network.group_words`` groups the
+samples on those rows, as it groups every set of code rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError
-from .network import NetworkParams, code_words, forward
+from .network import NetworkParams, code_words, forward, group_words
 
 # the summed distance of a bucket with no member left: far below every real
 # sum, which is >= 0, however many rows are added to it
@@ -46,15 +47,11 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    # a code bit is set where binarize_batch gives +1; a stable sort of the
-    # word rows orders the samples by code, and by index within a code
+    # a code bit is set where binarize_batch gives +1; the grouping orders
+    # the samples by code, and by index within a code
     words = code_words(np.packbits(h >= 0.0, axis=1))
-    order = np.lexsort(words.T[::-1])
-    ordered = words[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return BucketIndex(codes=ordered[starts], members=tuple(np.split(order, starts[1:])))
+    order, starts = group_words(words)
+    return BucketIndex(codes=words[order[starts]], members=tuple(np.split(order, starts[1:])))
 
 
 def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kmeans import kmeans
-from .network import code_words, void_rows
+from .network import code_words, group_words
 
 # Checked before a code graph is made dense, which holds one n x n float64
 # array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
@@ -111,10 +111,12 @@ class CodeGraph:
 
 def build_graph(book: Codebook) -> CodeGraph:
     """The code graph of a codebook's codes, as code words and degrees."""
-    if len(np.unique(void_rows(book.codes))) != len(book):
+    codes = code_words(book.codes)
+    _, starts = group_words(codes)
+    if len(starts) != len(book):
         raise InvalidCodebookError("duplicate codes in codebook")
     degrees = book.degrees.astype(np.float64)
-    return CodeGraph(codes=code_words(book.codes), degrees=degrees, length=book.code_length)
+    return CodeGraph(codes=codes, degrees=degrees, length=book.code_length)
 
 
 def _dense_weights(graph: CodeGraph) -> np.ndarray:
@@ -322,27 +324,35 @@ def propagate_labels(partition, global_book: Codebook, site_maps) -> list[np.nda
 
     ``site_maps`` is a list of (site codebook, per-sample entry index) pairs
     as returned by encode_shard; the result is one label array per site, in
-    the same sample order. A site code is found in the global book by a
-    binary search over code bytes, in any global order; a code missing there,
-    or a site book of another code length, raises InconsistentStateError.
+    the same sample order. The global rows and every site's rows are grouped
+    together by ``network.group_words``, in any global order; a site book of
+    another code length, or a site code whose group holds no global row,
+    raises InconsistentStateError.
     """
     partition = np.asarray(partition)
-    if partition.shape != (len(global_book),):
+    n_global = len(global_book)
+    if partition.shape != (n_global,):
         raise ShapeError("partition does not match the global codebook")
-    codes = void_rows(global_book.codes)
-    order = np.argsort(codes, kind="stable")
-    out = []
-    for book, sample_to_entry in site_maps:
+    site_maps = list(site_maps)
+    for book, _ in site_maps:
         if book.code_length != global_book.code_length:
             raise InconsistentStateError(
                 f"codebook {book.origin!r} has {book.code_length}-bit codes, "
                 f"the global book {global_book.code_length}-bit codes"
             )
-        rows = void_rows(book.codes)
-        vertex = order[np.searchsorted(codes, rows, sorter=order).clip(max=len(codes) - 1)]
-        if not (codes[vertex] == rows).all():
+    rows = np.concatenate([global_book.codes, *(book.codes for book, _ in site_maps)])
+    order, starts = group_words(code_words(rows))
+    # the stable order puts a group's global row, if it has one, first
+    vertex = np.empty(len(order), dtype=np.intp)
+    vertex[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    out = []
+    end = n_global
+    for book, sample_to_entry in site_maps:
+        site_vertex = vertex[end : end + len(book)]
+        end += len(book)
+        if (site_vertex >= n_global).any():
             raise InconsistentStateError(
                 f"codebook {book.origin!r} holds a code missing from the global book"
             )
-        out.append(partition[vertex[np.asarray(sample_to_entry)]])
+        out.append(partition[site_vertex[np.asarray(sample_to_entry)]])
     return out

@@ -12,7 +12,7 @@ from hashclust.codebook import Codebook, CodebookEntry
 from hashclust.errors import HashClustError, InvalidKError, ShapeError
 from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import HashCode, NetworkParams, code_words, forward, group_codes
+from hashclust.network import HashCode, NetworkParams, forward
 from hashclust.sampling import BucketIndex
 from hashclust.spectral import _adjacency, normalized_laplacian
 
@@ -315,12 +315,22 @@ def backward_reference(trace, grad_h) -> np.ndarray:
 
 
 def build_buckets_reference(params: NetworkParams, x) -> BucketIndex:
-    """``sampling.build_buckets`` through ``network.group_codes``: the
-    distinct packed codes, and each bucket's samples by a stable argsort."""
+    """``sampling.build_buckets`` in plain Python: the distinct packed codes
+    by ``sorted(set(...))`` of their bytes, each bucket's samples in index
+    order, and each code's words read from its bytes with ``int.from_bytes``."""
     h, _ = forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    codes, index = group_codes(h)
-    members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
-    return BucketIndex(codes=code_words(codes), members=tuple(members))
+    packed = pack_bits_batch(np.where(h >= 0.0, 1, -1))
+    keys = sorted(set(packed))
+    members = {key: [] for key in keys}
+    for i, key in enumerate(packed):
+        members[key].append(i)
+    width = -(-len(keys[0]) // 8)
+    padded = [key.ljust(8 * width, b"\0") for key in keys]
+    words = [[int.from_bytes(p[8 * j : 8 * j + 8], "big") for j in range(width)] for p in padded]
+    return BucketIndex(
+        codes=np.array(words, dtype=np.uint64),
+        members=tuple(np.array(members[key], dtype=np.int64) for key in keys),
+    )
 
 
 def select_batch_reference(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:

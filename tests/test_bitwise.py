@@ -1,9 +1,10 @@
 """The site step and the merge against their plain-array oracles, bit for bit.
 
 Each rewritten step (the pair-loss scatter, backward into one flat vector,
-the bucket grouping, the greedy batch selection, the blocked merge) is
-fuzzed against the code it replaced, kept in ``tests/oracles.py``. Floats are compared as uint64 bit patterns, so a
--0.0 where the oracle has +0.0 fails.
+the greedy batch selection, the blocked merge) is fuzzed against the code it
+replaced, and the bucket grouping against a grouping by Python sets and dicts,
+all kept in ``tests/oracles.py``. Floats are compared as uint64 bit patterns,
+so a -0.0 where the oracle has +0.0 fails.
 """
 
 import numpy as np

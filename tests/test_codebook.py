@@ -230,9 +230,10 @@ def test_payload_bad_padding_names_its_entry():
         decode_codes_payload(bytes(blob), 3)
 
 
-def test_payload_of_a_code_length_below_one_is_refused():
+@pytest.mark.parametrize("length", [0, -3, -9])
+def test_payload_of_a_code_length_below_one_is_refused(length):
     with pytest.raises(ShapeError, match="code length must be >= 1"):
-        decode_codes_payload(struct.pack(">I", 1) + struct.pack(">f", 1), 0)
+        decode_codes_payload(struct.pack(">I", 1) + struct.pack(">f", 1), length)
 
 
 def test_payload_of_an_empty_book_is_refused():

@@ -286,12 +286,16 @@ def test_binarize_batch_matches_binarize():
         assert p == one.packed
 
 
-def test_group_codes_matches_sorted_packed_bytes():
-    # 12 bits pack into two bytes, many of them above 0x7f
-    rng = np.random.default_rng(4)
-    h = rng.normal(size=(300, 12))
+@pytest.mark.parametrize("length", [1, 8, 12, 13, 64, 65, 128])
+def test_group_codes_matches_sorted_packed_bytes(length):
+    # many bytes above 0x7f; codes that differ only in their last bit, hence
+    # only in their last word; repeats
+    rng = np.random.default_rng(length)
+    h = rng.normal(size=(300, length))
+    h[100:150, : length - 1] = 1.0
+    h = h[rng.integers(300, size=400)]
     codes, index = group_codes(h)
-    assert codes.dtype == np.uint8 and codes.shape[1] == 2
+    assert codes.dtype == np.uint8 and codes.shape[1] == (length + 7) // 8
     keys = [row.tobytes() for row in codes]
     packed = pack_bits_batch(binarize_batch(h))
     assert keys == sorted(set(packed))

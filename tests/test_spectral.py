@@ -636,6 +636,40 @@ def test_propagate_from_a_payload_with_unsorted_repeated_codes(global_order):
     assert labels[0] == labels[-2]  # the repeated code: one label
 
 
+@pytest.mark.parametrize("global_order", ["merged", "reversed"])
+@pytest.mark.parametrize("length", [65, 128])
+def test_merge_and_propagate_of_multi_word_codes_match_the_dicts(length, global_order):
+    rng = np.random.default_rng(length)
+    bits = rng.choice([-1, 1], size=(12, length))
+    bits[6:, :64] = bits[0, :64]  # codes 0 and 6-11 differ only after their first word
+    codes = [HashCode.from_bits(row) for row in bits]
+    # unsorted payloads with repeated codes; site 0 holds code 7
+    picks = [[7, *rng.integers(12, size=7)], *rng.integers(12, size=(2, 8))]
+    books = [
+        decode_codes_payload(
+            encode_codes_payload(Codebook(tuple(CodebookEntry(codes[i], int(rng.integers(1, 5))) for i in p))),
+            length, origin=f"site{s}",
+        )
+        for s, p in enumerate(picks)
+    ]
+    total = {}
+    for b in books:
+        for e in b.entries:
+            total[e.code.packed] = total.get(e.code.packed, 0) + e.degree
+    merged = merge_codebooks(books)
+    assert [(e.code.packed, e.degree) for e in merged.entries] == sorted(total.items())
+
+    global_book = merged if global_order == "merged" else Codebook(merged.entries[::-1])
+    partition = rng.permutation(len(global_book))
+    maps = [(b, np.repeat(np.arange(len(b)), b.degrees)) for b in books]
+    for b, labels in zip(books, propagate_labels(partition, global_book, maps)):
+        assert np.array_equal(labels, _labels_by_code(partition, global_book, b))
+
+    short = Codebook(tuple(e for e in global_book.entries if e.code != codes[7]))
+    with pytest.raises(InconsistentStateError, match="'site0' holds a code missing"):
+        propagate_labels(partition[: len(short)], short, maps)
+
+
 @pytest.mark.parametrize("length", [8, 12, 24])
 def test_propagate_rejects_a_site_book_of_another_code_length(length):
     global_book = book([(HashCode(packed=b"\x12\x30", length=16), 2), (HashCode(packed=b"\xab\xc0", length=16), 1)])
