@@ -44,9 +44,10 @@ merged = merge_codebooks(books)
 print(f"\nmerged: {len(merged)} codes, degrees sum to {merged.total_degree} "
       f"(dataset size {samples.shape[0]})")
 print("heaviest codes:")
+entries = merged.entries
 for i in np.argsort(-merged.degrees, kind="stable")[:5]:
-    bits = "".join(str(b) for b in np.unpackbits(merged.codes[i], count=merged.code_length))
-    print(f"  {bits}  degree {merged.degrees[i]}")
+    bits = "".join("1" if b > 0 else "0" for b in entries[i].code.bits)
+    print(f"  {bits}  degree {entries[i].degree}")
 
 ledger = total_cost_bits(
     n_sites=4,

@@ -5,15 +5,15 @@ to one codebook entry carrying a degree (how many samples it represents).
 Sites ship (code, degree) pairs to the coordinator, which merges them by
 summing degrees. Only this small codebook crosses the wire, never the data.
 
-A Codebook holds its codes as arrays: ``codes`` one row of packed uint8
-bytes per code (the ``HashCode.packed`` layout), ``degrees`` the int64
+A Codebook holds its codes as arrays: ``codes`` one ``network.code_words``
+row per code, the one in-memory form of a code, ``degrees`` the int64
 degrees, row for row. A site's book from ``encode_shard`` and a merged book
-hold distinct codes in ascending byte order; a decoded book keeps its
-payload's order and any repeats, and only ``merge_codebooks`` sorts and sums.
-Both sorts group the rows on their ``network.code_words`` form, through
-``network.group_rows``.
-``Codebook(entries)`` and ``book.entries`` convert from and to a tuple of
-CodebookEntry objects, the boundary form; no library step uses them.
+hold distinct codes in ascending order; a decoded book keeps its payload's
+order and any repeats, and only ``merge_codebooks`` sorts and sums. Both
+group the rows with ``network.group_words``. Packed bytes exist only in the
+CODES_PUSH payload and in ``Codebook(entries)`` / ``book.entries``, which
+convert from and to a tuple of CodebookEntry objects, the boundary form; no
+library step uses them.
 
 Transmission accounting charges 32 bits per degree (sent as float32) plus L
 bits per code. The wire payload additionally pads codes to byte boundaries
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError, IncompatibleCodebooksError, ShapeError
-from .network import HashCode, NetworkParams, forward, group_codes, group_rows
+from .network import HashCode, NetworkParams, code_words, forward, group_words, output_words, packed_rows
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class CodebookEntry:
 
 
 class Codebook:
-    """Codes with degrees, as arrays: ``codes`` (n, ceil(L/8)) packed uint8
-    rows, ``degrees`` (n,) int64, ``code_length`` L (0 for a book with no
-    entries) and ``origin``.
+    """Codes with degrees, as arrays: ``codes`` (n, ceil(L/64)) uint64
+    ``network.code_words`` rows, ``degrees`` (n,) int64, ``code_length`` L
+    (0 for a book with no entries) and ``origin``.
 
     Built from a tuple of CodebookEntry; ``entries`` converts back on each
     read. Two books are equal when their origin, code length, code rows and
@@ -54,8 +54,8 @@ class Codebook:
         if len(lengths) > 1:
             raise IncompatibleCodebooksError("codebook entries have mixed code lengths")
         length = lengths.pop() if lengths else 0
-        codes = np.frombuffer(b"".join(e.code.packed for e in entries), dtype=np.uint8)
-        self.codes = codes.reshape(len(entries), (length + 7) // 8)
+        packed = np.frombuffer(b"".join(e.code.packed for e in entries), dtype=np.uint8)
+        self.codes = code_words(packed.reshape(len(entries), (length + 7) // 8))
         self.degrees = np.array([e.degree for e in entries], dtype=np.int64)
         self.code_length, self.origin = length, origin
 
@@ -71,7 +71,7 @@ class Codebook:
         """The book as a tuple of CodebookEntry, the boundary form, built on each read."""
         return tuple(
             CodebookEntry(HashCode(packed=c.tobytes(), length=self.code_length), d)
-            for c, d in zip(self.codes, self.degrees.tolist())
+            for c, d in zip(packed_rows(self.codes, self.code_length), self.degrees.tolist())
         )
 
     @property
@@ -100,9 +100,12 @@ def encode_shard(params: NetworkParams, x, origin: str = "site"):
     if x.shape[0] == 0:
         raise EmptyShardError("cannot encode an empty shard")
     h, _ = forward(params, x)
-    codes, sample_to_entry = group_codes(h)
-    degrees = np.bincount(sample_to_entry, minlength=len(codes)).astype(np.int64, copy=False)
-    return Codebook._of(codes, degrees, params.code_length, origin), sample_to_entry
+    words = output_words(h)
+    order, starts = group_words(words)
+    degrees = np.diff(starts, append=len(order))
+    sample_to_entry = np.empty(len(order), dtype=np.intp)
+    sample_to_entry[order] = np.repeat(np.arange(len(starts)), degrees)
+    return Codebook._of(words[order[starts]], degrees, params.code_length, origin), sample_to_entry
 
 
 def merge_codebooks(books) -> Codebook:
@@ -116,10 +119,10 @@ def merge_codebooks(books) -> Codebook:
     length = books[0].code_length
     if any(b.code_length != length for b in books):
         raise IncompatibleCodebooksError("codebooks have mixed code lengths")
-    codes, index = group_rows(np.concatenate([b.codes for b in books]))
-    # float64 sums of integer degrees are exact below 2**53 samples
-    degrees = np.bincount(index, weights=np.concatenate([b.degrees for b in books]))
-    return Codebook._of(codes, degrees.astype(np.int64), length, "global")
+    words = np.concatenate([b.codes for b in books])
+    order, starts = group_words(words)
+    degrees = np.add.reduceat(np.concatenate([b.degrees for b in books])[order], starts)
+    return Codebook._of(words[order[starts]], degrees, length, "global")
 
 
 # CODES_PUSH payload: 4-byte big-endian entry count, then per entry a positive
@@ -136,13 +139,12 @@ def encode_codes_payload(book: Codebook) -> bytes:
         raise ShapeError("codebook has no entries")
     table = np.empty(len(book), dtype=_entry_dtype(book.code_length))
     table["degree"] = book.degrees
-    table.view(np.uint8).reshape(len(book), -1)[:, 4:] = book.codes
+    table.view(np.uint8).reshape(len(book), -1)[:, 4:] = packed_rows(book.codes, book.code_length)
     return struct.pack(">I", len(book)) + table.tobytes()
 
 
 def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") -> Codebook:
-    """The book a payload carries, in payload order, repeats kept; its codes
-    are a read-only view of ``data``."""
+    """The book a payload carries, in payload order, repeats kept."""
     if code_length < 1:
         raise ShapeError("code length must be >= 1")
     entry = _entry_dtype(code_length)
@@ -167,4 +169,4 @@ def decode_codes_payload(data: bytes, code_length: int, origin: str = "global") 
     bad = np.flatnonzero(codes[:, -1] & ((1 << pad) - 1))
     if bad.size:
         raise ShapeError(f"codebook entry {int(bad[0])} has padding bits set in its packed code")
-    return Codebook._of(codes, degrees.astype(np.int64), code_length, origin)
+    return Codebook._of(code_words(codes), degrees.astype(np.int64), code_length, origin)

@@ -171,6 +171,8 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
     n = samples.shape[0]
     if n_sites < 1:
         raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
+    if min_per_site < 1:
+        raise InvalidSpecError(f"min_per_site must be >= 1, got {min_per_site}")
     if n < n_sites * min_per_site:
         raise InfeasibleShardError(
             f"{n} samples cannot cover {n_sites} sites at >= {min_per_site} each"

@@ -275,23 +275,10 @@ def binarize_batch(h) -> np.ndarray:
     return np.where(h >= 0.0, 1, -1).astype(np.int8)
 
 
-def group_codes(h):
-    """Group a batch of outputs by code: returns (codes, index).
-
-    ``codes`` holds each distinct code's packed bytes, one uint8 row each, in
-    ascending byte order; ``index`` each sample's row in codes.
-    """
-    return group_rows(np.packbits(binarize_batch(h) > 0, axis=1))
-
-
-def group_rows(packed):
-    """The distinct rows of a 2-D uint8 array in ascending byte order, and
-    each row's index in them: returns (distinct, index)."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    order, starts = group_words(code_words(packed))
-    index = np.empty(len(order), dtype=np.intp)
-    index[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
-    return packed[order[starts]], index
+def output_words(h) -> np.ndarray:
+    """The ``code_words`` rows of a batch of outputs: a code bit is set where
+    ``binarize_batch`` gives +1."""
+    return code_words(np.packbits(binarize_batch(h) > 0, axis=1))
 
 
 def group_words(words):
@@ -308,18 +295,24 @@ def group_words(words):
 
 
 def code_words(packed) -> np.ndarray:
-    """The compare form of packed code rows: (n, ceil(L/64)) uint64.
+    """The in-memory form of packed code rows: (n, ceil(L/64)) uint64.
 
     Each row of packed bytes (the HashCode.packed layout) is zero-filled at
     the end to whole 64-bit words, read big-endian. Word rows then order as
     their byte rows do, and the popcount of the XOR of two rows is the
-    hamming distance of their codes, for any L.
+    hamming distance of their codes, for any L. ``packed_rows`` is the
+    inverse.
     """
     packed = np.asarray(packed, dtype=np.uint8)
     n, width = packed.shape
     padded = np.zeros((n, width + -width % 8), dtype=np.uint8)
     padded[:, :width] = packed
     return padded.view(">u8").astype(np.uint64)
+
+
+def packed_rows(words, length: int) -> np.ndarray:
+    """The packed bytes of ``code_words`` rows of L-bit codes: (n, ceil(L/8)) uint8."""
+    return words.astype(">u8").view(np.uint8)[:, : (length + 7) // 8]
 
 
 # Parameter wire format: 4-byte big-endian layer count, then per layer

@@ -79,6 +79,8 @@ class PipelineConfig:
             raise InvalidSpecError("clusters and code_length must be >= 1")
         if self.site is not None and self.connect is None:
             raise InvalidSpecError("'site' only makes sense together with 'connect'")
+        if not 0.0 < self.timeout < float("inf"):
+            raise InvalidSpecError(f"wire.timeout must be a positive finite number, got {self.timeout}")
 
     def to_dict(self) -> dict:
         return asdict(self)

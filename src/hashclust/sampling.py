@@ -5,9 +5,10 @@ the first sample uniformly at random, each later one uniformly from the
 bucket whose code maximizes the summed hamming distance to all codes picked
 so far (counted once per prior pick). Opposite corners of the code cube get
 picked early, which keeps training pairs diverse. Bucket codes are held as
-``network.code_words`` rows, the 64-bit words the code graph compares too, so
-a distance is the popcount of a XOR; ``network.group_words`` groups the
-samples on those rows, as it groups every set of code rows.
+``network.code_words`` rows, the one in-memory form of a code that codebooks
+and the code graph hold too, so a distance is the popcount of a XOR.
+``network.output_words`` gives the samples' rows and ``network.group_words``
+groups them, as it groups every set of code rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShardError
-from .network import NetworkParams, code_words, forward, group_words
+from .network import NetworkParams, forward, group_words, output_words
 
 # the summed distance of a bucket with no member left: far below every real
 # sum, which is >= 0, however many rows are added to it
@@ -28,10 +29,10 @@ _DRAWN_EMPTY = np.iinfo(np.int64).min // 2
 class BucketIndex:
     """Partition of local sample indices by current hash code.
 
-    ``codes`` holds bucket i's code as row i of ``network.code_words``: its
-    packed bytes zero-filled at the end to 64-bit words. Buckets are kept
-    sorted by packed code bytes, which is the order of those rows, so that
-    tie-breaks and uniform draws are reproducible.
+    ``codes`` holds bucket i's code as row i of ``network.code_words``, the
+    form a Codebook holds its codes in. Buckets are kept sorted by those
+    rows, which order as the packed code bytes do, so that tie-breaks and
+    uniform draws are reproducible.
     """
 
     codes: np.ndarray
@@ -47,9 +48,8 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     if x.shape[0] == 0:
         raise EmptyShardError("cannot bucket an empty shard")
     h, _ = forward(params, x)
-    # a code bit is set where binarize_batch gives +1; the grouping orders
-    # the samples by code, and by index within a code
-    words = code_words(np.packbits(h >= 0.0, axis=1))
+    words = output_words(h)
+    # the grouping orders the samples by code, and by index within a code
     order, starts = group_words(words)
     return BucketIndex(codes=words[order[starts]], members=tuple(np.split(order, starts[1:])))
 

@@ -3,9 +3,9 @@
 Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
 codes that sit close in hamming space are strongly tied. ``build_graph``
-returns a CodeGraph that holds only the codes as ``network.code_words`` rows
-(packed bytes zero-filled at the end to 64-bit words, the form batch
-selection compares too), their degrees and the code length L. The kernel
+returns a CodeGraph that holds only the book's ``network.code_words`` rows
+as they are (the form batch selection compares too), their degrees and the
+code length L. The kernel
 1 / hamming, 0 at distance 0, is one table, ``CodeGraph.divisors``; both
 products divide by it. ``np.asarray`` builds the dense n x n weights. The
 graph is cut with the classic spectral relaxation (symmetric normalized
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .kmeans import kmeans
-from .network import code_words, group_words
+from .network import group_words
 
 # Checked before a code graph is made dense, which holds one n x n float64
 # array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
@@ -77,9 +77,9 @@ LOBPCG_MAX_ITER = 200
 class CodeGraph:
     """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = 0, kept as its vertices.
 
-    ``codes`` holds code i as row i of ``network.code_words``: its packed
-    bytes zero-filled at the end to unsigned 64-bit words, so its first bit is
-    bit 63 of word 0; ``degrees`` the vertex degrees d_i as float64.
+    ``codes`` holds code i as row i of ``network.code_words``, as its book
+    does, so its first bit is bit 63 of word 0; ``degrees`` the vertex
+    degrees d_i as float64.
     ``np.asarray(graph)`` builds the dense n x n weights; ``spectral_cluster``
     applies W without them when ``matrix_free``.
     """
@@ -110,13 +110,11 @@ class CodeGraph:
 
 
 def build_graph(book: Codebook) -> CodeGraph:
-    """The code graph of a codebook's codes, as code words and degrees."""
-    codes = code_words(book.codes)
-    _, starts = group_words(codes)
+    """The code graph of a codebook's codes and degrees."""
+    _, starts = group_words(book.codes)
     if len(starts) != len(book):
         raise InvalidCodebookError("duplicate codes in codebook")
-    degrees = book.degrees.astype(np.float64)
-    return CodeGraph(codes=codes, degrees=degrees, length=book.code_length)
+    return CodeGraph(codes=book.codes, degrees=book.degrees.astype(np.float64), length=book.code_length)
 
 
 def _dense_weights(graph: CodeGraph) -> np.ndarray:
@@ -341,7 +339,7 @@ def propagate_labels(partition, global_book: Codebook, site_maps) -> list[np.nda
                 f"the global book {global_book.code_length}-bit codes"
             )
     rows = np.concatenate([global_book.codes, *(book.codes for book, _ in site_maps)])
-    order, starts = group_words(code_words(rows))
+    order, starts = group_words(rows)
     # the stable order puts a group's global row, if it has one, first
     vertex = np.empty(len(order), dtype=np.intp)
     vertex[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))

@@ -13,9 +13,9 @@ buffer (a gradient's header, values and trailer alike) and hands that
 buffer and the 5-byte header to sendmsg together; a partial send resumes
 where it stopped, so the two are never joined. A receiver reads the header,
 then receives the payload into a new bytearray of exactly its length.
-Every frame owns its buffer, so a decoded gradient (a big-endian float32
-view of its frame, merged as it is) and a decoded codebook (views of its
-frame) stay valid whatever frames follow.
+Every frame owns its buffer, so a decoded gradient, a big-endian float32
+view of its frame merged as it is, stays valid whatever frames follow; a
+decoded codebook copies its codes and degrees out of its frame.
 
 The coordinator listens on one port. A site's first frame is its hello: a
 4-byte big-endian site index and the SHA-256 digest of its TrainingConfig

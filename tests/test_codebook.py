@@ -21,7 +21,7 @@ from hashclust.network import (
     mlp_spec,
 )
 
-from oracles import pack_bits_batch
+from oracles import pack_bits_batch, word_codes
 
 
 def code(*bits):
@@ -230,6 +230,20 @@ def test_payload_bad_padding_names_its_entry():
         decode_codes_payload(bytes(blob), 3)
 
 
+@pytest.mark.parametrize("length", [1, 13, 65, 128])
+def test_entries_payload_entries_round_trip(length):
+    rng = np.random.default_rng(length)
+    bits = rng.choice([-1, 1], size=(6, length))
+    entries = tuple(CodebookEntry(HashCode.from_bits(row), d) for row, d in zip(bits, range(1, 7)))
+    b = Codebook(entries, origin="site1")
+    assert b.codes.dtype == np.uint64 and b.codes.shape == (6, -(-length // 64))
+    assert word_codes(b.codes, length) == [e.code for e in entries]
+    blob = encode_codes_payload(b)
+    assert blob[4:] == b"".join(struct.pack(">f", e.degree) + e.code.packed for e in entries)
+    back = decode_codes_payload(blob, length, origin="site1")
+    assert back == b and back.entries == entries
+
+
 @pytest.mark.parametrize("length", [0, -3, -9])
 def test_payload_of_a_code_length_below_one_is_refused(length):
     with pytest.raises(ShapeError, match="code length must be >= 1"):
@@ -255,7 +269,7 @@ def unsorted_payload():
 def test_payload_with_unsorted_repeated_codes_decodes_in_payload_order():
     back = decode_codes_payload(unsorted_payload(), 5, origin="site3")
     assert [(e.code, e.degree) for e in back.entries] == UNSORTED
-    assert back.codes.tolist() == [list(c.packed) for c, _ in UNSORTED]
+    assert word_codes(back.codes, 5) == [c for c, _ in UNSORTED]
     assert back.degrees.tolist() == [2, 3, 4, 1] and back.total_degree == 10
     assert back.origin == "site3" and back.code_length == 5 and len(back) == 4
 

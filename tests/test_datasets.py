@@ -161,6 +161,13 @@ def test_shard_infeasible():
         shard_dataset(x, np.zeros(99, dtype=int), 2, min_per_site=50, seed=0)
 
 
+@pytest.mark.parametrize("min_per_site, n_sites, seed", [(0, 40, 3), (-30, 4, 2)])
+def test_shard_min_below_one_is_refused(min_per_site, n_sites, seed):
+    # either would leave some site an empty shard
+    with pytest.raises(InvalidSpecError, match=f"min_per_site must be >= 1, got {min_per_site}"):
+        shard_dataset(np.arange(40.0)[:, None], np.zeros(40, dtype=int), n_sites, min_per_site, seed)
+
+
 def test_shard_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 2))

@@ -13,9 +13,11 @@ from hashclust.network import (
     code_words,
     deserialize_params,
     forward,
-    group_codes,
+    group_words,
     init_network,
     mlp_spec,
+    output_words,
+    packed_rows,
     param_count,
     serialize_params,
     validate_spec,
@@ -294,22 +296,30 @@ def test_group_codes_matches_sorted_packed_bytes(length):
     h = rng.normal(size=(300, length))
     h[100:150, : length - 1] = 1.0
     h = h[rng.integers(300, size=400)]
-    codes, index = group_codes(h)
-    assert codes.dtype == np.uint8 and codes.shape[1] == (length + 7) // 8
-    keys = [row.tobytes() for row in codes]
+    words = output_words(h)
+    assert words.dtype == np.uint64 and words.shape == (len(h), -(-length // 64))
+    order, starts = group_words(words)
     packed = pack_bits_batch(binarize_batch(h))
+    assert [c.packed for c in word_codes(words, length)] == packed
+    keys = [c.packed for c in word_codes(words[order[starts]], length)]
     assert keys == sorted(set(packed))
-    assert [keys[i] for i in index] == packed
+    # stable: each distinct code's samples, in index order
+    assert [g.tolist() for g in np.split(order, starts[1:])] == [
+        [i for i, p in enumerate(packed) if p == key] for key in keys
+    ]
 
 
-@pytest.mark.parametrize("length", [1, 8, 13, 64, 65, 128])
+@pytest.mark.parametrize("length", [1, 8, 12, 13, 64, 65, 128])
 def test_code_words_xor_popcount_is_hamming_and_rows_order_as_bytes(length):
     rng = np.random.default_rng(length)
     bits = np.vstack([rng.choice([-1, 1], size=(12, length)), -np.ones(length), np.ones(length)])
     codes = [HashCode.from_bits(row) for row in bits]
-    words = code_words(np.array([list(c.packed) for c in codes], dtype=np.uint8))
+    packed = np.array([list(c.packed) for c in codes], dtype=np.uint8)
+    words = code_words(packed)
     assert words.dtype == np.uint64 and words.shape == (len(codes), -(-length // 64))
     assert word_codes(words, length) == codes
+    back = packed_rows(words, length)
+    assert back.dtype == np.uint8 and np.array_equal(back, packed)
     for i, a in enumerate(codes):
         for j, b in enumerate(codes):
             assert int(np.bitwise_count(words[i] ^ words[j]).sum()) == hamming(a, b)

@@ -504,6 +504,29 @@ def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, valu
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_config_rejects_a_timeout_that_is_not_positive(timeout):
+    raw = make_raw()
+    raw["wire"] = {"timeout": timeout}
+    with pytest.raises(InvalidSpecError, match="wire.timeout must be a positive finite number"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"sites": 500, "min_per_site": 0}, "shard: min_per_site must be >= 1"),
+     ({"mode": "wire", "wire": {"timeout": -1}}, "wire.timeout")],
+    ids=["empty_shards", "negative_timeout"],
+)
+def test_cli_out_of_range_value_returns_one(tmp_path, capsys, changes, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**make_raw(), **changes}))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_config_takes_integral_floats_for_integers():
     raw = make_raw()
     raw["training"]["rounds"] = 8.0
