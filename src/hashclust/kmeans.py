@@ -6,14 +6,21 @@ index (argmin behavior), and an emptied cluster is re-seeded with the point
 farthest from its current center. A Lloyd step takes every point-centre
 distance from one matrix product ``points @ centers.T`` and gives each point
 the centre the direct distances ||p - c||**2 would give it; the inertia is
-summed from each point's difference to its own centre.
+summed from each point's difference to its own centre. With d >= 2 and no
+cluster empty, all k centres come from one ``np.bincount`` of the labels and
+one weighted ``np.bincount`` per coordinate: each adds a centre's points in
+index order, as the mean of its rows does, so the centres are bit for bit
+those means. The per-cluster mean of the masked rows stays for d = 1, where
+numpy sums the one column pairwise, and for a step that empties a cluster,
+whose re-seeding moves a point between the means. Points that are not a
+2-D array of finite numbers raise ShapeError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidKError
+from .errors import InvalidKError, ShapeError
 
 N_RESTARTS = 10
 MAX_ITER = 300
@@ -64,20 +71,31 @@ def _assign(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.nd
 
 def _lloyd(points: np.ndarray, centers: np.ndarray):
     norms = np.sqrt((points * points).sum(axis=1))
+    k, d = centers.shape
+    # one contiguous column per coordinate: the weights of a centre bincount
+    columns = np.ascontiguousarray(points.T)
     labels = None
     for _ in range(MAX_ITER):
-        previous = centers.copy()
         new_labels = _assign(points, norms, centers)
-        for c in range(centers.shape[0]):
-            mask = new_labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                # re-seed an empty cluster with the worst-fit point
-                fit = ((points - previous[new_labels]) ** 2).sum(axis=1)
-                far = int(np.argmax(fit))
-                centers[c] = points[far]
-                new_labels[far] = c
+        counts = np.bincount(new_labels, minlength=k)
+        if d >= 2 and counts.all():
+            # each centre sums its points in index order, as the mean of
+            # its rows would, then divides by its count
+            for j in range(d):
+                centers[:, j] = np.bincount(new_labels, weights=columns[j], minlength=k)
+            centers /= counts[:, None]
+        else:
+            previous = centers.copy()
+            for c in range(k):
+                mask = new_labels == c
+                if mask.any():
+                    centers[c] = points[mask].mean(axis=0)
+                else:
+                    # re-seed an empty cluster with the worst-fit point
+                    fit = ((points - previous[new_labels]) ** 2).sum(axis=1)
+                    far = int(np.argmax(fit))
+                    centers[c] = points[far]
+                    new_labels[far] = c
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
@@ -93,6 +111,12 @@ def kmeans(points, k: int, seed):
     Lloyd iterations and keeps the lowest inertia (first winner on ties).
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ShapeError(f"points must be a 2-D array, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ShapeError(f"point {row} is not finite: {points[row].tolist()}")
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidKError(f"k={k} incompatible with {n} points")

@@ -34,7 +34,7 @@ from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
 from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import TrainingConfig, relative_error_ratio, train
-from .wire import parse_endpoint, run_sub_site, run_wire_locally, serve_global
+from .wire import check_timeout, parse_endpoint, run_sub_site, run_wire_locally, serve_global
 
 # fixed spawn keys so each phase draws from an independent stream
 _SEED_STREAMS = {"data": 0, "shard": 1, "train": 2, "cluster": 3}
@@ -79,8 +79,7 @@ class PipelineConfig:
             raise InvalidSpecError("clusters and code_length must be >= 1")
         if self.site is not None and self.connect is None:
             raise InvalidSpecError("'site' only makes sense together with 'connect'")
-        if not 0.0 < self.timeout < float("inf"):
-            raise InvalidSpecError(f"wire.timeout must be a positive finite number, got {self.timeout}")
+        check_timeout(self.timeout, "wire.timeout")
 
     def to_dict(self) -> dict:
         return asdict(self)

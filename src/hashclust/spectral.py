@@ -10,18 +10,23 @@ code length L. The kernel
 products divide by it. ``np.asarray`` builds the dense n x n weights. The
 graph is cut with the classic spectral relaxation (symmetric normalized
 Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
-which is what the cited method prescribes. The first eigenvector is known,
-D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007, Prop. 3); the other
-k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001), a block
-eigensolver that touches the graph only through products W @ X and keeps its
-blocks orthogonal to the known one. Each iteration applies W to the k - 1
-new residual directions alone: the previous step's directions P and W @ P
+which is what the cited method prescribes; k-means updates its centres with
+``np.bincount`` and keeps a masked mean per cluster only for k = 1 (one
+column) and for a step that empties a cluster (see ``kmeans``). The first
+eigenvector is known, D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007,
+Prop. 3); the other k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput.
+2001), a block eigensolver that touches the graph only through products
+W @ X and keeps its blocks orthogonal to the known one. Each iteration
+applies W to the k - 1 new residual directions alone: the previous step's
+directions P and W @ P
 are combinations of the basis and its W-image, made orthonormal in Ritz
 coordinates (Hetmaniuk & Lehoucq, J. Comput. Phys. 2006). A weight is a
 function of c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto
 the 2**L code cube, a Walsh-Hadamard transform, a multiply by the
 transformed kernel, the transform again, a gather at the codes; a code's cube
-index is its top L bits, ``codes[:, 0] >> (64 - L)``. That costs
+index is its top L bits, ``codes[:, 0] >> (64 - L)``. The transform's stages
+write two cube buffers in turn, allocated once per product and reused for
+every column of every call. That costs
 O(L * 2**L) per column against n**2 for the dense product, and is taken when
 it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
 under 5k vertices, too small for a basis of 3k columns to leave room for the
@@ -56,8 +61,10 @@ from .network import group_words
 # (of an 8 GB host). 2**16 would need 77 GB.
 DENSE_SOLVER_MAX_VERTICES = 2 ** 13
 
-# The Walsh-Hadamard product holds about four float64 arrays over the 2**L
-# code cube: 2 MB at L = 16, 128 MB at this bound of L = 22.
+# The Walsh-Hadamard product holds three float64 arrays over the 2**L code
+# cube for its lifetime, the transformed kernel and two cube buffers: 1.5 MB
+# at L = 16, 96 MB at this bound of L = 22 (a fourth, freed again, while the
+# kernel is transformed).
 TRANSFORM_MAX_CODE_LENGTH = 22
 
 # Entries of the dense weights computed at once, in whole rows. Beside W, a
@@ -145,7 +152,7 @@ def _hadamard(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(index[:, None] & index[None, :]) & 1)
 
 
-def _fwht(v: np.ndarray, stages) -> np.ndarray:
+def _fwht(src: np.ndarray, dst: np.ndarray, stages) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized Walsh-Hadamard transform of one contiguous 2**L vector.
 
     ``stages`` holds Hadamard matrices of 16 x 16 and, when L is not a
@@ -153,17 +160,20 @@ def _fwht(v: np.ndarray, stages) -> np.ndarray:
     those radices, lowest digit first. Each stage is one matmul that applies
     its matrix along one digit of the vector viewed as (blocks, radix,
     stride), so no stage transposes; the transform is one column at a time so
-    that the vector stays in cache.
+    that the vector stays in cache. The stages write ``src`` and ``dst`` in
+    turn, so both are overwritten; returns them as (the one that holds the
+    transform, the other).
     """
     stride = 1
     for h in stages:
         radix = h.shape[0]
         if stride == 1:
-            v = v.reshape(-1, radix) @ h
+            np.matmul(src.reshape(-1, radix), h, out=dst.reshape(-1, radix))
         else:
-            v = np.matmul(h, v.reshape(-1, radix, stride))
+            np.matmul(h, src.reshape(-1, radix, stride), out=dst.reshape(-1, radix, stride))
+        src, dst = dst, src
         stride *= radix
-    return v.reshape(-1)
+    return src, dst
 
 
 def _transform_product(graph: CodeGraph):
@@ -173,25 +183,29 @@ def _transform_product(graph: CodeGraph):
     K is a convolution over the code cube Z_2^L, so the Walsh-Hadamard
     transform H diagonalizes it: K y = H (Hf * Hy) / 2**L. Each column of
     D X is scattered onto the cube, transformed, multiplied by Hf, transformed
-    back and gathered at the codes, then scaled by D / 2**L.
+    back and gathered at the codes, then scaled by D / 2**L. The transforms
+    run in two cube buffers that the product allocates once and reuses for
+    every column of every call, so one product must not run in two threads
+    at once; what it returns is a new array.
     """
     length = graph.length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
     # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
     index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
-    spectrum = _fwht(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], stages)
+    spectrum, _ = _fwht(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], np.empty(size), stages)
     degrees = graph.degrees
+    cube, other = np.empty(size), np.empty(size)
 
     def product(x):
         y = degrees[:, None] * x
         out = np.empty_like(y)
         for j in range(y.shape[1]):
-            cube = np.zeros(size)
+            cube.fill(0.0)
             cube[index] = y[:, j]
-            cube = _fwht(cube, stages)
-            cube *= spectrum
-            out[:, j] = _fwht(cube, stages)[index]
+            spec, spare = _fwht(cube, other, stages)
+            spec *= spectrum
+            out[:, j] = _fwht(spec, spare, stages)[0][index]
         out *= (degrees / size)[:, None]
         return out
 

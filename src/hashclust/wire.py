@@ -75,6 +75,12 @@ _MAX_PAYLOAD = 1 << 31
 DEFAULT_TIMEOUT = 60.0
 
 
+def check_timeout(timeout, name: str = "timeout") -> None:
+    """Refuse a socket timeout that is not a positive finite number of seconds."""
+    if not 0.0 < timeout < float("inf"):
+        raise InvalidSpecError(f"{name} must be a positive finite number, got {timeout}")
+
+
 def send_frame(sock, tag: int, payload: bytes = b"") -> None:
     """Send one frame: the header and ``payload`` go to sendmsg as two
     buffers, never joined; a partial send resumes where it stopped."""
@@ -211,9 +217,10 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
     training.run_rounds, as in the simulation, so for identical configs and
     seeds the parameter trajectory is bitwise the same. Each round sends the
     parameters to every site before reading any gradient, so the sites
-    compute in parallel. A bad spec fails before any accept; a bad hello or
-    payload raises ProtocolError at once. The listener and every accepted
-    connection are closed on every exit, so the other sites fail at once too.
+    compute in parallel. A bad spec or timeout fails before any accept; a
+    bad hello or payload raises ProtocolError at once. The listener and every
+    accepted connection are closed on every exit, so the other sites fail at
+    once too.
     """
     accepted = []
     conns = [None] * cfg.n_sites
@@ -240,6 +247,7 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
         return zip(*gradients)
 
     try:
+        check_timeout(timeout)
         params = init_network(spec, cfg.seed)
         meter = TrafficMeter(params.code_length)
         listener.settimeout(timeout)
@@ -282,8 +290,10 @@ def run_sub_site(host: str, port: int, site: int, shard, cfg: TrainingConfig, ti
 
     The site names itself and its config digest in its hello, then learns
     the network shape from the broadcast itself; only the round count, batch
-    policy and seeds come from its local config.
+    policy and seeds come from its local config. A timeout that is not a
+    positive finite number raises InvalidSpecError before the site dials.
     """
+    check_timeout(timeout)
     with _dial(host, port, timeout) as sock:
         sock.settimeout(timeout)
         send_frame(sock, TAG_HELLO, _HELLO.pack(site, config_digest(cfg)))
@@ -302,13 +312,14 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
     """Full wire run on loopback: site threads against an in-process coordinator.
 
     Same frames, sockets and accounting as a distributed run; only the
-    process boundary is missing. A bad spec or shard count raises
+    process boundary is missing. A bad spec, shard count or timeout raises
     InvalidSpecError before any socket or thread exists. A site thread
     failure surfaces as ProtocolError once the coordinator returns or fails.
     """
     host = "127.0.0.1"
     shards = list(shards)
     spec = validate_spec(spec)
+    check_timeout(timeout)
     if len(shards) != cfg.n_sites:
         raise InvalidSpecError(
             f"config says {cfg.n_sites} sites but {len(shards)} shards supplied"

@@ -14,7 +14,7 @@ from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import HashCode, NetworkParams, forward
 from hashclust.sampling import BucketIndex
-from hashclust.spectral import _adjacency, normalized_laplacian
+from hashclust.spectral import _adjacency, _hadamard, normalized_laplacian
 
 BRUTE_FORCE_MAX_VERTICES = 12
 
@@ -186,6 +186,48 @@ def direct_lloyd(points: np.ndarray, centers: np.ndarray):
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
     return labels, inertia
+
+
+def _fwht_reference(v: np.ndarray, stages) -> np.ndarray:
+    """The Walsh-Hadamard transform with a new array at every stage."""
+    stride = 1
+    for h in stages:
+        radix = h.shape[0]
+        if stride == 1:
+            v = v.reshape(-1, radix) @ h
+        else:
+            v = np.matmul(h, v.reshape(-1, radix, stride))
+        stride *= radix
+    return v.reshape(-1)
+
+
+def transform_product_reference(graph):
+    """X -> W @ X through the code cube, every cube and stage a new array.
+
+    The reference for ``spectral._transform_product``, which runs the same
+    matmuls in two cube buffers it reuses: the same scatter, transforms,
+    spectrum and gather, so the two agree bit for bit.
+    """
+    length = graph.length
+    size = 1 << length
+    stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
+    index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
+    spectrum = _fwht_reference(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], stages)
+    degrees = graph.degrees
+
+    def product(x):
+        y = degrees[:, None] * x
+        out = np.empty_like(y)
+        for j in range(y.shape[1]):
+            cube = np.zeros(size)
+            cube[index] = y[:, j]
+            cube = _fwht_reference(cube, stages)
+            cube *= spectrum
+            out[:, j] = _fwht_reference(cube, stages)[index]
+        out *= (degrees / size)[:, None]
+        return out
+
+    return product
 
 
 def _growth_strings(n: int, k: int):

@@ -29,6 +29,7 @@ from hashclust.spectral import (
     spectral_cluster,
 )
 
+import oracles
 from oracles import (
     InvalidPartitionError,
     OracleSizeError,
@@ -41,6 +42,7 @@ from oracles import (
     ncut_value,
     planted_codebook,
     planted_two_cluster,
+    transform_product_reference,
 )
 
 
@@ -456,6 +458,25 @@ def test_transform_product_equals_dense_product(length):
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("length", [1, 4, 5, 13, 16])
+def test_transform_product_is_bitwise_the_allocating_one(length, columns):
+    graph, rng = _random_graph(length)
+    product = spectral._transform_product(graph)
+    reference = transform_product_reference(graph)
+    xs = [rng.standard_normal((len(graph), columns)) for _ in range(2)]
+    first = product(xs[0])
+    kept = first.copy()
+    second = product(xs[1])
+    assert np.array_equal(first, kept)  # the later call left the earlier result alone
+    for x, got in zip(xs, (first, second)):
+        assert np.array_equal(got, reference(x))
+    # every array the product keeps between calls, the two cube buffers among them
+    held = [cell.cell_contents for cell in product.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+    for got in (first, second):
+        assert not any(np.shares_memory(got, a) for a in held)
+
+
 @pytest.mark.parametrize("length", [1, 3, 8, 13, 16])
 def test_transform_degrees_equal_dense_row_sums(length, monkeypatch):
     graph, _ = _random_graph(length)
@@ -533,12 +554,17 @@ def test_kmeans_deterministic():
 
 
 def _kmeans_case(rng, kind):
-    """Random points: normal, on an integer grid (exact ties), or unit rows
-    with some zero rows; n in [3, 400], d in [1, 12], k up to 12."""
+    """Random points: normal, on an integer grid (exact ties), unit rows with
+    some zero rows, or fewer distinct points than k, so that every Lloyd step
+    empties a cluster and re-seeds it; n in [3, 400], d in [1, 12], k up to 12."""
     n, d = int(rng.integers(3, 401)), int(rng.integers(1, 13))
     k = int(rng.integers(1, min(12, n) + 1))
     if kind == "grid":
         return rng.integers(0, 3, size=(n, d)).astype(float), k
+    if kind == "few_distinct":
+        k = max(k, 2)
+        distinct = rng.standard_normal((int(rng.integers(1, k)), d))
+        return distinct[rng.integers(0, len(distinct), size=n)], k
     points = rng.standard_normal((n, d))
     if kind == "unit_rows":
         points /= np.linalg.norm(points, axis=1)[:, None]
@@ -555,9 +581,16 @@ def _kmeans_pair(points, k, seed, monkeypatch):
     return got, expect
 
 
-@pytest.mark.parametrize("kind", ["normal", "grid", "unit_rows"])
+KMEANS_KINDS = ["normal", "grid", "unit_rows", "few_distinct"]
+
+
+@pytest.mark.parametrize("kind", KMEANS_KINDS)
 def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
-    rng = np.random.default_rng(["normal", "grid", "unit_rows"].index(kind))
+    rng = np.random.default_rng(KMEANS_KINDS.index(kind))
+    if kind == "few_distinct":
+        # a re-seed every step: no restart converges, so both run to the cap
+        monkeypatch.setattr(kmeans_module, "MAX_ITER", 10)
+        monkeypatch.setattr(oracles, "MAX_ITER", 10)
     for seed in range(100):
         points, k = _kmeans_case(rng, kind)
         (labels, inertia), (expect_labels, expect_inertia) = _kmeans_pair(points, k, seed, monkeypatch)
@@ -573,6 +606,20 @@ def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypa
         (labels, inertia), (expect_labels, expect_inertia) = _kmeans_pair(emb, 4, seed, monkeypatch)
         assert np.array_equal(labels, expect_labels)
         assert inertia == expect_inertia
+
+
+@pytest.mark.parametrize("value, row", [(np.nan, 0), (np.inf, 2), (-np.inf, 1)])
+def test_kmeans_refuses_a_non_finite_point(value, row):
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    points[row, 0] = value
+    points[3, 1] = value  # only the first such row is named
+    with pytest.raises(ShapeError, match=f"point {row} is not finite"):
+        kmeans(points, 2, 0)
+
+
+def test_kmeans_refuses_points_that_are_not_rows():
+    with pytest.raises(ShapeError, match="2-D"):
+        kmeans(np.arange(4.0), 4, 0)
 
 
 # --- propagation ---

@@ -361,6 +361,32 @@ def test_run_wire_locally_rejects_bad_input_at_once(bad):
         assert threading.active_count() == n_threads
 
 
+@pytest.mark.parametrize("timeout", [-1, 0.0, float("nan")])
+@pytest.mark.parametrize("call", ["run_wire_locally", "serve_global", "run_sub_site"])
+def test_wire_calls_refuse_a_timeout_that_is_not_positive_and_finite(call, timeout, monkeypatch):
+    """Refused before any socket or thread exists; a listener passed in is closed."""
+    shards, net, cfg = small_setup(n_sites=2)
+
+    def no_socket(*_args, **_kwargs):
+        raise AssertionError("a socket was made")
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    n_threads = threading.active_count()
+    with pytest.raises(InvalidSpecError, match="timeout must be a positive finite number"):
+        if call == "run_wire_locally":
+            run_wire_locally(shards, net, cfg, timeout=timeout)
+        elif call == "serve_global":
+            serve_global(listener, net, cfg, timeout=timeout)
+        else:
+            run_sub_site("127.0.0.1", listener.getsockname()[1], 0, shards[0], cfg, timeout=timeout)
+    assert threading.active_count() == n_threads
+    if call == "serve_global":
+        assert listener.fileno() == -1
+    listener.close()
+
+
 def test_serve_global_bad_spec_closes_listeners():
     shards, net, cfg = small_setup(n_sites=2)
     net = net[:-1] + (replace(net[-1], activation="relu"),)
