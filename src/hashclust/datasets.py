@@ -225,6 +225,19 @@ def load_csv(path):
     for i, row in enumerate(rows):
         if len(row) != d + 1:
             raise ShapeError(f"{path}: row {i + 2} has {len(row)} fields, expected {d + 1}")
-        samples[i] = [float(v) for v in row[:d]]
-        labels[i] = int(row[-1])
+        try:
+            samples[i] = [float(v) for v in row[:d]]
+            labels[i] = int(row[-1])
+        except ValueError as exc:
+            raise ShapeError(f"{path}: row {i + 2} {_bad_field(header, row)}") from exc
     return samples, labels
+
+
+def _bad_field(header, row) -> str:
+    """The first field of a CSV row that is not a number, or for the label an integer."""
+    for name, text in zip(header, row):
+        try:
+            (int if name == "label" else float)(text)
+        except ValueError:
+            kind = "an integer" if name == "label" else "a number"
+            return f"field {name} is {text!r}, not {kind}"

@@ -351,8 +351,11 @@ def serialize_values(params: NetworkParams, values) -> bytearray:
     return serialize_params(NetworkParams(params.layers, np.asarray(values, dtype=np.float64)))
 
 
-def read_layer_header(data: bytes):
-    """The layer specs of a serialized blob, and the offset its values start at."""
+def read_blob(data, trailer: int = 0):
+    """A serialized blob's layer specs, and its values as a big-endian
+    float32 view of ``data``; ``trailer`` bytes follow the values (the
+    gradient frame's loss). The one parser of a blob's header and the one
+    check of its value section's length."""
     if len(data) < 4:
         raise ShapeError("truncated parameter blob")
     (n_layers,) = _LAYER_COUNT.unpack_from(data)
@@ -366,13 +369,14 @@ def read_layer_header(data: bytes):
         if tag not in _TAG_ACT:
             raise ShapeError(f"unknown activation tag {tag}")
         layers.append(LayerSpec(in_dim, out_dim, _TAG_ACT[tag]))
-    return tuple(layers), off
+    layers = tuple(layers)
+    n = param_count(layers)
+    size = len(data) - off - trailer
+    if size != 4 * n:
+        raise ShapeError(f"value section has {size} bytes, expected {4 * n}")
+    return layers, np.frombuffer(data, dtype=">f4", count=n, offset=off)
 
 
 def deserialize_params(data: bytes) -> NetworkParams:
-    layers, off = read_layer_header(data)
-    n = param_count(layers)
-    if len(data) - off != 4 * n:
-        raise ShapeError(f"value section has {len(data) - off} bytes, expected {4 * n}")
-    values = np.frombuffer(data, dtype=">f4", count=n, offset=off).astype(np.float64)
-    return NetworkParams(layers=layers, values=values)
+    layers, values = read_blob(data)
+    return NetworkParams(layers=layers, values=values.astype(np.float64))

@@ -79,6 +79,8 @@ class PipelineConfig:
             raise InvalidSpecError("clusters and code_length must be >= 1")
         if self.site is not None and self.connect is None:
             raise InvalidSpecError("'site' only makes sense together with 'connect'")
+        for endpoint in filter(None, (self.listen, self.connect)):
+            parse_endpoint(endpoint)
         check_timeout(self.timeout, "wire.timeout")
 
     def to_dict(self) -> dict:
@@ -95,6 +97,8 @@ _TOP_KEYS = {
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise InvalidSpecError(f"{where} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
@@ -164,8 +168,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def config_from_file(path) -> PipelineConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    """A file that cannot be read or parsed raises InvalidSpecError with the path and reason."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidSpecError(f"config file {path}: {exc}") from exc
+    return config_from_dict(raw)
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:
@@ -187,13 +196,7 @@ def _phase(name: str, timings: dict):
 
 def _load_dataset(cfg: PipelineConfig):
     if cfg.generate is not None:
-        spec = make_dataset_spec(
-            n_clusters=cfg.generate["n_clusters"],
-            ambient_dim=cfg.generate["ambient_dim"],
-            embed_dim=cfg.generate["embed_dim"],
-            samples_per_cluster=cfg.generate["samples_per_cluster"],
-            seed=derive_seed(cfg.seed, "data"),
-        )
+        spec = make_dataset_spec(**cfg.generate, seed=derive_seed(cfg.seed, "data"))
         samples, truth = gen_dataset(spec)
         return samples, truth, spec
     samples, truth = load_csv(cfg.csv)
@@ -332,10 +335,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
-    """Worker-side wire run: local shard only, no metrics."""
-    _shape, shards, tcfg = _shared_setup(cfg, timings)
+    """Worker-side wire run: local shard only, no metrics. The site index is
+    checked before any data loads."""
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
+    _shape, shards, tcfg = _shared_setup(cfg, timings)
     host, port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
         run_sub_site(host, port, cfg.site, shards[cfg.site], tcfg, timeout=cfg.timeout)

@@ -29,12 +29,12 @@ write two cube buffers in turn, allocated once per product and reused for
 every column of every call. That costs
 O(L * 2**L) per column against n**2 for the dense product, and is taken when
 it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
-under 5k vertices, too small for a basis of 3k columns to leave room for the
-rest of the spectrum, use a dense ``eigh`` of the Laplacian (SciPy's lobpcg
-draws the same line), which is also the fallback when LOBPCG does not
-converge; both build the dense weights, up to DENSE_SOLVER_MAX_VERTICES. The
-test suite checks the cut against an exhaustive minimizer of the
-volume-normalized Ncut on small graphs, the transform product against the
+under 5·k vertices (five times the cluster count), too small for a basis of
+3·k columns to leave room for the rest of the spectrum, use a dense ``eigh``
+of the Laplacian (SciPy's lobpcg draws the same line), which is also the
+fallback when LOBPCG does not converge; both build the dense weights, up to
+DENSE_SOLVER_MAX_VERTICES. The test suite checks the cut against an
+exhaustive minimizer of the volume-normalized Ncut on small graphs, the transform product against the
 dense one, and the LOBPCG eigenvectors against the dense ones.
 """
 
@@ -303,13 +303,14 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """Normalized-cut clustering via the spectral relaxation.
 
     ``graph`` is a CodeGraph or a dense square weight matrix. Takes the
-    eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG from 5k
-    vertices up, dense ``eigh`` below that or when LOBPCG does not converge),
-    row-normalizes the embedding (zero rows stay zero), and runs seeded
-    k-means (k-means++ starts, 10 restarts, 300 iteration cap). Vertices with
-    zero weighted degree go straight to cluster 0. A matrix-free CodeGraph is
-    made dense only for ``eigh``, which raises UnsupportedSizeError above
-    DENSE_SOLVER_MAX_VERTICES. Deterministic for a fixed seed.
+    eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG from 5·k
+    vertices up, five times the cluster count; dense ``eigh`` below that or
+    when LOBPCG does not converge), row-normalizes the embedding (zero rows
+    stay zero), and runs seeded k-means (k-means++ starts, 10 restarts, 300
+    iteration cap). Vertices with zero weighted degree go straight to cluster
+    0. A matrix-free CodeGraph is made dense only for ``eigh``, which raises
+    UnsupportedSizeError above DENSE_SOLVER_MAX_VERTICES. Deterministic for a
+    fixed seed.
     """
     w, product, deg = _operator(graph)
     n = deg.size

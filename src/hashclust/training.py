@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateHistoryWarning, InsufficientBatchError, InvalidSpecError, ShapeError
 from .loss import LossConfig, batch_loss
-from .network import NetworkParams, backward, forward, init_network, param_count
+from .network import NetworkParams, as_float32_grid, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
 
 
@@ -81,51 +81,29 @@ def local_round(shard, params: NetworkParams, cfg: TrainingConfig, round_index: 
     return backward(trace, grad_h), loss
 
 
-# float64 entries per merge block: a block of the sum and its float32 copy
-# stay in cache through the divide, scale, subtract and rounding
-_MERGE_BLOCK = 32768
-
-
 def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkParams:
     """Apply the average of the site gradients: new = old - lr * mean(grads).
 
-    Gradients arrive as float32 on the wire: there each is a big-endian
-    float32 view of its frame, added as it is; any other gradient (float64
-    in the simulation) is rounded to the float32 grid first. One float64
-    buffer, starting from +0.0, sums them in ascending site order. A block
-    at a time, it is then divided by the site count, scaled by the learning
-    rate, subtracted from the parameters and rounded to the float32 grid,
-    since the result is what gets broadcast. Each step is one IEEE operation
-    per entry, as in ``(values - lr * (sum / M))`` over whole arrays, so the
-    blocks change no bit.
+    A float32 gradient (on the wire, a big-endian view of its frame) is added
+    as it is, any other is rounded to float32 first, into a float64 sum from
+    +0.0 in site order. The sum is divided by the site count, scaled by lr,
+    subtracted from the parameters and rounded to the float32 grid that gets
+    broadcast: one IEEE operation per entry each, as ``values - lr * (sum / M)``.
     """
     grads = [np.asarray(g) for g in grads]
     if not grads:
         raise ShapeError("no gradients to merge")
     n = param_count(params)
+    total = np.zeros(n)
     for i, g in enumerate(grads):
         if g.shape != (n,):
             raise ShapeError(f"gradient {i} has shape {g.shape}, expected ({n},)")
-        if g.dtype.char != "f":
-            grads[i] = np.asarray(g, dtype=np.float64)
-    total = np.zeros(n)
-    grid = np.empty(min(n, _MERGE_BLOCK), dtype=np.float32)
-    for start in range(0, n, _MERGE_BLOCK):
-        block = total[start : start + _MERGE_BLOCK]
-        rounded = grid[: block.size]
-        for g in grads:
-            part = g[start : start + _MERGE_BLOCK]
-            if part.dtype.char != "f":
-                np.copyto(rounded, part, casting="same_kind")
-                part = rounded
-            # float32 widens to float64 exactly, so this adds the float32-grid value
-            block += part
-        block /= len(grads)
-        block *= learning_rate
-        np.subtract(params.values[start : start + _MERGE_BLOCK], block, out=block)
-        np.copyto(rounded, block, casting="same_kind")
-        np.copyto(block, rounded)
-    return NetworkParams(params.layers, total)
+        # float32 widens to float64 exactly, so this adds the float32-grid value
+        total += g if g.dtype.char == "f" else g.astype(np.float32)
+    total /= len(grads)
+    total *= learning_rate
+    np.subtract(params.values, total, out=total)
+    return NetworkParams(params.layers, as_float32_grid(total))
 
 
 def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):

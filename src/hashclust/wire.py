@@ -51,8 +51,7 @@ from .network import (
     NetworkParams,
     deserialize_params,
     init_network,
-    param_count,
-    read_layer_header,
+    read_blob,
     serialize_params,
     validate_spec,
     write_blob,
@@ -146,15 +145,10 @@ def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytearray:
 def _decode_gradient(payload, layers):
     """A gradient for the network of ``layers`` as a big-endian float32 view
     of ``payload``, and the site's batch loss."""
-    got, off = read_layer_header(payload)
+    got, grad = read_blob(payload, _LOSS_TRAILER.size)
     if got != layers:
         raise ShapeError(f"gradient layers {got} differ from the broadcast {layers}")
-    n = param_count(layers)
-    end = len(payload) - _LOSS_TRAILER.size
-    if end - off != 4 * n:
-        raise ShapeError(f"value section has {end - off} bytes, expected {4 * n}")
-    (loss,) = _LOSS_TRAILER.unpack_from(payload, end)
-    return np.frombuffer(payload, dtype=">f4", count=n, offset=off), loss
+    return grad, _LOSS_TRAILER.unpack_from(payload, len(payload) - _LOSS_TRAILER.size)[0]
 
 
 class TrafficMeter:
@@ -172,9 +166,9 @@ class TrafficMeter:
         self.frames[tag] += 1
         self.physical_bits += 8 * len(payload)
         if tag == TAG_PARAMS:
-            self.param_bits += 32 * param_count(read_layer_header(payload)[0])
+            self.param_bits += 32 * read_blob(payload)[1].size
         elif tag == TAG_GRADIENT:
-            self.gradient_bits += 32 * param_count(read_layer_header(payload)[0])
+            self.gradient_bits += 32 * read_blob(payload, _LOSS_TRAILER.size)[1].size
         elif tag == TAG_CODES:
             if len(payload) < 4:
                 raise ProtocolError("codes payload too short")
@@ -352,11 +346,11 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
 
 
 def parse_endpoint(text: str):
-    """Split "host:port" (port may be 0 for OS-assigned loopback testing)."""
+    """Split "host:port"; the port is a number in [0, 65535], 0 for an
+    OS-assigned loopback port (a resolver would wrap a larger one)."""
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise InvalidSpecError(f"endpoint must look like host:port, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise InvalidSpecError(f"bad port in endpoint {text!r}") from exc
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise InvalidSpecError(f"port of endpoint {text!r} is not a number in [0, 65535]")
+    return host, int(port)

@@ -1,7 +1,7 @@
 """The site step and the merge against their plain-array oracles, bit for bit.
 
 Each rewritten step (the pair-loss scatter, backward into one flat vector,
-the greedy batch selection, the blocked merge) is fuzzed against the code it
+the greedy batch selection, the one-pass merge) is fuzzed against the code it
 replaced, and the bucket grouping against a grouping by Python sets and dicts,
 all kept in ``tests/oracles.py``. Floats are compared as uint64 bit patterns,
 so a -0.0 where the oracle has +0.0 fails.
@@ -131,8 +131,8 @@ def big_endian_views(grads) -> list:
     return [np.frombuffer(bytearray(np.asarray(g).astype(">f4").tobytes()), dtype=">f4") for g in grads]
 
 
-# a 1 -> width tanh layer has 2 * width parameters: 2 to 100,000, across the
-# merge's block boundary
+# a 1 -> width tanh layer has 2 * width parameters: 2 to 100,000, up to near
+# the 135,696 of the wire benchmark's network
 @pytest.mark.parametrize("width", [1, 3, 16384, 16385, 50000])
 def test_merge_matches_the_separate_array_expressions(width):
     rng = np.random.default_rng(width)

@@ -250,6 +250,19 @@ def test_csv_rejects_bad_header(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("1.0,2.0,0\n1.0,abc,1\n", "row 3 field f1 is 'abc', not a number"),
+     ("1.0,2.0,1.5\n", "row 2 field label is '1.5', not an integer")],
+    ids=["feature", "label"],
+)
+def test_csv_names_the_field_that_does_not_parse(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,label\n" + rows)
+    with pytest.raises(ShapeError, match=message):
+        load_csv(path)
+
+
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n")

@@ -328,6 +328,14 @@ def test_run_pipeline_bad_csv_surfaces_as_pipeline_error(tmp_path):
         run_pipeline(cfg)
 
 
+def test_run_pipeline_csv_with_a_bad_field_surfaces_as_pipeline_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,abc,1\n")
+    cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
+    with pytest.raises(PipelineError, match="dataset: .*row 3 field f1 is 'abc'"):
+        run_pipeline(cfg)
+
+
 def test_codebook_above_dense_bound_surfaces_as_pipeline_error(monkeypatch):
     from hashclust import spectral
 
@@ -502,6 +510,60 @@ def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, valu
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ".".join(path) in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail the test if a run generates its dataset."""
+    def gen_dataset(spec):
+        raise AssertionError("the dataset was generated")
+    monkeypatch.setattr(pipeline, "gen_dataset", gen_dataset)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--connect", "127.0.0.1:70000", "--site", "0"], "'127.0.0.1:70000' is not a number in [0, 65535]"),
+     (["--listen", "127.0.0.1:99999"], "'127.0.0.1:99999' is not a number in [0, 65535]")],
+    ids=["connect", "listen"],
+)
+def test_cli_port_out_of_range_fails_before_data(tmp_path, capsys, no_data, flags, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw(mode="wire")))
+    assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_site_index_equal_to_sites_fails_before_data(tmp_path, capsys, no_data):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw(mode="wire", sites=2)))
+    flags = ["--connect", "127.0.0.1:1", "--site", "2"]
+    assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "index 2 outside [0, 2)" in err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "generate"])
+@pytest.mark.parametrize(
+    "name, text, reason",
+    [("missing.json", None, "No such file"), ("broken.json", '{"clusters": 3,', "Expecting")],
+    ids=["missing", "malformed"],
+)
+def test_cli_unreadable_config_file_returns_one(tmp_path, capsys, command, name, text, reason):
+    cfg_path = tmp_path / name
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg_path}: ") and reason in err
+
+
+@pytest.mark.parametrize("section, value", [(None, []), ("training", 5), ("network", []), ("wire", "x")])
+def test_config_section_that_is_not_an_object_is_refused(section, value):
+    raw = value if section is None else {**make_raw(), section: value}
+    where = section or "config"
+    with pytest.raises(InvalidSpecError, match=f"{where} must be a JSON object, got {type(value).__name__}"):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize("timeout", [0, -1])

@@ -533,6 +533,8 @@ def test_fault_fails_coordinator_and_sites_at_once(fault):
 def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert parse_endpoint("::1:80") == ("::1", 80)
+    assert parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
 
 
 def test_parse_endpoint_rejects_garbage():
@@ -542,3 +544,6 @@ def test_parse_endpoint_rejects_garbage():
         parse_endpoint("host:notaport")
     with pytest.raises(InvalidSpecError):
         parse_endpoint(":8000")
+    for port in ("-1", "+80", " 80", "٣", "65536", "70000", "99999"):
+        with pytest.raises(InvalidSpecError, match=r"not a number in \[0, 65535\]"):
+            parse_endpoint(f"127.0.0.1:{port}")
