@@ -12,8 +12,13 @@ one weighted ``np.bincount`` per coordinate: each adds a centre's points in
 index order, as the mean of its rows does, so the centres are bit for bit
 those means. The per-cluster mean of the masked rows stays for d = 1, where
 numpy sums the one column pairwise, and for a step that empties a cluster,
-whose re-seeding moves a point between the means. Points that are not a
-2-D array of finite numbers raise ShapeError.
+whose re-seeding moves a point between the means. The k-means++ seeding
+takes its distances from one (d, n) copy of the points, adding the squared
+coordinates one column after another: for d < 8 that is bit for bit the
+row sum ``((points - c) ** 2).sum(axis=1)``, which numpy adds left to right
+below 8 entries; from 8 up numpy adds pairwise and the two may differ in the
+last bit. Points that are not a 2-D array of finite numbers raise
+ShapeError.
 """
 
 from __future__ import annotations
@@ -26,11 +31,17 @@ N_RESTARTS = 10
 MAX_ITER = 300
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _squared_distances(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """||p - center||**2 for every point, from the points' (d, n) columns."""
+    return np.add.reduce(np.square(columns - center[:, None]), axis=0)
+
+
+def _plusplus_init(columns: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ starts drawn from the points' (d, n) columns; (k, d) centres."""
+    d, n = columns.shape
+    centers = np.empty((k, d))
+    centers[0] = columns[:, int(rng.integers(n))]
+    d2 = _squared_distances(columns, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -38,8 +49,8 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             idx = int(rng.choice(n, p=probs))
         else:
             idx = int(rng.integers(n))
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        centers[c] = columns[:, idx]
+        np.minimum(d2, _squared_distances(columns, centers[c]), out=d2)
     return centers
 
 
@@ -123,9 +134,10 @@ def kmeans(points, k: int, seed):
     if k == n:
         return np.arange(n), 0.0
     rng = np.random.default_rng(seed)
+    columns = np.ascontiguousarray(points.T)
     best_labels, best_inertia = None, np.inf
     for _ in range(N_RESTARTS):
-        centers = _plusplus_init(points, k, rng)
+        centers = _plusplus_init(columns, k, rng)
         labels, inertia = _lloyd(points, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia

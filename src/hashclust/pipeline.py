@@ -194,6 +194,18 @@ def _phase(name: str, timings: dict):
         timings[name] = time.perf_counter() - start
 
 
+def _output_dir(out) -> Path:
+    """``out`` as a directory path; a file there or in its way raises
+    PipelineError, so that a run can refuse it before any data loads."""
+    path = Path(out)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise PipelineError(f"out: {existing} is a file, not a directory")
+            break
+    return path
+
+
 def _load_dataset(cfg: PipelineConfig):
     if cfg.generate is not None:
         spec = make_dataset_spec(**cfg.generate, seed=derive_seed(cfg.seed, "data"))
@@ -209,14 +221,14 @@ def run_generate(cfg: PipelineConfig):
         raise PipelineError("generate: config has no dataset.generate section")
     if cfg.out is None:
         raise PipelineError("generate: config needs 'out' (or the --out flag)")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg.out)
     timings: dict = {}
     with _phase("dataset", timings):
         samples, truth, spec = _load_dataset(cfg)
     csv_path = out_dir / "dataset.csv"
     manifest_path = out_dir / "manifest.json"
     with _phase("write", timings):
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_csv(csv_path, samples, truth)
         manifest = {
             "name": cfg.name,
@@ -257,6 +269,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     if cfg.mode == "wire" and cfg.site is not None:
         return _run_wire_site(cfg, timings)
 
+    out_dir = None if cfg.out is None else _output_dir(cfg.out)
     (n, dim), shards, tcfg = _shared_setup(cfg, timings)
     hidden = cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim)
     net_spec = mlp_spec(dim, hidden, cfg.code_length)
@@ -327,10 +340,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "config": cfg.to_dict(),
         }
 
-    if cfg.out is not None:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "results.json").write_text(json.dumps(results, indent=2) + "\n")
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "results.json").write_text(json.dumps(results, indent=2) + "\n")
+        except OSError as exc:
+            raise PipelineError(f"write: {exc}") from exc
     return results
 
 

@@ -20,7 +20,11 @@ W @ X and keeps its blocks orthogonal to the known one. Each iteration
 applies W to the k - 1 new residual directions alone: the previous step's
 directions P and W @ P
 are combinations of the basis and its W-image, made orthonormal in Ritz
-coordinates (Hetmaniuk & Lehoucq, J. Comput. Phys. 2006). A weight is a
+coordinates (Hetmaniuk & Lehoucq, J. Comput. Phys. 2006). The residuals
+are projected out of [v1, X, P] twice and made orthonormal by a thin QR of
+their k - 1 columns, then projected and factored once more; no QR of the
+tall basis runs, and the blocks live in column slices of two pairs of
+arrays that the iterations write in turn. A weight is a
 function of c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto
 the 2**L code cube, a Walsh-Hadamard transform, a multiply by the
 transformed kernel, the transform again, a gather at the codes; a code's cube
@@ -244,6 +248,21 @@ def normalized_laplacian(graph) -> np.ndarray:
     return (lap + lap.T) / 2.0
 
 
+def _orthonormal_complement(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning r's part orthogonal to the orthonormal v.
+
+    Block Gram-Schmidt twice, then the thin QR of r's columns, then once more
+    both: twice is enough (Giraud, Langou & Rozložník, Comput. Math. Appl.
+    2005). The last pass keeps the columns orthogonal to v where a column of r
+    is zero or lies in span(v), whose QR column is then a unit vector the QR
+    picked, not yet orthogonal to v.
+    """
+    for _ in range(2):
+        r = r - v @ (v.T @ r)
+    q = np.linalg.qr(r)[0]
+    return np.linalg.qr(q - v @ (v.T @ q))[0]
+
+
 def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     """The k largest eigenvectors of M = D^{-1/2} W D^{-1/2}, or None.
 
@@ -257,10 +276,14 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     residuals. X and P are combinations of the basis with orthonormal Ritz
     coordinates, so they and their M-images come from the basis and its
     M-image without a product. The residuals are made orthonormal to v1, X
-    and P by a Householder QR, which stays orthonormal to rounding as they
-    shrink (a Cholesky of their Gram matrix would break down). M is applied
-    as scale, ``product`` (X -> W @ X), scale, only to those k - 1 new
-    columns per iteration; the Laplacian is never formed. The start block is
+    and P by ``_orthonormal_complement``: block Gram-Schmidt twice and the
+    thin Householder QR of their k - 1 columns, then both once more. The
+    QR stays orthonormal to rounding as the residuals shrink (a Cholesky of
+    their Gram matrix would break down). M is applied as scale, ``product``
+    (X -> W @ X), scale, only to those k - 1 new columns per iteration; the
+    Laplacian is never formed. [v1, X, P, R] and their M-images are column
+    slices of two pairs of column-major arrays that the iterations write in
+    turn, so no block is copied to join them. The start block is
     drawn from a fixed-seed generator, so the result depends on the graph
     alone. Returns None when LOBPCG_MAX_ITER iterations do not reach
     LOBPCG_TOLERANCE.
@@ -272,30 +295,41 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     if k == 1:
         return top
 
-    def apply(x):
-        return inv_sqrt[:, None] * product(inv_sqrt[:, None] * x)
+    def apply(x, out):
+        np.multiply(inv_sqrt[:, None], product(inv_sqrt[:, None] * x), out=out)
 
     m = k - 1
-    start = np.random.default_rng(0).standard_normal((inv_sqrt.size, m))
-    x = np.linalg.qr(np.hstack([top, start]))[0][:, 1:]
-    basis, mbasis = x, apply(x)
+    n = inv_sqrt.size
+    # [v1, X, P, R] and their M-images (column 0 unused), column-major so
+    # that every block is a contiguous column slice; an iteration reads one
+    # pair of arrays and writes the other
+    (vectors, images), spare = [[np.empty((n, 1 + 3 * m), order="F") for _ in range(2)] for _ in range(2)]
+    vectors[:, 0] = spare[0][:, 0] = top[:, 0]
+    start = np.random.default_rng(0).standard_normal((n, m))
+    vectors[:, 1:k] = np.linalg.qr(np.hstack([top, start]))[0][:, 1:]
+    apply(vectors[:, 1:k], images[:, 1:k])
+    width = m
     for _ in range(LOBPCG_MAX_ITER):
+        basis, mbasis = vectors[:, 1 : 1 + width], images[:, 1 : 1 + width]
         g = basis.T @ mbasis
         vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
         vals, c = vals[::-1][:m], vecs[:, ::-1][:, :m]
-        x, mx = basis @ c, mbasis @ c
-        r = mx - x * vals
-        if np.linalg.norm(r, axis=0).max() <= LOBPCG_TOLERANCE:
-            return np.hstack([top, x])
         # P is the step from the old block, c without its X rows, made
         # orthonormal to c in Ritz coordinates; empty on the first iteration,
         # where the reduced QR of the m x 2m coordinates has only m columns.
         step = c.copy()
         step[:m] = 0.0
-        pc = np.linalg.qr(np.hstack([c, step]))[0][:, m:]
-        p, mp = basis @ pc, mbasis @ pc
-        q = np.linalg.qr(np.hstack([top, x, p, r]))[0][:, k + pc.shape[1] :]
-        basis, mbasis = np.hstack([x, p, q]), np.hstack([mx, mp, apply(q)])
+        coords = np.hstack([c, np.linalg.qr(np.hstack([c, step]))[0][:, m:]])
+        (vectors, images), spare = spare, (vectors, images)
+        kept = 1 + coords.shape[1]  # v1, X and P
+        np.matmul(basis, coords, out=vectors[:, 1:kept])
+        np.matmul(mbasis, coords, out=images[:, 1:kept])
+        r = images[:, 1:k] - vectors[:, 1:k] * vals
+        if np.linalg.norm(r, axis=0).max() <= LOBPCG_TOLERANCE:
+            return np.ascontiguousarray(vectors[:, :k])
+        vectors[:, kept : kept + m] = _orthonormal_complement(r, vectors[:, :kept])
+        apply(vectors[:, kept : kept + m], images[:, kept : kept + m])
+        width = kept - 1 + m
     return None
 
 

@@ -159,6 +159,28 @@ def dense_spectral_labels(graph, k: int, seed) -> np.ndarray:
     return labels
 
 
+def plusplus_init_rows(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ starts from the rows of ``points``, each distance a row sum.
+
+    The reference for ``kmeans._plusplus_init``, which takes the same draws
+    from the points' (d, n) columns.
+    """
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = int(rng.choice(n, p=probs))
+        else:
+            idx = int(rng.integers(n))
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
 def direct_lloyd(points: np.ndarray, centers: np.ndarray):
     """Lloyd iterations from every point-centre distance ||p - c||**2 itself.
 

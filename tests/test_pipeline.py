@@ -544,6 +544,20 @@ def test_cli_site_index_equal_to_sites_fails_before_data(tmp_path, capsys, no_da
 
 
 @pytest.mark.parametrize("command", ["pipeline", "generate"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_cli_out_that_names_a_file_fails_before_data(tmp_path, capsys, no_data, command, below):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw()))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if below else taken
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out: {taken} is a file, not a directory\n"
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "generate"])
 @pytest.mark.parametrize(
     "name, text, reason",
     [("missing.json", None, "No such file"), ("broken.json", '{"clusters": 3,', "Expecting")],

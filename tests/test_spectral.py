@@ -42,6 +42,7 @@ from oracles import (
     ncut_value,
     planted_codebook,
     planted_two_cluster,
+    plusplus_init_rows,
     transform_product_reference,
 )
 
@@ -437,6 +438,23 @@ def test_lobpcg_on_clusterless_codes_is_orthonormal_with_small_fresh_residuals(s
     assert np.linalg.norm(m_emb - emb * ritz, axis=0).max() <= spectral.LOBPCG_TOLERANCE
 
 
+def test_orthonormal_complement_of_a_zero_residual_and_one_inside_the_span():
+    rng = np.random.default_rng(18)
+    n, m = 200, 3
+    # [v1, X, P]: 1 + m + m orthonormal columns
+    v = np.linalg.qr(rng.standard_normal((n, 1 + 2 * m)))[0]
+    r = rng.standard_normal((n, m))
+    r[:, 0] = 0.0
+    r[:, 2] = v @ rng.standard_normal(1 + 2 * m)
+    q = spectral._orthonormal_complement(r, v)
+    assert q.shape == (n, m)
+    assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-12
+    assert np.abs(v.T @ q).max() <= 1e-12
+    # the one column outside span(v) is spanned by q
+    outside = r[:, 1] - v @ (v.T @ r[:, 1])
+    assert np.linalg.norm(outside - q @ (q.T @ outside)) <= 1e-12 * np.linalg.norm(outside)
+
+
 def _random_graph(length):
     """Up to 300 distinct random L-bit codes with degrees up to 1e6."""
     rng = np.random.default_rng(length)
@@ -604,6 +622,48 @@ def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypa
     emb = emb / np.linalg.norm(emb, axis=1)[:, None]
     for seed in range(5):
         (labels, inertia), (expect_labels, expect_inertia) = _kmeans_pair(emb, 4, seed, monkeypatch)
+        assert np.array_equal(labels, expect_labels)
+        assert inertia == expect_inertia
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_kmeans_equals_the_row_sum_plusplus_seeding_bitwise(d, monkeypatch):
+    rng = np.random.default_rng(100 + d)
+    # the seeding is under test; Lloyd runs alike in both arms, and its cap
+    # keeps the cases of few distinct points, re-seeded every step, short
+    monkeypatch.setattr(kmeans_module, "MAX_ITER", 20)
+
+    def row_form(columns, k, rng):
+        return plusplus_init_rows(np.ascontiguousarray(columns.T), k, rng)
+
+    for case in range(40):
+        n = int(rng.integers(3, 401))
+        k = min(int(rng.integers(1, 9)), n)
+        kind = case % 4
+        if kind == 0:
+            points = rng.integers(0, 3, size=(n, d)).astype(float)  # exact ties
+        elif kind == 3:
+            # zero rows and one other point: the seeding runs out of distance
+            points = np.zeros((n, d))
+            points[rng.random(n) < 0.5] = rng.standard_normal(d)
+        else:
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            if kind == 2:
+                points[rng.random(n) < 0.2] = 0.0
+        columns = np.ascontiguousarray(points.T)
+        for center in points[rng.integers(0, n, size=3)]:
+            assert np.array_equal(
+                kmeans_module._squared_distances(columns, center), ((points - center) ** 2).sum(axis=1)
+            )
+        seed = int(rng.integers(2 ** 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers = kmeans_module._plusplus_init(columns, k, a)
+        assert np.array_equal(centers, plusplus_init_rows(points, k, b))
+        assert a.bit_generator.state == b.bit_generator.state
+        labels, inertia = kmeans(points, k, seed)
+        with monkeypatch.context() as m:
+            m.setattr(kmeans_module, "_plusplus_init", row_form)
+            expect_labels, expect_inertia = kmeans(points, k, seed)
         assert np.array_equal(labels, expect_labels)
         assert inertia == expect_inertia
 
