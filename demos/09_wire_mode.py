@@ -49,4 +49,4 @@ print(f"measured gradient bits:  {meter.gradient_bits} (formula: {32 * n * 4 * 2
 print(f"measured code bits:      {meter.code_bits}")
 print(f"\nformula traffic: {meter.paper_bits} bits")
 print(f"physical payload: {meter.physical_bits} bits "
-      "(layer tables, code padding and loss telemetry ride on top)")
+      "(code padding, loss telemetry and the hellos ride on top)")

@@ -15,7 +15,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import InvalidSpecError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
-_ACT_TAG = {"relu": 0, "tanh": 1}
-_TAG_ACT = {v: k for k, v in _ACT_TAG.items()}
 
 
 @dataclass(frozen=True)
@@ -315,68 +312,42 @@ def packed_rows(words, length: int) -> np.ndarray:
     return words.astype(">u8").view(np.uint8)[:, : (length + 7) // 8]
 
 
-# Parameter wire format: 4-byte big-endian layer count, then per layer
-# input_dim (4 bytes BE), output_dim (4 bytes BE), activation tag (1 byte),
-# then all values as consecutive 32-bit IEEE-754 big-endian reals. The cost
-# ledger counts the values section only (32 bits per parameter); the header
-# is physical overhead.
-
-_LAYER_COUNT = struct.Struct(">I")
-_LAYER_HEADER = struct.Struct(">IIB")
+# Parameter wire format: the values as consecutive 32-bit IEEE-754
+# big-endian reals, nothing else. Coordinator and sites agree the layers once,
+# in the hello (wire.config_digest), so a blob's length is its only check.
+# The cost ledger counts these 32 bits per parameter; a gradient frame's loss
+# trailer is physical overhead.
 
 
-def write_blob(layers, values, trailer: bytes = b"") -> bytearray:
-    """One buffer, written in place: the layer header, ``values`` as
-    big-endian float32, then ``trailer`` (the gradient frame's loss)."""
-    off = _LAYER_COUNT.size + _LAYER_HEADER.size * len(layers)
+def write_blob(values, trailer: bytes = b"") -> bytearray:
+    """One buffer, written in place: ``values`` as big-endian float32, then
+    ``trailer`` (the gradient frame's loss)."""
     n = len(values)
-    blob = bytearray(off + 4 * n + len(trailer))
-    _LAYER_COUNT.pack_into(blob, 0, len(layers))
-    for i, l in enumerate(layers):
-        _LAYER_HEADER.pack_into(
-            blob, _LAYER_COUNT.size + _LAYER_HEADER.size * i,
-            l.input_dim, l.output_dim, _ACT_TAG[l.activation],
-        )
-    np.frombuffer(blob, dtype=">f4", count=n, offset=off)[:] = values
-    blob[off + 4 * n :] = trailer
+    blob = bytearray(4 * n + len(trailer))
+    np.frombuffer(blob, dtype=">f4", count=n)[:] = values
+    blob[4 * n :] = trailer
     return blob
 
 
 def serialize_params(params: NetworkParams) -> bytearray:
-    return write_blob(params.layers, params.values)
+    return write_blob(params.values)
 
 
 def serialize_values(params: NetworkParams, values) -> bytearray:
-    """Serialize an arbitrary flat vector (e.g. a gradient) with the layer header."""
+    """Serialize an arbitrary flat vector (e.g. a gradient) of ``params``' length."""
     return serialize_params(NetworkParams(params.layers, np.asarray(values, dtype=np.float64)))
 
 
-def read_blob(data, trailer: int = 0):
-    """A serialized blob's layer specs, and its values as a big-endian
-    float32 view of ``data``; ``trailer`` bytes follow the values (the
-    gradient frame's loss). The one parser of a blob's header and the one
-    check of its value section's length."""
-    if len(data) < 4:
-        raise ShapeError("truncated parameter blob")
-    (n_layers,) = _LAYER_COUNT.unpack_from(data)
-    off = _LAYER_COUNT.size
-    layers = []
-    for _ in range(n_layers):
-        if off + _LAYER_HEADER.size > len(data):
-            raise ShapeError("truncated layer header")
-        in_dim, out_dim, tag = _LAYER_HEADER.unpack_from(data, off)
-        off += _LAYER_HEADER.size
-        if tag not in _TAG_ACT:
-            raise ShapeError(f"unknown activation tag {tag}")
-        layers.append(LayerSpec(in_dim, out_dim, _TAG_ACT[tag]))
-    layers = tuple(layers)
-    n = param_count(layers)
-    size = len(data) - off - trailer
+def read_blob(data, n: int, trailer: int = 0) -> np.ndarray:
+    """The ``n`` values of a serialized blob as a big-endian float32 view of
+    ``data``; ``trailer`` bytes follow them (the gradient frame's loss). The
+    one check of a blob's length."""
+    size = len(data) - trailer
     if size != 4 * n:
         raise ShapeError(f"value section has {size} bytes, expected {4 * n}")
-    return layers, np.frombuffer(data, dtype=">f4", count=n, offset=off)
+    return np.frombuffer(data, dtype=">f4", count=n)
 
 
-def deserialize_params(data: bytes) -> NetworkParams:
-    layers, values = read_blob(data)
-    return NetworkParams(layers=layers, values=values.astype(np.float64))
+def deserialize_params(data, layers) -> NetworkParams:
+    """The parameters of the network of ``layers`` from their serialized values."""
+    return NetworkParams(layers, read_blob(data, param_count(layers)).astype(np.float64))

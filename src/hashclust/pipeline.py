@@ -77,8 +77,14 @@ class PipelineConfig:
             raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {self.mode!r}")
         if self.clusters < 1 or self.code_length < 1:
             raise InvalidSpecError("clusters and code_length must be >= 1")
-        if self.site is not None and self.connect is None:
-            raise InvalidSpecError("'site' only makes sense together with 'connect'")
+        if (self.site is None) != (self.connect is None):
+            raise InvalidSpecError("'site' and 'connect' only make sense together: a site dials the coordinator")
+        # refused here, before any data loads; sites and min_per_site are left
+        # to the shard phase, so one site stands in for them
+        if any(width < 1 for width in self.hidden_dims or ()):
+            raise InvalidSpecError(f"network.hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
+        TrainingConfig(self.rounds, 1, self.batch_size, self.learning_rate,
+                       LossConfig(self.distance_scale, self.temperature))
         for endpoint in filter(None, (self.listen, self.connect)):
             parse_endpoint(endpoint)
         check_timeout(self.timeout, "wire.timeout")
@@ -245,13 +251,16 @@ def run_generate(cfg: PipelineConfig):
 
 
 def _shared_setup(cfg: PipelineConfig, timings: dict):
-    """What coordinator and sites derive alike: ((n, dim), shards, TrainingConfig)."""
+    """What coordinator and sites derive alike: (n, shards, network spec,
+    TrainingConfig). The wire hello compares the last two."""
     with _phase("dataset", timings):
         samples, truth, _spec = _load_dataset(cfg)
     with _phase("shard", timings):
         shards = shard_dataset(
             samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")
         )
+    n, dim = samples.shape
+    net_spec = mlp_spec(dim, cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim), cfg.code_length)
     tcfg = TrainingConfig(
         n_rounds=cfg.rounds,
         n_sites=cfg.sites,
@@ -260,7 +269,7 @@ def _shared_setup(cfg: PipelineConfig, timings: dict):
         loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
         seed=derive_seed(cfg.seed, "train"),
     )
-    return samples.shape, shards, tcfg
+    return n, shards, net_spec, tcfg
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -270,9 +279,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         return _run_wire_site(cfg, timings)
 
     out_dir = None if cfg.out is None else _output_dir(cfg.out)
-    (n, dim), shards, tcfg = _shared_setup(cfg, timings)
-    hidden = cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim)
-    net_spec = mlp_spec(dim, hidden, cfg.code_length)
+    n, shards, net_spec, tcfg = _shared_setup(cfg, timings)
 
     meter = None
     wire_books = None
@@ -325,7 +332,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "mode": cfg.mode,
             "seed": cfg.seed,
             "n_samples": int(n),
-            "n_features": int(dim),
+            "n_features": net_spec[0].input_dim,
             "sites": cfg.sites,
             "code_length": cfg.code_length,
             "clusters": cfg.clusters,
@@ -354,10 +361,10 @@ def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     checked before any data loads."""
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
-    _shape, shards, tcfg = _shared_setup(cfg, timings)
+    _n, shards, net_spec, tcfg = _shared_setup(cfg, timings)
     host, port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
-        run_sub_site(host, port, cfg.site, shards[cfg.site], tcfg, timeout=cfg.timeout)
+        run_sub_site(host, port, cfg.site, shards[cfg.site], net_spec, tcfg, timeout=cfg.timeout)
     return {"name": cfg.name, "mode": "wire", "role": "site", "site": cfg.site, "timings": timings}
 
 
@@ -390,5 +397,8 @@ def run_report(result_paths, out_path=None):
         header = ["dataset", "seed", "mode", "purity", "nmi", "total_bits", "megabytes"]
         lines = [",".join(header)]
         lines += [",".join(str(r[k]) for k in header) for r in rows]
-        Path(out_path).write_text("\n".join(lines) + "\n")
+        try:
+            Path(out_path).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise PipelineError(f"report: {out_path}: {exc}") from exc
     return rows

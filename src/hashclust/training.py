@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateHistoryWarning, InsufficientBatchError, InvalidSpecError, ShapeError
 from .loss import LossConfig, batch_loss
-from .network import NetworkParams, as_float32_grid, backward, forward, init_network, param_count
+from .network import NetworkParams, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
 
 
@@ -103,7 +103,8 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
     total /= len(grads)
     total *= learning_rate
     np.subtract(params.values, total, out=total)
-    return NetworkParams(params.layers, as_float32_grid(total))
+    total[...] = total.astype(np.float32)
+    return NetworkParams(params.layers, total)
 
 
 def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):

@@ -2,29 +2,33 @@
 
 Frame layout: 1-byte tag, 4-byte big-endian payload length, payload.
 Tags: 0x01 parameter broadcast, 0x02 gradient push, 0x03 codes push,
-0x04 done, 0x05 hello. Parameter and gradient payloads use the
-self-describing network serialization; a gradient payload carries the
-site's mean batch loss as an 8-byte big-endian float trailer (telemetry for
-the convergence series; it counts as physical overhead, like the layer
-header, never as formula bits).
+0x04 done, 0x05 hello. A parameter or gradient payload holds the flat value
+vector as big-endian float32 and nothing else (network.write_blob); a
+gradient payload adds the site's mean batch loss as an 8-byte big-endian
+float trailer (telemetry for the convergence series; it counts as physical
+overhead, never as formula bits).
 
 Each payload is copied once on either side. A sender writes it into one
-buffer (a gradient's header, values and trailer alike) and hands that
-buffer and the 5-byte header to sendmsg together; a partial send resumes
-where it stopped, so the two are never joined. A receiver reads the header,
-then receives the payload into a new bytearray of exactly its length.
+buffer (a gradient's values and trailer alike) and hands that buffer and
+the 5-byte header to sendmsg together; a partial send resumes where it
+stopped, so the two are never joined. A receiver reads the header, then
+receives the payload into a new bytearray of exactly its length.
 Every frame owns its buffer, so a decoded gradient, a big-endian float32
 view of its frame merged as it is, stays valid whatever frames follow; a
 decoded codebook copies its codes and degrees out of its frame.
 
 The coordinator listens on one port. A site's first frame is its hello: a
 4-byte big-endian site index and the SHA-256 digest of its TrainingConfig
-repr. The coordinator orders the connections by index and fails at once on
-a malformed hello, an index outside [0, n_sites), an index already taken or
-a digest unlike its own, so a mismatched site can neither diverge silently
-nor wait out its timeout. The rounds run through training.run_rounds, the
-loop the in-process simulation runs, which merges the gradients in site
-order, so the two modes stay bit-identical.
+and layer specs, which coordinator and sites derive alike from one config
+and their data; the network is agreed there once, so a parameter or
+gradient frame is checked by its length alone. The coordinator orders the
+connections by index and fails at once on a malformed hello, an index
+outside [0, n_sites), an index already taken or a digest unlike its own
+(another config, data width, hidden widths or code length), so a
+mismatched site can neither diverge silently nor wait out its timeout. The
+rounds run through training.run_rounds, the loop the in-process simulation
+runs, which merges the gradients in site order, so the two modes stay
+bit-identical.
 
 Every byte crosses the coordinator, so a single TrafficMeter there observes
 all traffic. Per frame it accrues two counters: "paper" bits (32 per
@@ -129,32 +133,32 @@ def expect_frame(sock, want_tag: int) -> bytes:
     return payload
 
 
-def config_digest(cfg: TrainingConfig) -> bytes:
-    """SHA-256 of the config repr, which names every round, batch and seed setting."""
-    return hashlib.sha256(repr(cfg).encode()).digest()
+def config_digest(cfg: TrainingConfig, spec) -> bytes:
+    """SHA-256 of the config and layer specs' repr, which names every round,
+    batch and seed setting and every layer's widths and activation."""
+    return hashlib.sha256(repr((cfg, tuple(spec))).encode()).digest()
 
 
 def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytearray:
-    """The gradient payload, header, values and loss trailer, in one buffer."""
+    """The gradient payload, values and loss trailer, in one buffer."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape:
         raise ShapeError(f"gradient has shape {grad.shape}, expected {params.values.shape}")
-    return write_blob(params.layers, grad, _LOSS_TRAILER.pack(loss))
+    return write_blob(grad, _LOSS_TRAILER.pack(loss))
 
 
-def _decode_gradient(payload, layers):
-    """A gradient for the network of ``layers`` as a big-endian float32 view
-    of ``payload``, and the site's batch loss."""
-    got, grad = read_blob(payload, _LOSS_TRAILER.size)
-    if got != layers:
-        raise ShapeError(f"gradient layers {got} differ from the broadcast {layers}")
-    return grad, _LOSS_TRAILER.unpack_from(payload, len(payload) - _LOSS_TRAILER.size)[0]
+def _decode_gradient(payload, n: int):
+    """A gradient of ``n`` values as a big-endian float32 view of
+    ``payload``, and the site's batch loss."""
+    return read_blob(payload, n, _LOSS_TRAILER.size), _LOSS_TRAILER.unpack_from(payload, 4 * n)[0]
 
 
 class TrafficMeter:
-    """Byte/bit accounting for one protocol run, split paper vs physical."""
+    """Byte/bit accounting for one protocol run, split paper vs physical;
+    parameter and gradient frames must hold ``n_params`` values."""
 
-    def __init__(self, code_length: int):
+    def __init__(self, n_params: int, code_length: int):
+        self.n_params = n_params
         self.code_length = code_length
         self.param_bits = 0
         self.gradient_bits = 0
@@ -166,9 +170,9 @@ class TrafficMeter:
         self.frames[tag] += 1
         self.physical_bits += 8 * len(payload)
         if tag == TAG_PARAMS:
-            self.param_bits += 32 * read_blob(payload)[1].size
+            self.param_bits += 32 * read_blob(payload, self.n_params).size
         elif tag == TAG_GRADIENT:
-            self.gradient_bits += 32 * read_blob(payload, _LOSS_TRAILER.size)[1].size
+            self.gradient_bits += 32 * read_blob(payload, self.n_params, _LOSS_TRAILER.size).size
         elif tag == TAG_CODES:
             if len(payload) < 4:
                 raise ProtocolError("codes payload too short")
@@ -199,7 +203,7 @@ def _hello_site(payload: bytes, conns, digest: bytes) -> int:
     if conns[site] is not None:
         raise ProtocolError(f"site {site} connected twice")
     if their_digest != digest:
-        raise ProtocolError(f"site {site} runs another training config than the coordinator")
+        raise ProtocolError(f"site {site} runs another training config or network than the coordinator")
     return site
 
 
@@ -237,13 +241,14 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
 
     def exchange(params, _round):
         broadcast(TAG_PARAMS, serialize_params(params))
-        gradients = collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload, params.layers))
+        gradients = collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload, meter.n_params))
         return zip(*gradients)
 
     try:
         check_timeout(timeout)
         params = init_network(spec, cfg.seed)
-        meter = TrafficMeter(params.code_length)
+        meter = TrafficMeter(params.values.size, params.code_length)
+        digest = config_digest(cfg, params.layers)
         listener.settimeout(timeout)
         for _ in range(cfg.n_sites):
             conn, _addr = listener.accept()
@@ -251,7 +256,7 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
             conn.settimeout(timeout)
             payload = expect_frame(conn, TAG_HELLO)
             meter.record(TAG_HELLO, payload)
-            conns[_hello_site(payload, conns, config_digest(cfg))] = conn
+            conns[_hello_site(payload, conns, digest)] = conn
         params, history = run_rounds(params, cfg, exchange)
         broadcast(TAG_PARAMS, serialize_params(params))
         books = collect(
@@ -279,24 +284,25 @@ def _dial(host: str, port: int, timeout: float):
             time.sleep(0.05)
 
 
-def run_sub_site(host: str, port: int, site: int, shard, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT):
+def run_sub_site(host: str, port: int, site: int, shard, spec, cfg: TrainingConfig, timeout: float = DEFAULT_TIMEOUT):
     """Worker side: one site's whole protocol life, hello to done.
 
-    The site names itself and its config digest in its hello, then learns
-    the network shape from the broadcast itself; only the round count, batch
-    policy and seeds come from its local config. A timeout that is not a
-    positive finite number raises InvalidSpecError before the site dials.
+    The site names itself and the digest of its config and network ``spec``
+    in its hello; a coordinator with another config or network refuses it
+    there. Every broadcast then holds the values of that network. A bad
+    spec or a timeout that is not a positive finite number raises
+    InvalidSpecError before the site dials.
     """
+    spec = validate_spec(spec)
     check_timeout(timeout)
     with _dial(host, port, timeout) as sock:
         sock.settimeout(timeout)
-        send_frame(sock, TAG_HELLO, _HELLO.pack(site, config_digest(cfg)))
-        params = None
+        send_frame(sock, TAG_HELLO, _HELLO.pack(site, config_digest(cfg, spec)))
         for r in range(cfg.n_rounds):
-            params = deserialize_params(expect_frame(sock, TAG_PARAMS))
+            params = deserialize_params(expect_frame(sock, TAG_PARAMS), spec)
             grad, loss = local_round(shard, params, cfg, round_index=r)
             send_frame(sock, TAG_GRADIENT, _encode_gradient(params, grad, loss))
-        params = deserialize_params(expect_frame(sock, TAG_PARAMS))
+        params = deserialize_params(expect_frame(sock, TAG_PARAMS), spec)
         book, _ = encode_shard(params, shard, origin="site")
         send_frame(sock, TAG_CODES, encode_codes_payload(book))
         expect_frame(sock, TAG_DONE)
@@ -324,7 +330,7 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
 
     def site_main(site, shard):
         try:
-            run_sub_site(host, port, site, shard, cfg, timeout=timeout)
+            run_sub_site(host, port, site, shard, spec, cfg, timeout=timeout)
         except Exception as exc:  # noqa: BLE001 - reported after join
             failures.append(exc)
 

@@ -332,18 +332,18 @@ def test_code_words_xor_popcount_is_hamming_and_rows_order_as_bytes(length):
 
 def test_serialize_roundtrip():
     params = tiny_params(seed=11, dims=(4, 5, 3))
-    back = deserialize_params(serialize_params(params))
+    back = deserialize_params(serialize_params(params), params.layers)
     assert back.layers == params.layers
     assert np.array_equal(back.values, params.values)
-    # the layer table is overhead; the values are 32-bit reals
-    header = 4 + 9 * len(params.layers)
-    assert len(serialize_params(params)) == header + 4 * param_count(params)
+    # the values as 32-bit reals and nothing else: the layers are agreed beforehand
+    assert len(serialize_params(params)) == 4 * param_count(params)
 
 
 def test_serialize_rejects_truncated():
-    blob = serialize_params(tiny_params())
-    with pytest.raises(ShapeError):
-        deserialize_params(blob[:-2])
+    params = tiny_params()
+    blob = serialize_params(params)
+    with pytest.raises(ShapeError, match=f"value section has {len(blob) - 2} bytes, expected {len(blob)}"):
+        deserialize_params(blob[:-2], params.layers)
 
 
 def test_float32_grid_idempotent():

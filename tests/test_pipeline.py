@@ -387,6 +387,43 @@ def test_site_with_another_site_count_fails_fast():
     assert len(site_errors) == 1
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("dataset", "generate", "ambient_dim"), 7), (("network", "hidden_dims"), [5]), (("code_length",), 7)],
+    ids=["data_width", "hidden_dims", "code_length"],
+)
+def test_site_with_another_network_is_refused_at_hello(path, value):
+    """The hello digest covers the layers, so a site whose data width, hidden
+    widths or code length differ is refused before any round, and both ends
+    fail at once."""
+    port = free_port()
+    site_raw = make_raw(seed=3, mode="wire", rounds=4)
+    section = site_raw
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    site_raw["wire"] = {"connect": f"127.0.0.1:{port}", "site": 0, "timeout": 30.0}
+    coord_raw = make_raw(seed=3, mode="wire", rounds=4)
+    coord_raw["wire"] = {"listen": f"127.0.0.1:{port}", "timeout": 30.0}
+    site_errors = []
+
+    def run_site():
+        try:
+            run_pipeline(config_from_dict(site_raw))
+        except PipelineError as exc:
+            site_errors.append(exc)
+
+    thread = threading.Thread(target=run_site, daemon=True)
+    thread.start()
+    start = time.monotonic()
+    with pytest.raises(PipelineError, match="train: site 0 runs another training config or network"):
+        run_pipeline(config_from_dict(coord_raw))
+    thread.join(timeout=5.0)
+    assert time.monotonic() - start < 5.0
+    assert not thread.is_alive()
+    assert len(site_errors) == 1
+
+
 # --- report ---
 
 def fake_result(name, seed, total_bits):
@@ -429,6 +466,18 @@ def test_run_report_rejects_malformed(tmp_path):
         run_report([str(p)])
     with pytest.raises(PipelineError):
         run_report([str(tmp_path / "missing.json")])
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_cli_report_out_that_cannot_be_written_returns_one(tmp_path, capsys, where):
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps(fake_result("d", 0, 1024)))
+    out = tmp_path / "absent" / "table.csv" if where == "missing_dir" else tmp_path
+    assert main(["report", str(result), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    reason = "No such file or directory" if where == "missing_dir" else "Is a directory"
+    assert err.startswith(f"error: report: {out}: ") and reason in err
+    assert "Traceback" not in err
 
 
 # --- command line ---
@@ -530,6 +579,36 @@ def test_cli_port_out_of_range_fails_before_data(tmp_path, capsys, no_data, flag
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_raw(mode="wire")))
     assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_connect_without_site_fails_before_data(tmp_path, capsys, no_data):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw()))
+    assert main(["pipeline", "--config", str(cfg_path), "--mode", "wire", "--connect", "127.0.0.1:1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 'site' and 'connect' only make sense together: a site dials the coordinator\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [(("training", "rounds"), -1, "n_rounds must be >= 0"),
+     (("training", "batch_size"), 1, "batch_size must be >= 2"),
+     (("training", "learning_rate"), 0, "learning_rate must be positive"),
+     (("training", "distance_scale"), -1.5, "distance_scale must be positive"),
+     (("training", "temperature"), 0, "temperature must be positive"),
+     (("network", "hidden_dims"), [4, 0], "network.hidden_dims entries must be >= 1, got [4, 0]")],
+    ids=["rounds", "batch_size", "learning_rate", "distance_scale", "temperature", "hidden_dims"],
+)
+def test_cli_out_of_range_training_or_network_value_fails_before_data(
+    tmp_path, capsys, no_data, path, value, message
+):
+    raw = make_raw()
+    raw.setdefault(path[0], {})[path[1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

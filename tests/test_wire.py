@@ -11,7 +11,7 @@ from conftest import free_port
 
 from hashclust.codebook import decode_codes_payload, encode_codes_payload, encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
-from hashclust.errors import InvalidSpecError, ProtocolError
+from hashclust.errors import InvalidSpecError, ProtocolError, ShapeError
 from hashclust.network import (
     deserialize_params,
     init_network,
@@ -172,7 +172,7 @@ def test_decoded_frames_survive_later_frames_on_the_connection():
         send_frame(a, TAG_CODES, encode_codes_payload(book))
         send_frame(a, TAG_GRADIENT, _encode_gradient(params, grad, 0.5))
         got_book = decode_codes_payload(expect_frame(b, TAG_CODES), params.code_length, origin="site")
-        got_grad, loss = _decode_gradient(expect_frame(b, TAG_GRADIENT), params.layers)
+        got_grad, loss = _decode_gradient(expect_frame(b, TAG_GRADIENT), param_count(params))
         codes, degrees, values = got_book.codes.copy(), got_book.degrees.copy(), got_grad.copy()
         for _ in range(3):  # later frames of other contents on the same connection
             send_frame(a, TAG_CODES, encode_codes_payload(merge_codebooks([book, book])))
@@ -205,7 +205,7 @@ def test_meter_params_frame():
     net = mlp_spec(3, (4,), 2)
     params = init_network(net, seed=0)
     blob = serialize_params(params)
-    meter = TrafficMeter(code_length=2)
+    meter = TrafficMeter(param_count(params), code_length=2)
     meter.record(TAG_PARAMS, blob)
     assert meter.param_bits == 32 * param_count(params)
     assert meter.physical_bits == 8 * len(blob)
@@ -217,23 +217,32 @@ def test_meter_gradient_counts_values_not_trailer():
     net = mlp_spec(3, (4,), 2)
     params = init_network(net, seed=0)
     payload = serialize_params(params) + struct.pack(">d", 0.25)
-    meter = TrafficMeter(code_length=2)
+    meter = TrafficMeter(param_count(params), code_length=2)
     meter.record(TAG_GRADIENT, payload)
     assert meter.gradient_bits == 32 * param_count(params)
-    assert meter.physical_bits == 8 * len(payload)
+    assert meter.physical_bits == 8 * len(payload) == 8 * (4 * param_count(params) + 8)
+
+
+@pytest.mark.parametrize("tag, extra", [(TAG_PARAMS, 0), (TAG_GRADIENT, 8)])
+def test_meter_refuses_a_frame_of_another_parameter_count(tag, extra):
+    params = init_network(mlp_spec(3, (4,), 2), seed=0)
+    payload = serialize_params(params) + bytes(extra)
+    meter = TrafficMeter(param_count(params) + 1, code_length=2)
+    with pytest.raises(ShapeError, match=f"value section has {4 * param_count(params)} bytes"):
+        meter.record(tag, payload)
 
 
 def test_meter_codes_frame():
     # count header says 5 codes: paper charge is 5*(32+L) regardless of body
     payload = struct.pack(">I", 5) + b"\x00" * 25
-    meter = TrafficMeter(code_length=8)
+    meter = TrafficMeter(10, code_length=8)
     meter.record(TAG_CODES, payload)
     assert meter.code_bits == 5 * (32 + 8)
     assert meter.physical_bits == 8 * len(payload)
 
 
 def test_meter_done_is_physical_only():
-    meter = TrafficMeter(code_length=8)
+    meter = TrafficMeter(10, code_length=8)
     meter.record(TAG_DONE, b"")
     assert meter.paper_bits == 0
     assert meter.physical_bits == 0
@@ -241,7 +250,7 @@ def test_meter_done_is_physical_only():
 
 
 def test_meter_hello_is_physical_only():
-    meter = TrafficMeter(code_length=8)
+    meter = TrafficMeter(10, code_length=8)
     meter.record(TAG_HELLO, struct.pack(">I", 0) + bytes(32))
     assert meter.paper_bits == 0
     assert meter.physical_bits == 8 * 36
@@ -249,7 +258,7 @@ def test_meter_hello_is_physical_only():
 
 
 def test_meter_unknown_tag():
-    meter = TrafficMeter(code_length=8)
+    meter = TrafficMeter(10, code_length=8)
     with pytest.raises(ProtocolError):
         meter.record(0x7F, b"")
 
@@ -293,8 +302,12 @@ def test_wire_meter_matches_cost_formulas():
     assert meter.frames[TAG_CODES] == m
     assert meter.frames[TAG_DONE] == m
     assert meter.frames[TAG_HELLO] == m
-    # physical strictly exceeds paper: layer tables, padding, loss trailers
-    assert meter.physical_bits > meter.paper_bits
+    # physical exceeds paper only by the loss trailers, the hellos, the code
+    # counts and padding; parameter and gradient frames carry no layer table
+    code_bytes = sum(4 + len(b) * (4 + (L + 7) // 8) for b in result.site_books)
+    assert meter.physical_bits == 8 * (
+        4 * n * m * (rounds + 1) + (4 * n + 8) * m * rounds + 36 * m + code_bytes
+    )
 
 
 def test_wire_merged_codebook_conserves_degree():
@@ -320,7 +333,7 @@ def test_site_started_before_coordinator_listens():
 
     def site():
         try:
-            run_sub_site("127.0.0.1", port, 0, shards[0], cfg, timeout=20.0)
+            run_sub_site("127.0.0.1", port, 0, shards[0], net, cfg, timeout=20.0)
         except Exception as exc:  # noqa: BLE001 - asserted below
             failures.append(exc)
 
@@ -380,7 +393,7 @@ def test_wire_calls_refuse_a_timeout_that_is_not_positive_and_finite(call, timeo
         elif call == "serve_global":
             serve_global(listener, net, cfg, timeout=timeout)
         else:
-            run_sub_site("127.0.0.1", listener.getsockname()[1], 0, shards[0], cfg, timeout=timeout)
+            run_sub_site("127.0.0.1", listener.getsockname()[1], 0, shards[0], net, cfg, timeout=timeout)
     assert threading.active_count() == n_threads
     if call == "serve_global":
         assert listener.fileno() == -1
@@ -403,7 +416,7 @@ def test_sites_ordered_by_hello_not_by_dial_order():
     port = listener.getsockname()[1]
     threads = []
     for site in (2, 0, 1):
-        args = ("127.0.0.1", port, site, shards[site], cfg, 20.0)
+        args = ("127.0.0.1", port, site, shards[site], net, cfg, 20.0)
         threads.append(threading.Thread(target=run_sub_site, args=args, daemon=True))
         threads[-1].start()
         time.sleep(0.1)  # queue the dials in this order
@@ -419,18 +432,19 @@ def test_sites_ordered_by_hello_not_by_dial_order():
 def _raw(act):
     """A hand-driven site 1: says hello, reads round 0's parameters, then acts."""
 
-    def site(port, shards, cfg):
+    def site(port, shards, net, cfg):
         with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
-            send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg))
-            act(sock, deserialize_params(expect_frame(sock, TAG_PARAMS)))
+            send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg, net))
+            act(sock, deserialize_params(expect_frame(sock, TAG_PARAMS), net))
 
     return site
 
 
-def _site(index, **changes):
-    """A real site on shard 1 that names ``index`` and runs ``cfg`` with ``changes``."""
-    return lambda port, shards, cfg: run_sub_site(
-        "127.0.0.1", port, index, shards[1], replace(cfg, **changes), 5.0
+def _site(index, spec=None, **changes):
+    """A real site on shard 1 that names ``index`` and runs ``cfg`` with
+    ``changes``, on the coordinator's network or on ``spec``."""
+    return lambda port, shards, net, cfg: run_sub_site(
+        "127.0.0.1", port, index, shards[1], spec or net, replace(cfg, **changes), 5.0
     )
 
 
@@ -460,18 +474,18 @@ def _wrong_gradient_shape(sock, params):
     sock.recv(1)
 
 
-def _short_hello(port, shards, cfg):
+def _short_hello(port, shards, net, cfg):
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         send_frame(sock, TAG_HELLO, struct.pack(">I", 1))
         sock.recv(1)
 
 
-def _empty_codes(port, shards, cfg):
+def _empty_codes(port, shards, net, cfg):
     # zero gradients through every round, then a codebook of no entries
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
-        send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg))
+        send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg, net))
         for _ in range(cfg.n_rounds):
-            send_frame(sock, TAG_GRADIENT, _gradient_payload(deserialize_params(expect_frame(sock, TAG_PARAMS))))
+            send_frame(sock, TAG_GRADIENT, _gradient_payload(deserialize_params(expect_frame(sock, TAG_PARAMS), net)))
         expect_frame(sock, TAG_PARAMS)
         send_frame(sock, TAG_CODES, struct.pack(">I", 0))
         sock.recv(1)
@@ -483,10 +497,11 @@ FAULTS = {
     "truncated_gradient_frame": (_raw(_truncated_frame), 0.5, "receive failed"),
     "short_gradient_payload": (_raw(_short_payload), 5.0, "site 1 sent a malformed frame 0x02"),
     "wrong_gradient_shape": (_raw(_wrong_gradient_shape), 5.0,
-                             "site 1 sent a malformed frame 0x02: gradient layers"),
+                             "site 1 sent a malformed frame 0x02: value section has 124 bytes, expected 160"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
     "empty_codes": (_empty_codes, 5.0, "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
+    "other_network": (_site(1, mlp_spec(4, (3,), 4)), 5.0, "site 1 runs another training config or network"),
     "duplicate_index": (_site(0), 5.0, "site 0 connected twice"),
     "out_of_range_index": (_site(2), 5.0, r"hello names site 2, outside \[0, 2\)"),
 }
@@ -508,8 +523,8 @@ def test_fault_fails_coordinator_and_sites_at_once(fault):
 
     threads = [
         threading.Thread(target=guarded, args=("honest", run_sub_site, "127.0.0.1", port, 0,
-                                               shards[0], cfg, 5.0), daemon=True),
-        threading.Thread(target=guarded, args=("faulty", faulty_site, port, shards, cfg), daemon=True),
+                                               shards[0], net, cfg, 5.0), daemon=True),
+        threading.Thread(target=guarded, args=("faulty", faulty_site, port, shards, net, cfg), daemon=True),
     ]
     threads[0].start()
     time.sleep(0.2)  # the honest site dials first
