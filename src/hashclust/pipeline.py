@@ -34,7 +34,7 @@ from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
 from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import TrainingConfig, relative_error_ratio, train
-from .wire import check_timeout, parse_endpoint, run_sub_site, run_wire_locally, serve_global
+from .wire import DEFAULT_TIMEOUT, check_timeout, parse_endpoint, run_sub_site, run_wire_locally, serve_global
 
 # fixed spawn keys so each phase draws from an independent stream
 _SEED_STREAMS = {"data": 0, "shard": 1, "train": 2, "cluster": 3}
@@ -77,20 +77,38 @@ class PipelineConfig:
             raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {self.mode!r}")
         if self.clusters < 1 or self.code_length < 1:
             raise InvalidSpecError("clusters and code_length must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if (self.site is None) != (self.connect is None):
             raise InvalidSpecError("'site' and 'connect' only make sense together: a site dials the coordinator")
+        if self.mode != "wire":
+            for key in ("listen", "connect", "site"):
+                if getattr(self, key) is not None:
+                    raise InvalidSpecError(f"wire.{key} needs mode 'wire', got mode {self.mode!r}")
         # refused here, before any data loads; sites and min_per_site are left
         # to the shard phase, so one site stands in for them
         if any(width < 1 for width in self.hidden_dims or ()):
             raise InvalidSpecError(f"network.hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        TrainingConfig(self.rounds, 1, self.batch_size, self.learning_rate,
-                       LossConfig(self.distance_scale, self.temperature))
+        training_config(self, n_sites=1)
         for endpoint in filter(None, (self.listen, self.connect)):
             parse_endpoint(endpoint)
         check_timeout(self.timeout, "wire.timeout")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def training_config(cfg: PipelineConfig, n_sites: int) -> TrainingConfig:
+    """The run's TrainingConfig. ``n_sites`` is apart from ``cfg.sites`` so
+    that the config check can build one before the shard phase checks sites."""
+    return TrainingConfig(
+        n_rounds=cfg.rounds,
+        n_sites=n_sites,
+        batch_size=cfg.batch_size,
+        learning_rate=cfg.learning_rate,
+        loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
+        seed=derive_seed(cfg.seed, "train"),
+    )
 
 
 _GENERATE_KEYS = {"n_clusters", "ambient_dim", "embed_dim", "samples_per_cluster"}
@@ -108,6 +126,13 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _string(value, key: str):
+    """A JSON string as it is; an absent value is None, any other type raises."""
+    if value is None or isinstance(value, str):
+        return value
+    raise InvalidSpecError(f"{key} must be a string, got {value!r}")
 
 
 def _number(value, kind, key: str):
@@ -139,19 +164,17 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     hidden = network.get("hidden_dims")
     if not isinstance(hidden, (list, type(None))):
         raise InvalidSpecError(f"network.hidden_dims must be a list of integers, got {hidden!r}")
-    for key in ("listen", "connect"):
-        if not isinstance(wire_cfg.get(key), (str, type(None))):
-            raise InvalidSpecError(f"wire.{key} must be a string host:port, got {wire_cfg[key]!r}")
     if "clusters" not in raw:
         raise InvalidSpecError("config needs 'clusters' (the number of output clusters)")
-    name = raw.get("name")
+    csv = _string(dataset.get("csv"), "dataset.csv")
+    name = _string(raw.get("name"), "name")
     if name is None:
-        name = "synthetic" if generate is not None else Path(dataset["csv"]).stem
+        name = "synthetic" if generate is not None else Path(csv).stem
     site = wire_cfg.get("site")
     return PipelineConfig(
         name=name,
         generate=generate,
-        csv=dataset.get("csv"),
+        csv=csv,
         hidden_dims=None if hidden is None
         else tuple(_number(v, int, "network.hidden_dims") for v in hidden),
         code_length=_number(raw.get("code_length", 8), int, "code_length"),
@@ -165,11 +188,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         temperature=_number(training.get("temperature", 1.0), float, "training.temperature"),
         mode=raw.get("mode", "sim"),
         seed=_number(raw.get("seed", 0), int, "seed"),
-        out=raw.get("out"),
-        listen=wire_cfg.get("listen"),
-        connect=wire_cfg.get("connect"),
+        out=_string(raw.get("out"), "out"),
+        listen=_string(wire_cfg.get("listen"), "wire.listen"),
+        connect=_string(wire_cfg.get("connect"), "wire.connect"),
         site=None if site is None else _number(site, int, "wire.site"),
-        timeout=_number(wire_cfg.get("timeout", 60.0), float, "wire.timeout"),
+        timeout=_number(wire_cfg.get("timeout", DEFAULT_TIMEOUT), float, "wire.timeout"),
     )
 
 
@@ -250,9 +273,12 @@ def run_generate(cfg: PipelineConfig):
     return csv_path, manifest_path
 
 
-def _shared_setup(cfg: PipelineConfig, timings: dict):
-    """What coordinator and sites derive alike: (n, shards, network spec,
-    TrainingConfig). The wire hello compares the last two."""
+def setup_run(cfg: PipelineConfig, timings: dict | None = None):
+    """What coordinator, sites and any replay of a config derive alike:
+    (n, shards, network spec, TrainingConfig). The wire hello compares the
+    last two. The network defaults to two hidden layers at the data width.
+    ``timings``, when given, receives the dataset and shard phase times."""
+    timings = {} if timings is None else timings
     with _phase("dataset", timings):
         samples, truth, _spec = _load_dataset(cfg)
     with _phase("shard", timings):
@@ -260,26 +286,18 @@ def _shared_setup(cfg: PipelineConfig, timings: dict):
             samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")
         )
     n, dim = samples.shape
-    net_spec = mlp_spec(dim, cfg.hidden_dims if cfg.hidden_dims is not None else (dim, dim), cfg.code_length)
-    tcfg = TrainingConfig(
-        n_rounds=cfg.rounds,
-        n_sites=cfg.sites,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
-        seed=derive_seed(cfg.seed, "train"),
-    )
-    return n, shards, net_spec, tcfg
+    hidden = (dim, dim) if cfg.hidden_dims is None else cfg.hidden_dims
+    return n, shards, mlp_spec(dim, hidden, cfg.code_length), training_config(cfg, cfg.sites)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute one full run and return (and optionally write) the results."""
     timings: dict = {}
-    if cfg.mode == "wire" and cfg.site is not None:
+    if cfg.site is not None:
         return _run_wire_site(cfg, timings)
 
     out_dir = None if cfg.out is None else _output_dir(cfg.out)
-    n, shards, net_spec, tcfg = _shared_setup(cfg, timings)
+    n, shards, net_spec, tcfg = setup_run(cfg, timings)
 
     meter = None
     wire_books = None
@@ -361,7 +379,7 @@ def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     checked before any data loads."""
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
-    _n, shards, net_spec, tcfg = _shared_setup(cfg, timings)
+    _n, shards, net_spec, tcfg = setup_run(cfg, timings)
     host, port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
         run_sub_site(host, port, cfg.site, shards[cfg.site], net_spec, tcfg, timeout=cfg.timeout)

@@ -7,7 +7,6 @@ the final loss. The recorded detail lines carry the measured numbers;
 the remaining six criteria must pass outright.
 """
 
-import json
 import math
 import time
 import warnings
@@ -29,18 +28,12 @@ from oracles import (
 )
 
 from hashclust.codebook import encode_shard, merge_codebooks
-from hashclust.datasets import gen_dataset, make_dataset_spec, make_shard, shard_dataset
+from hashclust.datasets import gen_dataset, make_dataset_spec, make_shard
 from hashclust.errors import PipelineError
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.metrics import nmi, purity
 from hashclust.network import backward, forward, init_network, mlp_spec
-from hashclust.pipeline import (
-    apply_overrides,
-    config_from_dict,
-    config_from_file,
-    derive_seed,
-    run_pipeline,
-)
+from hashclust.pipeline import apply_overrides, config_from_dict, config_from_file, run_pipeline, setup_run
 from hashclust.spectral import spectral_cluster
 from hashclust.training import TrainingConfig, global_merge, local_round, relative_error_ratio, train
 
@@ -69,33 +62,14 @@ def toy_raw(seed, mode="sim"):
 
 
 def rebuild_run(raw):
-    """Replay a config's data/shard/train/encode phases through the library.
+    """Replay a config's train/encode phases through the library, from the
+    run's own setup.
 
     Returns (shards, per-site books); the cost arithmetic on top of these
     is then done by the test itself, independent of the ledger.
     """
-    cfg = config_from_dict(raw)
-    gen = cfg.generate
-    samples, truth = gen_dataset(
-        make_dataset_spec(
-            gen["n_clusters"],
-            gen["ambient_dim"],
-            gen["embed_dim"],
-            gen["samples_per_cluster"],
-            seed=derive_seed(cfg.seed, "data"),
-        )
-    )
-    shards = shard_dataset(samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard"))
-    dim = samples.shape[1]
-    tcfg = TrainingConfig(
-        n_rounds=cfg.rounds,
-        n_sites=cfg.sites,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
-        seed=derive_seed(cfg.seed, "train"),
-    )
-    params, _ = train(shards, mlp_spec(dim, (dim, dim), cfg.code_length), tcfg)
+    _, shards, net_spec, tcfg = setup_run(config_from_dict(raw))
+    params, _ = train(shards, net_spec, tcfg)
     books = [encode_shard(params, s, origin=f"site{i}")[0] for i, s in enumerate(shards)]
     return shards, books
 
@@ -222,29 +196,9 @@ def test_criterion_4_desk_scale_quality():
 
 
 def desk_training_history(master_seed, n_sites):
-    raw = json.loads(DEFAULT_CONFIG.read_text())
-    gen = raw["dataset"]["generate"]
-    samples, truth = gen_dataset(
-        make_dataset_spec(
-            gen["n_clusters"],
-            gen["ambient_dim"],
-            gen["embed_dim"],
-            gen["samples_per_cluster"],
-            seed=derive_seed(master_seed, "data"),
-        )
-    )
-    shards = shard_dataset(samples, truth, n_sites, raw["min_per_site"], derive_seed(master_seed, "shard"))
-    dim = samples.shape[1]
-    t = raw["training"]
-    tcfg = TrainingConfig(
-        n_rounds=t["rounds"],
-        n_sites=n_sites,
-        batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        loss=LossConfig(distance_scale=t["distance_scale"], temperature=t["temperature"]),
-        seed=derive_seed(master_seed, "train"),
-    )
-    _, history = train(shards, mlp_spec(dim, (dim, dim), raw["code_length"]), tcfg)
+    cfg = apply_overrides(config_from_file(DEFAULT_CONFIG), seed=master_seed, sites=n_sites)
+    _, shards, net_spec, tcfg = setup_run(cfg)
+    _, history = train(shards, net_spec, tcfg)
     return history
 
 

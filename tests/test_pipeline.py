@@ -266,6 +266,22 @@ def test_run_pipeline_wire_equals_sim():
     assert wire["ledger"]["measured_physical_bits"] > wire["ledger"]["total_bits"]
 
 
+def test_linear_network_runs_end_to_end_and_wire_equals_sim():
+    """An empty hidden_dims is the linear tanh head, not the default network:
+    dim * L weights and L biases."""
+    raw = make_raw(seed=4)
+    raw["network"] = {"hidden_dims": []}
+    sim = run_pipeline(config_from_dict(raw))
+    wire = run_pipeline(config_from_dict({**raw, "mode": "wire"}))
+    assert sim["param_count"] == wire["param_count"] == 6 * 6 + 6
+    assert sim["config"]["hidden_dims"] == ()
+    for key in ("purity", "nmi", "rer_series", "codebook_size", "cluster_sizes"):
+        assert wire[key] == sim[key]
+    for key in ("training_bits", "final_broadcast_bits", "code_bits", "total_bits"):
+        assert wire["ledger"][key] == sim["ledger"][key]
+    assert wire["ledger"]["measured_paper_bits"] == wire["ledger"]["total_bits"]
+
+
 def test_run_pipeline_codes_longer_than_64_bits(monkeypatch):
     """L = 70 spans two code words; wire equals sim, degrees sum to n."""
     merged = []
@@ -537,27 +553,32 @@ def test_cli_bad_config_value_returns_one(tmp_path, capsys, section, key, value)
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, key",
     [
-        (("wire", "site"), "1"),
-        (("network", "hidden_dims"), "8"),
-        (("network", "hidden_dims"), [8.5]),
-        (("dataset", "generate", "n_clusters"), "4"),
-        (("wire", "listen"), 9500),
+        (("wire", "site"), "1", "wire.site"),
+        (("network", "hidden_dims"), "8", "network.hidden_dims"),
+        (("network", "hidden_dims"), [8.5], "network.hidden_dims"),
+        (("dataset", "generate", "n_clusters"), "4", "dataset.generate.n_clusters"),
+        (("wire", "listen"), 9500, "wire.listen"),
+        (("name",), 5, "name"),
+        (("out",), 5, "out"),
+        # the whole section, since generate and csv together fail as a pair
+        (("dataset",), {"csv": 5}, "dataset.csv"),
     ],
-    ids=["site_string", "hidden_dims_string", "hidden_dims_fraction", "n_clusters_string", "listen_int"],
+    ids=["site_string", "hidden_dims_string", "hidden_dims_fraction", "n_clusters_string", "listen_int",
+         "name_int", "out_int", "csv_int"],
 )
-def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, value):
+def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, value, key):
     raw = make_raw()
     section = raw
-    for key in path[:-1]:
-        section = section.setdefault(key, {})
+    for part in path[:-1]:
+        section = section.setdefault(part, {})
     section[path[-1]] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["pipeline", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and ".".join(path) in err
+    assert err.startswith(f"error: {key} must be ")
     assert "Traceback" not in err
 
 
@@ -581,6 +602,19 @@ def test_cli_port_out_of_range_fails_before_data(tmp_path, capsys, no_data, flag
     assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--listen", "127.0.0.1:0"], "listen"), (["--connect", "127.0.0.1:1", "--site", "0"], "connect")],
+    ids=["listen", "connect_site"],
+)
+def test_cli_wire_endpoint_on_a_sim_config_fails_before_data(tmp_path, capsys, no_data, flags, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw()))
+    assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: wire.{key} needs mode 'wire', got mode 'sim'\n"
 
 
 def test_cli_connect_without_site_fails_before_data(tmp_path, capsys, no_data):
@@ -670,8 +704,9 @@ def test_config_rejects_a_timeout_that_is_not_positive(timeout):
 @pytest.mark.parametrize(
     "changes, message",
     [({"sites": 500, "min_per_site": 0}, "shard: min_per_site must be >= 1"),
-     ({"mode": "wire", "wire": {"timeout": -1}}, "wire.timeout")],
-    ids=["empty_shards", "negative_timeout"],
+     ({"mode": "wire", "wire": {"timeout": -1}}, "wire.timeout"),
+     ({"seed": -1}, "seed must be >= 0, got -1")],
+    ids=["empty_shards", "negative_timeout", "negative_seed"],
 )
 def test_cli_out_of_range_value_returns_one(tmp_path, capsys, changes, message):
     cfg_path = tmp_path / "cfg.json"
