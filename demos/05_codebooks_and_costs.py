@@ -20,6 +20,7 @@ from hashclust import (
     total_cost_bits,
     train,
 )
+from hashclust.network import packed_rows
 
 samples, truth = gen_dataset(make_dataset_spec(3, 8, 2, 150, seed=21))
 shards = shard_dataset(samples, truth, n_sites=4, min_per_site=50, seed=22)
@@ -44,10 +45,10 @@ merged = merge_codebooks(books)
 print(f"\nmerged: {len(merged)} codes, degrees sum to {merged.total_degree} "
       f"(dataset size {samples.shape[0]})")
 print("heaviest codes:")
-entries = merged.entries
+# a book holds its codes as network.code_words rows; packed_rows gives their bytes
+bits = np.unpackbits(packed_rows(merged.codes, merged.code_length), axis=1, count=merged.code_length)
 for i in np.argsort(-merged.degrees, kind="stable")[:5]:
-    bits = "".join("1" if b > 0 else "0" for b in entries[i].code.bits)
-    print(f"  {bits}  degree {entries[i].degree}")
+    print(f"  {''.join(map(str, bits[i]))}  degree {merged.degrees[i]}")
 
 ledger = total_cost_bits(
     n_sites=4,

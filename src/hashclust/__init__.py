@@ -7,7 +7,7 @@ the resulting code graph with a normalized-cut spectral method. Every bit
 that crosses a site boundary is accounted.
 """
 
-from .codebook import Codebook, CodebookEntry, encode_shard, merge_codebooks
+from .codebook import Codebook, encode_shard, merge_codebooks
 from .datasets import (
     ClusterSpec,
     DatasetSpec,
@@ -23,7 +23,6 @@ from .errors import HashClustError
 from .loss import LossConfig, batch_loss
 from .metrics import CostLedger, nmi, purity, total_cost_bits
 from .network import (
-    HashCode,
     LayerSpec,
     NetworkParams,
     binarize_batch,
@@ -49,12 +48,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Codebook",
-    "CodebookEntry",
     "ClusterSpec",
     "CostLedger",
     "DatasetSpec",
     "HashClustError",
-    "HashCode",
     "LayerSpec",
     "LossConfig",
     "NetworkParams",

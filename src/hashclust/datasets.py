@@ -230,14 +230,20 @@ def load_csv(path):
             labels[i] = int(row[-1])
         except ValueError as exc:
             raise ShapeError(f"{path}: row {i + 2} {_bad_field(header, row)}") from exc
+    # float() takes nan and inf, which min-max scaling would spread over the whole shard
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ShapeError(f"{path}: row {bad[0] + 2} {_bad_field(header, rows[bad[0]])}")
     return samples, labels
 
 
 def _bad_field(header, row) -> str:
-    """The first field of a CSV row that is not a number, or for the label an integer."""
+    """The first field of a CSV row that is not a finite number, or for the label an integer."""
     for name, text in zip(header, row):
         try:
-            (int if name == "label" else float)(text)
+            value = (int if name == "label" else float)(text)
         except ValueError:
             kind = "an integer" if name == "label" else "a number"
             return f"field {name} is {text!r}, not {kind}"
+        if not np.isfinite(value):
+            return f"field {name} is {text!r}, not a finite number"

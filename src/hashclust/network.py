@@ -230,40 +230,11 @@ def backward(trace: ForwardTrace, grad_h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HashCode:
-    """An L-bit code in {-1,+1}^L with a canonical packed byte form.
-
-    Bit j of the packed form, MSB-first within each byte, is
-    ``(bits[j] + 1) / 2``; padding bits in the last byte are zero.
-    """
+    """An L-bit code as packed bytes, MSB first, padding bits zero: a bare
+    record of the boundary form, checked by ``codebook.checked_code_words``."""
 
     packed: bytes
     length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ShapeError("code length must be >= 1")
-        if len(self.packed) != (self.length + 7) // 8:
-            raise ShapeError(
-                f"packed length {len(self.packed)} does not match {self.length} bits"
-            )
-        pad = len(self.packed) * 8 - self.length
-        if pad and (self.packed[-1] & ((1 << pad) - 1)):
-            raise ShapeError("padding bits in packed code must be zero")
-
-    @classmethod
-    def from_bits(cls, bits) -> "HashCode":
-        bits = np.asarray(bits)
-        if bits.ndim != 1:
-            raise ShapeError("bits must be a vector")
-        if not np.all(np.abs(bits) == 1):
-            raise ShapeError("every component must be exactly -1 or +1")
-        packed = np.packbits((bits > 0).astype(np.uint8)).tobytes()
-        return cls(packed=packed, length=bits.size)
-
-    @property
-    def bits(self) -> np.ndarray:
-        raw = np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8), count=self.length)
-        return (raw.astype(np.int8) * 2 - 1)
 
 
 def binarize_batch(h) -> np.ndarray:
@@ -294,10 +265,10 @@ def group_words(words):
 def code_words(packed) -> np.ndarray:
     """The in-memory form of packed code rows: (n, ceil(L/64)) uint64.
 
-    Each row of packed bytes (the HashCode.packed layout) is zero-filled at
-    the end to whole 64-bit words, read big-endian. Word rows then order as
-    their byte rows do, and the popcount of the XOR of two rows is the
-    hamming distance of their codes, for any L. ``packed_rows`` is the
+    Each row of packed bytes (``np.packbits`` of where a code is +1) is
+    zero-filled at the end to whole 64-bit words, read big-endian. Word rows
+    then order as their byte rows do, and the popcount of the XOR of two rows
+    is the hamming distance of their codes, for any L. ``packed_rows`` is the
     inverse.
     """
     packed = np.asarray(packed, dtype=np.uint8)

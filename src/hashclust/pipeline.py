@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codebook
 from .codebook import encode_shard, merge_codebooks
 from .datasets import gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
 from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError
@@ -277,6 +278,8 @@ def setup_run(cfg: PipelineConfig, timings: dict | None = None):
     """What coordinator, sites and any replay of a config derive alike:
     (n, shards, network spec, TrainingConfig). The wire hello compares the
     last two. The network defaults to two hidden layers at the data width.
+    A site of more than ``codebook.MAX_DEGREE`` samples is refused here, in
+    sim and wire alike, before any training.
     ``timings``, when given, receives the dataset and shard phase times."""
     timings = {} if timings is None else timings
     with _phase("dataset", timings):
@@ -285,6 +288,11 @@ def setup_run(cfg: PipelineConfig, timings: dict | None = None):
         shards = shard_dataset(
             samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")
         )
+        # one code may take a whole shard, and CODES_PUSH carries no degree above the limit
+        for site, shard in enumerate(shards):
+            if len(shard) > codebook.MAX_DEGREE:
+                raise InvalidSpecError(f"site {site} holds {len(shard)} samples, more than the "
+                                       f"{codebook.MAX_DEGREE} a code's degree may reach")
     n, dim = samples.shape
     hidden = (dim, dim) if cfg.hidden_dims is None else cfg.hidden_dims
     return n, shards, mlp_spec(dim, hidden, cfg.code_length), training_config(cfg, cfg.sites)

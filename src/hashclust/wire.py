@@ -11,8 +11,9 @@ overhead, never as formula bits).
 Each payload is copied once on either side. A sender writes it into one
 buffer (a gradient's values and trailer alike) and hands that buffer and
 the 5-byte header to sendmsg together; a partial send resumes where it
-stopped, so the two are never joined. A receiver reads the header, then
-receives the payload into a new bytearray of exactly its length.
+stopped, so the two are never joined. A receiver reads the header, refuses
+an unexpected tag or an oversized length there, and only then receives the
+payload into a new bytearray of exactly its length.
 Every frame owns its buffer, so a decoded gradient, a big-endian float32
 view of its frame merged as it is, stays valid whatever frames follow; a
 decoded codebook copies its codes and degrees out of its frame.
@@ -112,24 +113,22 @@ def _recv_into(sock, buffer) -> None:
         got += n
 
 
-def recv_frame(sock):
-    """One frame as (tag, payload). The payload is a new bytearray of its
-    own, received in place, so what is decoded from it as views stays valid
-    whatever frames follow."""
+def expect_frame(sock, want_tag: int) -> bytearray:
+    """The payload of the next frame, which must carry ``want_tag``. The
+    header is checked before any payload is read: another tag or a length
+    past the frame limit is refused at once, so a peer that speaks another
+    protocol costs neither an allocation nor a wait. The payload is a new
+    bytearray of its own, received in place, so what is decoded from it as
+    views stays valid whatever frames follow."""
     header = bytearray(_FRAME_HEADER.size)
     _recv_into(sock, header)
     tag, length = _FRAME_HEADER.unpack(header)
+    if tag != want_tag:
+        raise ProtocolError(f"expected frame tag 0x{want_tag:02x}, got 0x{tag:02x}")
     if length >= _MAX_PAYLOAD:
         raise ProtocolError(f"declared payload of {length} bytes exceeds the frame limit")
     payload = bytearray(length)
     _recv_into(sock, payload)
-    return tag, payload
-
-
-def expect_frame(sock, want_tag: int) -> bytes:
-    tag, payload = recv_frame(sock)
-    if tag != want_tag:
-        raise ProtocolError(f"expected frame tag 0x{want_tag:02x}, got 0x{tag:02x}")
     return payload
 
 

@@ -8,11 +8,11 @@ No run of the library needs any of it.
 
 import numpy as np
 
-from hashclust.codebook import Codebook, CodebookEntry
+from hashclust.codebook import Codebook, checked_code_words
 from hashclust.errors import HashClustError, InvalidKError, ShapeError
 from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import HashCode, NetworkParams, forward
+from hashclust.network import NetworkParams, forward
 from hashclust.sampling import BucketIndex
 from hashclust.spectral import _adjacency, _hadamard, normalized_laplacian
 
@@ -29,12 +29,26 @@ class OracleSizeError(HashClustError):
 
 # --- codes, one at a time ---
 
-def binarize(h) -> HashCode:
-    """Threshold one relaxed output vector to a code; sign(0) maps to +1."""
+def binarize(h) -> np.ndarray:
+    """Threshold one relaxed output vector to a +-1 code (int8); sign(0) maps to +1."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1:
         raise ShapeError("binarize takes a single vector; see binarize_batch")
-    return HashCode.from_bits(np.where(h >= 0.0, 1, -1).astype(np.int8))
+    return np.where(h >= 0.0, 1, -1).astype(np.int8)
+
+
+def packed(bits) -> bytes:
+    """The packed bytes of one +-1 code: bit j, MSB-first within each byte,
+    set where the code is +1; padding bits zero."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or not np.all(np.abs(bits) == 1):
+        raise ShapeError("a code is a vector of -1 and +1")
+    return np.packbits(bits > 0).tobytes()
+
+
+def unpacked(code: bytes, length: int) -> np.ndarray:
+    """The +-1 bits (int8) of one packed L-bit code."""
+    return np.unpackbits(np.frombuffer(code, dtype=np.uint8), count=length).astype(np.int8) * 2 - 1
 
 
 def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
@@ -43,20 +57,31 @@ def pack_bits_batch(bits: np.ndarray) -> list[bytes]:
     return [row.tobytes() for row in packed]
 
 
-def word_codes(words: np.ndarray, length: int) -> list[HashCode]:
-    """The code of each ``network.code_words`` row, read one word at a time."""
+def word_bytes(words: np.ndarray, length: int) -> list[bytes]:
+    """The packed bytes of each ``network.code_words`` row, read one word at a time."""
     n_bytes = (length + 7) // 8
-    return [
-        HashCode(packed=b"".join(int(w).to_bytes(8, "big") for w in row)[:n_bytes], length=length)
-        for row in words
-    ]
+    return [b"".join(int(w).to_bytes(8, "big") for w in row)[:n_bytes] for row in words]
 
 
-def hamming(a: HashCode, b: HashCode) -> int:
-    """Number of differing positions; L1 distance of +-1 codes is twice this."""
-    if a.length != b.length:
-        raise ShapeError(f"codes have lengths {a.length} and {b.length}")
-    return int((a.bits != b.bits).sum())
+def codebook_of(codes, degrees, length: int, origin: str = "global") -> Codebook:
+    """A book of packed L-bit codes (bytes, each checked) and their degrees, in the order given."""
+    words = checked_code_words(list(codes), length)
+    return Codebook.from_arrays(words, np.array(degrees, dtype=np.int64), length, origin)
+
+
+def sorted_book(entries, origin: str = "global") -> Codebook:
+    """A book of (+-1 bits, degree) pairs in ascending packed order, as a site
+    or a merge holds its codes."""
+    entries = sorted(entries, key=lambda e: packed(e[0]))
+    return codebook_of([packed(b) for b, _ in entries], [d for _, d in entries], len(entries[0][0]), origin)
+
+
+def hamming(a, b) -> int:
+    """Number of differing positions of two +-1 codes; their L1 distance is twice this."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"codes have lengths {a.size} and {b.size}")
+    return int((a != b).sum())
 
 
 # --- the pair loss, one pair at a time ---
@@ -69,12 +94,14 @@ def _input_distance(x_i, x_j) -> float:
     return float(np.linalg.norm(x_i - x_j))
 
 
-def pair_loss_discrete(x_i, x_j, code_i: HashCode, code_j: HashCode, cfg: LossConfig) -> float:
-    """Loss of one pair with hard +-1 codes."""
-    if code_i.length != code_j.length:
+def pair_loss_discrete(x_i, x_j, code_i, code_j, cfg: LossConfig) -> float:
+    """Loss of one pair with hard +-1 codes, given as bit vectors."""
+    code_i = np.asarray(code_i, dtype=np.float64)
+    code_j = np.asarray(code_j, dtype=np.float64)
+    if code_i.shape != code_j.shape:
         raise ShapeError("codes have different lengths")
     d_in = _input_distance(x_i, x_j)
-    d_code = float(np.abs(code_i.bits - code_j.bits).sum())
+    d_code = float(np.abs(code_i - code_j).sum())
     gap = cfg.distance_scale * d_in - d_code
     return abs(gap) * float(np.exp(-d_in / cfg.temperature))
 
@@ -505,11 +532,8 @@ def planted_codebook(rng, k, per_group, min_distance=9):
         raise ValueError(f"{per_group} codes per group reach past the centre spacing")
     degrees = 1 + rng.poisson(64.0 / 2.0 ** np.array(radius))
     order = np.argsort(codes)
-    entries = tuple(
-        CodebookEntry(HashCode(packed=codes[i].to_bytes(2, "big"), length=length), int(degrees[i]))
-        for i in order
-    )
-    return Codebook(entries=entries, origin="global"), np.array(groups)[order]
+    book = codebook_of([codes[i].to_bytes(2, "big") for i in order], degrees[order], length)
+    return book, np.array(groups)[order]
 
 
 def disconnected_components(rng, k, total):

@@ -253,8 +253,11 @@ def test_csv_rejects_bad_header(tmp_path):
 @pytest.mark.parametrize(
     "rows, message",
     [("1.0,2.0,0\n1.0,abc,1\n", "row 3 field f1 is 'abc', not a number"),
-     ("1.0,2.0,1.5\n", "row 2 field label is '1.5', not an integer")],
-    ids=["feature", "label"],
+     ("1.0,2.0,1.5\n", "row 2 field label is '1.5', not an integer"),
+     ("1.0,2.0,0\n1.0,nan,1\n", "row 3 field f1 is 'nan', not a finite number"),
+     ("1.0,2.0,0\ninf,2.0,1\n", "row 3 field f0 is 'inf', not a finite number"),
+     ("1.0,2.0,0\n1.0,2.0,1\n1.0,-inf,1\n", "row 4 field f1 is '-inf', not a finite number")],
+    ids=["feature", "label", "nan", "inf", "-inf"],
 )
 def test_csv_names_the_field_that_does_not_parse(tmp_path, rows, message):
     path = tmp_path / "bad.csv"

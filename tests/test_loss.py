@@ -3,7 +3,6 @@ import pytest
 
 from hashclust.errors import InsufficientBatchError, InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import HashCode
 
 from oracles import finite_difference, pair_loss_discrete, pair_loss_grad, pair_loss_relaxed
 
@@ -12,7 +11,7 @@ CFG11 = LossConfig(distance_scale=1.0, temperature=1.0)
 
 
 def code(*bits):
-    return HashCode.from_bits(np.array(bits))
+    return np.array(bits, dtype=np.int8)
 
 
 # --- discrete form ---
@@ -48,7 +47,7 @@ def test_discrete_shape_mismatch():
 def test_code_l1_is_twice_hamming():
     a = code(1, -1, 1, 1)
     b = code(-1, -1, 1, -1)
-    l1 = np.abs(a.bits - b.bits).sum()
+    l1 = np.abs(a.astype(int) - b).sum()
     assert l1 == 4  # 2 differing bits
 
 
@@ -80,7 +79,7 @@ def test_relaxed_coincides_with_discrete_at_vertices():
         bits_i = rng.choice([-1, 1], size=5)
         bits_j = rng.choice([-1, 1], size=5)
         cfg = LossConfig(distance_scale=rng.uniform(0.1, 5), temperature=rng.uniform(0.1, 5))
-        d = pair_loss_discrete(x_i, x_j, HashCode.from_bits(bits_i), HashCode.from_bits(bits_j), cfg)
+        d = pair_loss_discrete(x_i, x_j, bits_i, bits_j, cfg)
         r = pair_loss_relaxed(x_i, x_j, bits_i.astype(float), bits_j.astype(float), cfg)
         assert r == pytest.approx(d, rel=1e-12)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from hashclust.codebook import checked_code_words
 from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
     ForwardTrace,
-    HashCode,
     LayerSpec,
     NetworkParams,
     as_float32_grid,
@@ -30,8 +30,10 @@ from oracles import (
     finite_difference,
     hamming,
     pack_bits_batch,
+    packed,
     pre_activations,
-    word_codes,
+    unpacked,
+    word_bytes,
 )
 
 
@@ -249,16 +251,16 @@ def test_backward_matches_finite_differences(seed):
 
 def test_binarize_sign_convention():
     code = binarize(np.array([0.3, -0.7, 0.0]))
-    assert list(code.bits) == [1, -1, 1]
+    assert list(code) == [1, -1, 1]
 
 
 def test_binarize_all_zero_is_all_plus_one():
-    assert list(binarize(np.zeros(5)).bits) == [1] * 5
+    assert list(binarize(np.zeros(5))) == [1] * 5
 
 
 def test_binarize_identity_on_codes():
     bits = np.array([-1, -1, -1, -1])
-    assert list(binarize(bits.astype(float)).bits) == list(bits)
+    assert list(binarize(bits.astype(float))) == list(bits)
 
 
 def test_pack_unpack_bijection():
@@ -266,26 +268,25 @@ def test_pack_unpack_bijection():
     for _ in range(50):
         length = int(rng.integers(1, 20))
         bits = rng.choice([-1, 1], size=length)
-        code = HashCode.from_bits(bits)
-        assert np.array_equal(code.bits, bits)
-        again = HashCode(packed=code.packed, length=length)
-        assert np.array_equal(again.bits, bits)
+        code = packed(bits)
+        assert np.array_equal(unpacked(code, length), bits)
+        again = packed_rows(code_words(np.frombuffer(code, dtype=np.uint8)[None]), length)
+        assert np.array_equal(unpacked(again.tobytes(), length), bits)
 
 
 def test_packed_padding_must_be_zero():
-    with pytest.raises(ShapeError):
-        HashCode(packed=b"\xff", length=3)
+    with pytest.raises(ShapeError, match="entry 0 has padding bits set"):
+        checked_code_words(np.array([[0xFF]], dtype=np.uint8), 3)
 
 
 def test_binarize_batch_matches_binarize():
     rng = np.random.default_rng(7)
     h = rng.uniform(-1, 1, size=(6, 9))
     batch = binarize_batch(h)
-    packed = pack_bits_batch(batch)
-    for row, hrow, p in zip(batch, h, packed):
+    for row, hrow, p in zip(batch, h, pack_bits_batch(batch)):
         one = binarize(hrow)
-        assert np.array_equal(row, one.bits)
-        assert p == one.packed
+        assert np.array_equal(row, one)
+        assert p == packed(one)
 
 
 @pytest.mark.parametrize("length", [1, 8, 12, 13, 64, 65, 128])
@@ -299,13 +300,13 @@ def test_group_codes_matches_sorted_packed_bytes(length):
     words = output_words(h)
     assert words.dtype == np.uint64 and words.shape == (len(h), -(-length // 64))
     order, starts = group_words(words)
-    packed = pack_bits_batch(binarize_batch(h))
-    assert [c.packed for c in word_codes(words, length)] == packed
-    keys = [c.packed for c in word_codes(words[order[starts]], length)]
-    assert keys == sorted(set(packed))
+    codes = pack_bits_batch(binarize_batch(h))
+    assert word_bytes(words, length) == codes
+    keys = word_bytes(words[order[starts]], length)
+    assert keys == sorted(set(codes))
     # stable: each distinct code's samples, in index order
     assert [g.tolist() for g in np.split(order, starts[1:])] == [
-        [i for i, p in enumerate(packed) if p == key] for key in keys
+        [i for i, p in enumerate(codes) if p == key] for key in keys
     ]
 
 
@@ -313,18 +314,18 @@ def test_group_codes_matches_sorted_packed_bytes(length):
 def test_code_words_xor_popcount_is_hamming_and_rows_order_as_bytes(length):
     rng = np.random.default_rng(length)
     bits = np.vstack([rng.choice([-1, 1], size=(12, length)), -np.ones(length), np.ones(length)])
-    codes = [HashCode.from_bits(row) for row in bits]
-    packed = np.array([list(c.packed) for c in codes], dtype=np.uint8)
-    words = code_words(packed)
+    codes = [packed(row) for row in bits]
+    rows = np.array([list(c) for c in codes], dtype=np.uint8)
+    words = code_words(rows)
     assert words.dtype == np.uint64 and words.shape == (len(codes), -(-length // 64))
-    assert word_codes(words, length) == codes
+    assert word_bytes(words, length) == codes
     back = packed_rows(words, length)
-    assert back.dtype == np.uint8 and np.array_equal(back, packed)
-    for i, a in enumerate(codes):
-        for j, b in enumerate(codes):
+    assert back.dtype == np.uint8 and np.array_equal(back, rows)
+    for i, a in enumerate(bits):
+        for j, b in enumerate(bits):
             assert int(np.bitwise_count(words[i] ^ words[j]).sum()) == hamming(a, b)
     by_words = sorted(range(len(codes)), key=lambda i: tuple(words[i].tolist()))
-    by_bytes = sorted(range(len(codes)), key=lambda i: codes[i].packed)
+    by_bytes = sorted(range(len(codes)), key=lambda i: codes[i])
     assert by_words == by_bytes
 
 

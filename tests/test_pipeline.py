@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import threading
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import free_port
 
-from hashclust import pipeline
+from hashclust import codebook, pipeline
 from hashclust.cli import main
 from hashclust.codebook import merge_codebooks
 from hashclust.errors import InvalidSpecError, PipelineError
@@ -345,11 +346,25 @@ def test_run_pipeline_bad_csv_surfaces_as_pipeline_error(tmp_path):
 
 
 def test_run_pipeline_csv_with_a_bad_field_surfaces_as_pipeline_error(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,abc,1\n")
-    cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
-    with pytest.raises(PipelineError, match="dataset: .*row 3 field f1 is 'abc'"):
-        run_pipeline(cfg)
+    # a NaN would otherwise spread through the shard's min-max scaling
+    for field in ("abc", "nan", "inf", "-inf"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{field},1\n")
+        cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
+        with pytest.raises(PipelineError, match=f"^dataset: .*row 3 field f1 is '{field}'"):
+            run_pipeline(cfg)
+
+
+def test_site_above_the_degree_limit_fails_alike_in_sim_and_wire(monkeypatch):
+    # a limit of 50 stands in for 2**24; the two sites hold 62 and 58 samples
+    monkeypatch.setattr(codebook, "MAX_DEGREE", 50)
+    messages = []
+    for mode in ("sim", "wire"):
+        with pytest.raises(PipelineError) as raised:
+            run_pipeline(config_from_dict(make_raw(mode=mode)))
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert re.fullmatch(r"shard: site 0 holds \d+ samples, more than the 50 a code's degree may reach", messages[0])
 
 
 def test_codebook_above_dense_bound_surfaces_as_pipeline_error(monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 
 from hashclust.errors import EmptyShardError
 from hashclust.network import (
-    HashCode,
     LayerSpec,
     NetworkParams,
     binarize_batch,
@@ -13,7 +12,7 @@ from hashclust.network import (
 )
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 
-from oracles import hamming_sum, pack_bits_batch, word_codes
+from oracles import hamming_sum, pack_bits_batch, packed, unpacked, word_bytes
 
 
 def zero_net(dim, code_length):
@@ -27,14 +26,14 @@ def cube_buckets(per_bucket=1):
     bits = np.array(
         [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)], dtype=np.int8
     )
-    packed = pack_bits_batch(bits)
-    order = np.argsort([p for p in packed])
+    codes = pack_bits_batch(bits)
+    order = np.argsort(codes)
     members = []
     idx = 0
     for _ in range(8):
         members.append(list(range(idx, idx + per_bucket)))
         idx += per_bucket
-    rows = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(8, 1)
+    rows = np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(8, 1)
     return BucketIndex(codes=code_words(rows[order]), members=tuple(members))
 
 
@@ -45,7 +44,7 @@ def test_zero_network_single_bucket():
     x = np.random.default_rng(0).normal(size=(9, 2))
     buckets = build_buckets(params, x)
     assert len(buckets.members) == 1
-    assert word_codes(buckets.codes, 4) == [HashCode.from_bits([1, 1, 1, 1])]
+    assert word_bytes(buckets.codes, 4) == [packed([1, 1, 1, 1])]
     assert sorted(buckets.members[0]) == list(range(9))
 
 
@@ -66,9 +65,9 @@ def test_buckets_partition_the_shard():
 
     h, _ = forward(params, x)
     codes = pack_bits_batch(binarize_batch(h))
-    for code, members in zip(word_codes(buckets.codes, 5), buckets.members):
+    for code, members in zip(word_bytes(buckets.codes, 5), buckets.members):
         for i in members:
-            assert codes[i] == code.packed
+            assert codes[i] == code
 
 
 def test_build_buckets_empty_shard():
@@ -82,9 +81,9 @@ def test_build_buckets_empty_shard():
 def test_cube_second_pick_is_opposite_vertex():
     """First pick at (+1,+1,+1) forces the second from (-1,-1,-1)."""
     buckets = cube_buckets()
-    target_first = HashCode.from_bits([1, 1, 1]).packed
-    antipode = HashCode.from_bits([-1, -1, -1]).packed
-    codes = [c.packed for c in word_codes(buckets.codes, 3)]
+    target_first = packed([1, 1, 1])
+    antipode = packed([-1, -1, -1])
+    codes = word_bytes(buckets.codes, 3)
     seen = 0
     for seed in range(200):
         picks = select_batch(buckets, 2, seed)
@@ -100,7 +99,7 @@ def test_cube_second_pick_is_opposite_vertex():
 def test_cube_third_pick_summed_distance_three():
     """After two opposite picks every remaining vertex scores 3."""
     buckets = cube_buckets()
-    code_bits = [c.bits for c in word_codes(buckets.codes, 3)]
+    code_bits = [unpacked(c, 3) for c in word_bytes(buckets.codes, 3)]
     for seed in range(50):
         picks = select_batch(buckets, 3, seed)
         bits = [
@@ -157,8 +156,8 @@ def test_argmax_property_with_tie_break():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(40, 4))
     buckets = build_buckets(params, x)
-    code_bits = [c.bits for c in word_codes(buckets.codes, 4)]
-    codes = [c.packed for c in word_codes(buckets.codes, 4)]
+    codes = word_bytes(buckets.codes, 4)
+    code_bits = [unpacked(c, 4) for c in codes]
     assert codes == sorted(codes)
     code_of = {}
     for b, members in enumerate(buckets.members):

@@ -4,7 +4,6 @@ import pytest
 from hashclust import codebook, network
 from hashclust.codebook import (
     Codebook,
-    CodebookEntry,
     decode_codes_payload,
     encode_codes_payload,
     encode_shard,
@@ -19,7 +18,7 @@ from hashclust.errors import (
 )
 from hashclust import kmeans as kmeans_module
 from hashclust.kmeans import kmeans
-from hashclust.network import HashCode, init_network, mlp_spec
+from hashclust.network import init_network, mlp_spec
 from hashclust import spectral
 from hashclust.spectral import (
     DENSE_SOLVER_MAX_VERTICES,
@@ -34,29 +33,36 @@ from oracles import (
     InvalidPartitionError,
     OracleSizeError,
     brute_force_ncut,
+    codebook_of,
     dense_spectral_labels,
     direct_lloyd,
     disconnected_components,
     hamming,
     labels_match_up_to_permutation,
     ncut_value,
+    packed,
     planted_codebook,
     planted_two_cluster,
     plusplus_init_rows,
+    sorted_book as book,
     transform_product_reference,
+    unpacked,
+    word_bytes,
 )
 
 
 def code(*bits):
-    return HashCode.from_bits(np.array(bits))
+    return np.array(bits, dtype=np.int8)
 
 
-def book(entries, origin="global"):
-    ordered = tuple(
-        CodebookEntry(code=c, degree=d)
-        for c, d in sorted(entries, key=lambda e: e[0].packed)
-    )
-    return Codebook(entries=ordered, origin=origin)
+def code_bits(b):
+    """The +-1 bits of each code of a book, read from its packed bytes."""
+    return [unpacked(c, b.code_length) for c in word_bytes(b.codes, b.code_length)]
+
+
+def reordered(b, rows):
+    """The book ``b`` with its entries taken in the order (or subset) ``rows``."""
+    return Codebook.from_arrays(b.codes[rows], b.degrees[rows], b.code_length, b.origin)
 
 
 # --- hamming ---
@@ -104,12 +110,8 @@ def test_graph_degree_scaling_is_quadratic():
 
 
 def test_graph_rejects_duplicate_codes():
-    entries = (
-        CodebookEntry(code=code(1, 1), degree=1),
-        CodebookEntry(code=code(1, 1), degree=2),
-    )
     with pytest.raises(InvalidCodebookError):
-        build_graph(Codebook(entries=entries, origin="global"))
+        build_graph(codebook_of([packed(code(1, 1)), packed(code(1, 1))], [1, 2], 2))
 
 
 def test_graph_rejects_codebook_above_dense_bound():
@@ -117,11 +119,7 @@ def test_graph_rejects_codebook_above_dense_bound():
     length = 32
     assert length > spectral.TRANSFORM_MAX_CODE_LENGTH
     n = DENSE_SOLVER_MAX_VERTICES + 1
-    entries = tuple(
-        CodebookEntry(code=HashCode(packed=i.to_bytes(4, "big"), length=length), degree=1)
-        for i in range(n)
-    )
-    graph = build_graph(Codebook(entries=entries, origin="global"))
+    graph = build_graph(codebook_of([i.to_bytes(4, "big") for i in range(n)], [1] * n, length))
     assert not graph.matrix_free
     bound = f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
     with pytest.raises(UnsupportedSizeError, match=bound):
@@ -137,12 +135,13 @@ def test_graph_matches_pairwise_formula():
     merged = merge_codebooks([cb])
     w = np.asarray(build_graph(merged))
     n = len(merged)
+    bits, degrees = code_bits(merged), merged.degrees.tolist()
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            h = hamming(merged.entries[i].code, merged.entries[j].code)
-            expect = merged.entries[i].degree * merged.entries[j].degree / h
+            h = hamming(bits[i], bits[j])
+            expect = degrees[i] * degrees[j] / h
             assert w[i, j] == pytest.approx(expect, rel=1e-12)
 
 
@@ -151,11 +150,12 @@ def test_graph_weights_equal_hamming_weights_exactly(length):
     rng = np.random.default_rng(length)
     bits = np.unique(rng.choice([-1, 1], size=(60, length)), axis=0)
     degrees = rng.integers(1, 10 ** 6, size=len(bits))
-    b = book([(HashCode.from_bits(row), int(d)) for row, d in zip(bits, degrees)])
+    b = book([(row, int(d)) for row, d in zip(bits, degrees)])
     w = np.asarray(build_graph(b))
-    for i, ei in enumerate(b.entries):
-        for j, ej in enumerate(b.entries):
-            expect = 0.0 if i == j else ei.degree * ej.degree / hamming(ei.code, ej.code)
+    book_bits, book_degrees = code_bits(b), b.degrees.tolist()
+    for i, (bi, di) in enumerate(zip(book_bits, book_degrees)):
+        for j, (bj, dj) in enumerate(zip(book_bits, book_degrees)):
+            expect = 0.0 if i == j else di * dj / hamming(bi, bj)
             assert w[i, j] == expect
 
 
@@ -420,7 +420,7 @@ def test_lobpcg_on_clusterless_codes_is_orthonormal_with_small_fresh_residuals(s
     rng = np.random.default_rng(seed)
     codes = rng.choice(2 ** 12, size=1500, replace=False) << 4  # L=12 in two bytes, low bits zero
     entries = [
-        (HashCode(packed=int(c).to_bytes(2, "big"), length=12), int(d))
+        (unpacked(int(c).to_bytes(2, "big"), 12), int(d))
         for c, d in zip(codes, rng.integers(1, 50, size=1500))
     ]
     graph = build_graph(book(entries))
@@ -461,7 +461,7 @@ def _random_graph(length):
     n = min(2 ** length, 300)
     n_bytes = (length + 7) // 8
     entries = [
-        (HashCode(packed=(int(c) << (8 * n_bytes - length)).to_bytes(n_bytes, "big"), length=length), int(d))
+        (unpacked((int(c) << (8 * n_bytes - length)).to_bytes(n_bytes, "big"), length), int(d))
         for c, d in zip(rng.choice(2 ** length, size=n, replace=False), rng.integers(1, 10 ** 6, size=n))
     ]
     return build_graph(book(entries)), rng
@@ -699,7 +699,6 @@ def test_propagate_identical_codes_same_label():
     site_a = book([(c1, 2), (c2, 1)], origin="site0")
     site_b = book([(c1, 1), (c2, 2)], origin="site1")
     partition = np.array([0, 1])
-    order = {e.code.packed: i for i, e in enumerate(global_book.entries)}
     maps = [
         (site_a, np.array([0, 0, 1])),
         (site_b, np.array([0, 1, 1])),
@@ -708,8 +707,7 @@ def test_propagate_identical_codes_same_label():
     label_of = {}
     for site, (sbook, smap) in zip(per_site, maps):
         for sample, entry_idx in zip(site, smap):
-            packed = sbook.entries[entry_idx].code.packed
-            label_of.setdefault(packed, set()).add(int(sample))
+            label_of.setdefault(word_bytes(sbook.codes, 2)[entry_idx], set()).add(int(sample))
     assert all(len(v) == 1 for v in label_of.values())
     # histogram covers every sample
     assert sum(len(s) for s in per_site) == 6
@@ -724,19 +722,20 @@ def test_propagate_unknown_code():
 
 def _labels_by_code(partition, global_book, site_book):
     """Each sample's label, looked up by its code's bytes: the dict the arrays replace."""
-    vertex = {e.code.packed: i for i, e in enumerate(global_book.entries)}
-    return np.repeat([partition[vertex[e.code.packed]] for e in site_book.entries], site_book.degrees)
+    vertex = {c: i for i, c in enumerate(word_bytes(global_book.codes, global_book.code_length))}
+    site_codes = word_bytes(site_book.codes, site_book.code_length)
+    return np.repeat([partition[vertex[c]] for c in site_codes], site_book.degrees)
 
 
 @pytest.mark.parametrize("global_order", ["merged", "reversed"])
 def test_propagate_from_a_payload_with_unsorted_repeated_codes(global_order):
     site = [(code(1, 1, -1, 1, -1), 2), (code(-1, 1, 1, -1, -1), 3), (code(1, 1, -1, 1, -1), 4),
             (code(-1, -1, -1, -1, 1), 1)]
-    payload = encode_codes_payload(Codebook(tuple(CodebookEntry(c, d) for c, d in site)))
+    payload = encode_codes_payload(codebook_of([packed(c) for c, _ in site], [d for _, d in site], 5))
     decoded = decode_codes_payload(payload, 5, origin="site0")
     global_book = merge_codebooks([decoded])
     if global_order == "reversed":
-        global_book = Codebook(global_book.entries[::-1])
+        global_book = reordered(global_book, slice(None, None, -1))
     partition = np.array([7, 5, 9])
     (labels,) = propagate_labels(partition, global_book, [(decoded, np.repeat(np.arange(4), [2, 3, 4, 1]))])
     assert np.array_equal(labels, _labels_by_code(partition, global_book, decoded))
@@ -749,39 +748,39 @@ def test_merge_and_propagate_of_multi_word_codes_match_the_dicts(length, global_
     rng = np.random.default_rng(length)
     bits = rng.choice([-1, 1], size=(12, length))
     bits[6:, :64] = bits[0, :64]  # codes 0 and 6-11 differ only after their first word
-    codes = [HashCode.from_bits(row) for row in bits]
+    codes = [packed(row) for row in bits]
     # unsorted payloads with repeated codes; site 0 holds code 7
     picks = [[7, *rng.integers(12, size=7)], *rng.integers(12, size=(2, 8))]
     books = [
         decode_codes_payload(
-            encode_codes_payload(Codebook(tuple(CodebookEntry(codes[i], int(rng.integers(1, 5))) for i in p))),
+            encode_codes_payload(codebook_of([codes[i] for i in p], [int(rng.integers(1, 5)) for i in p], length)),
             length, origin=f"site{s}",
         )
         for s, p in enumerate(picks)
     ]
     total = {}
     for b in books:
-        for e in b.entries:
-            total[e.code.packed] = total.get(e.code.packed, 0) + e.degree
+        for c, d in zip(word_bytes(b.codes, length), b.degrees.tolist()):
+            total[c] = total.get(c, 0) + d
     merged = merge_codebooks(books)
-    assert [(e.code.packed, e.degree) for e in merged.entries] == sorted(total.items())
+    assert list(zip(word_bytes(merged.codes, length), merged.degrees.tolist())) == sorted(total.items())
 
-    global_book = merged if global_order == "merged" else Codebook(merged.entries[::-1])
+    global_book = merged if global_order == "merged" else reordered(merged, slice(None, None, -1))
     partition = rng.permutation(len(global_book))
     maps = [(b, np.repeat(np.arange(len(b)), b.degrees)) for b in books]
     for b, labels in zip(books, propagate_labels(partition, global_book, maps)):
         assert np.array_equal(labels, _labels_by_code(partition, global_book, b))
 
-    short = Codebook(tuple(e for e in global_book.entries if e.code != codes[7]))
+    short = reordered(global_book, np.array([c != codes[7] for c in word_bytes(global_book.codes, length)]))
     with pytest.raises(InconsistentStateError, match="'site0' holds a code missing"):
         propagate_labels(partition[: len(short)], short, maps)
 
 
 @pytest.mark.parametrize("length", [8, 12, 24])
 def test_propagate_rejects_a_site_book_of_another_code_length(length):
-    global_book = book([(HashCode(packed=b"\x12\x30", length=16), 2), (HashCode(packed=b"\xab\xc0", length=16), 1)])
+    global_book = codebook_of([b"\x12\x30", b"\xab\xc0"], [2, 1], 16)
     # at L = 12 the site code has the same two bytes as a global code
-    site_book = book([(HashCode(packed=b"\x12\x30\x00"[: (length + 7) // 8], length=length), 2)], origin="site0")
+    site_book = codebook_of([b"\x12\x30\x00"[: (length + 7) // 8]], [2], length, origin="site0")
     with pytest.raises(InconsistentStateError, match=f"'site0' has {length}-bit codes"):
         propagate_labels(np.array([0, 1]), global_book, [(site_book, np.zeros(2, dtype=int))])
 
@@ -789,7 +788,7 @@ def test_propagate_rejects_a_site_book_of_another_code_length(length):
 def test_global_site_path_builds_no_code_objects(monkeypatch):
     planted, groups = planted_codebook(np.random.default_rng(18), 2, 60)
     # site 1 holds every second code, in reverse order
-    payloads = [encode_codes_payload(planted), encode_codes_payload(Codebook(planted.entries[::-2]))]
+    payloads = [encode_codes_payload(planted), encode_codes_payload(reordered(planted, slice(None, None, -2)))]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a code object was built")

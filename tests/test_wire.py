@@ -33,7 +33,6 @@ from hashclust.wire import (
     config_digest,
     expect_frame,
     parse_endpoint,
-    recv_frame,
     run_sub_site,
     run_wire_locally,
     send_frame,
@@ -64,9 +63,7 @@ def test_frame_roundtrip():
     a, b = socket.socketpair()
     try:
         send_frame(a, TAG_PARAMS, b"hello")
-        tag, payload = recv_frame(b)
-        assert tag == TAG_PARAMS
-        assert payload == b"hello"
+        assert expect_frame(b, TAG_PARAMS) == b"hello"
     finally:
         a.close()
         b.close()
@@ -76,7 +73,7 @@ def test_frame_empty_payload():
     a, b = socket.socketpair()
     try:
         send_frame(a, TAG_DONE)
-        assert recv_frame(b) == (TAG_DONE, b"")
+        assert expect_frame(b, TAG_DONE) == b""
     finally:
         a.close()
         b.close()
@@ -97,30 +94,30 @@ def test_expect_frame_tag_mismatch():
     a, b = socket.socketpair()
     try:
         send_frame(a, TAG_GRADIENT, b"x")
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="expected frame tag 0x01, got 0x02"):
             expect_frame(b, TAG_PARAMS)
     finally:
         a.close()
         b.close()
 
 
-def test_recv_frame_eof_at_header():
+def test_expect_frame_eof_at_header():
     a, b = socket.socketpair()
     a.close()
     try:
         with pytest.raises(ProtocolError):
-            recv_frame(b)
+            expect_frame(b, TAG_PARAMS)
     finally:
         b.close()
 
 
-def test_recv_frame_eof_mid_payload():
+def test_expect_frame_eof_mid_payload():
     a, b = socket.socketpair()
     try:
         a.sendall(struct.pack(">BI", TAG_PARAMS, 100) + b"short")
         a.close()
         with pytest.raises(ProtocolError):
-            recv_frame(b)
+            expect_frame(b, TAG_PARAMS)
     finally:
         b.close()
 
@@ -188,12 +185,12 @@ def test_decoded_frames_survive_later_frames_on_the_connection():
         b.close()
 
 
-def test_recv_frame_rejects_oversized_declaration():
+def test_expect_frame_rejects_oversized_declaration():
     a, b = socket.socketpair()
     try:
         a.sendall(struct.pack(">BI", TAG_PARAMS, 1 << 31))
-        with pytest.raises(ProtocolError):
-            recv_frame(b)
+        with pytest.raises(ProtocolError, match="declared payload of 2147483648 bytes exceeds the frame limit"):
+            expect_frame(b, TAG_PARAMS)
     finally:
         a.close()
         b.close()
@@ -280,10 +277,9 @@ def test_wire_codebooks_match_local_encoding():
     for site, shard in enumerate(shards):
         local_book, _ = encode_shard(sim_params, shard, origin=f"site{site}")
         wire_book = result.site_books[site]
-        assert len(wire_book) == len(local_book)
-        for a, b in zip(wire_book.entries, local_book.entries):
-            assert a.code == b.code
-            assert a.degree == b.degree
+        assert (wire_book.code_length, len(wire_book)) == (local_book.code_length, len(local_book))
+        assert np.array_equal(wire_book.codes, local_book.codes)
+        assert np.array_equal(wire_book.degrees, local_book.degrees)
 
 
 def test_wire_meter_matches_cost_formulas():
@@ -491,6 +487,14 @@ def _empty_codes(port, shards, net, cfg):
         sock.recv(1)
 
 
+def _foreign_protocol(port, shards, net, cfg):
+    # "GET / HTTP/1.1" read as a frame header: tag 0x47 ("G") and a declared
+    # length near 1.16 GB; a declared 64 MiB stands in here, and is never sent
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(struct.pack(">BI", ord("G"), 64 << 20))
+        sock.recv(1)
+
+
 # name: (faulty site 1, coordinator timeout, the ProtocolError it raises)
 FAULTS = {
     "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
@@ -499,6 +503,7 @@ FAULTS = {
     "wrong_gradient_shape": (_raw(_wrong_gradient_shape), 5.0,
                              "site 1 sent a malformed frame 0x02: value section has 124 bytes, expected 160"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
+    "foreign_protocol": (_foreign_protocol, 5.0, "expected frame tag 0x05, got 0x47"),
     "empty_codes": (_empty_codes, 5.0, "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
     "other_network": (_site(1, mlp_spec(4, (3,), 4)), 5.0, "site 1 runs another training config or network"),
