@@ -143,6 +143,7 @@ class Shard:
 
 
 def make_shard(x, labels, site_index) -> Shard:
+    """One site's shard; a feature whose max - min is not finite raises ShapeError."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     if x.ndim != 2:
@@ -150,7 +151,14 @@ def make_shard(x, labels, site_index) -> Shard:
     if x.shape[0] != labels.shape[0]:
         raise ShapeError(f"features/labels disagree: {x.shape[0]} vs {labels.shape[0]}")
     fmin = x.min(axis=0)
-    frange = x.max(axis=0) - fmin
+    fmax = x.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frange = fmax - fmin
+    # finite features of opposite sign may lie further apart than float64 reaches
+    wide = np.flatnonzero(~np.isfinite(frange))
+    if wide.size:
+        j = int(wide[0])
+        raise ShapeError(f"feature {j} spans {fmin[j]} to {fmax[j]}: its range is not a finite number")
     return Shard(
         x=x,
         labels=labels,
@@ -228,7 +236,7 @@ def load_csv(path):
         try:
             samples[i] = [float(v) for v in row[:d]]
             labels[i] = int(row[-1])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ShapeError(f"{path}: row {i + 2} {_bad_field(header, row)}") from exc
     # float() takes nan and inf, which min-max scaling would spread over the whole shard
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
@@ -238,12 +246,15 @@ def load_csv(path):
 
 
 def _bad_field(header, row) -> str:
-    """The first field of a CSV row that is not a finite number, or for the label an integer."""
+    """The first field of a CSV row that is not a finite number, or for the label an int64 integer."""
+    int64 = np.iinfo(np.int64)
     for name, text in zip(header, row):
         try:
             value = (int if name == "label" else float)(text)
         except ValueError:
             kind = "an integer" if name == "label" else "a number"
             return f"field {name} is {text!r}, not {kind}"
+        if name == "label" and not int64.min <= value <= int64.max:
+            return f"field {name} is {text!r}, not an int64 integer"
         if not np.isfinite(value):
             return f"field {name} is {text!r}, not a finite number"

@@ -208,13 +208,15 @@ def plusplus_init_rows(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     return centers
 
 
-def direct_lloyd(points: np.ndarray, centers: np.ndarray):
+def direct_lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, norm_bound: float):
     """Lloyd iterations from every point-centre distance ||p - c||**2 itself.
 
     The reference for ``kmeans._lloyd``, which takes its assignments from one
     matrix product: the same steps, the same empty-cluster re-seeding and the
-    same argmin ties, over an (n, k, d) broadcast. Updates ``centers`` in
-    place and returns (labels, inertia).
+    same argmin ties, over an (n, k, d) broadcast, and always a closing
+    assignment. It takes ``_lloyd``'s arguments and reads neither the points'
+    columns nor their norm bound. Updates ``centers`` in place and returns
+    (labels, inertia).
     """
     labels = None
     for _ in range(MAX_ITER):

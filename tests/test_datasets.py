@@ -168,6 +168,23 @@ def test_shard_min_below_one_is_refused(min_per_site, n_sites, seed):
         shard_dataset(np.arange(40.0)[:, None], np.zeros(40, dtype=int), n_sites, min_per_site, seed)
 
 
+def test_shard_refuses_a_feature_whose_range_overflows():
+    # each value is finite, but 1e308 - (-1e308) is not
+    x = np.zeros((200, 3))
+    x[:, 0] = np.arange(200.0)
+    x[::2, 2], x[1::2, 2] = 1e308, -1e308
+    with pytest.raises(ShapeError, match=r"^feature 2 spans -1e\+308 to 1e\+308: its range is not a finite number$"):
+        shard_dataset(x, np.zeros(200, dtype=int), 2, min_per_site=50, seed=0)
+
+
+def test_shard_keeps_a_finite_range_up_to_the_largest_float():
+    big = np.finfo(np.float64).max
+    x = np.array([[0.0, -big / 2], [big, big / 2], [1.0, 0.0]])
+    shard = make_shard(x, np.zeros(3, dtype=int), 0)
+    assert np.array_equal(shard.feature_range, x.max(axis=0) - x.min(axis=0))
+    assert np.array_equal(shard.feature_range, [big, big])
+
+
 def test_shard_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 2))
@@ -256,14 +273,24 @@ def test_csv_rejects_bad_header(tmp_path):
      ("1.0,2.0,1.5\n", "row 2 field label is '1.5', not an integer"),
      ("1.0,2.0,0\n1.0,nan,1\n", "row 3 field f1 is 'nan', not a finite number"),
      ("1.0,2.0,0\ninf,2.0,1\n", "row 3 field f0 is 'inf', not a finite number"),
-     ("1.0,2.0,0\n1.0,2.0,1\n1.0,-inf,1\n", "row 4 field f1 is '-inf', not a finite number")],
-    ids=["feature", "label", "nan", "inf", "-inf"],
+     ("1.0,2.0,0\n1.0,2.0,1\n1.0,-inf,1\n", "row 4 field f1 is '-inf', not a finite number"),
+     ("1.0,2.0,0\n1.0,2.0,99999999999999999999\n",
+      "row 3 field label is '99999999999999999999', not an int64 integer"),
+     ("1.0,2.0,-9223372036854775809\n", "row 2 field label is '-9223372036854775809', not an int64 integer")],
+    ids=["feature", "label", "nan", "inf", "-inf", "label-above-int64", "label-below-int64"],
 )
 def test_csv_names_the_field_that_does_not_parse(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n" + rows)
     with pytest.raises(ShapeError, match=message):
         load_csv(path)
+
+
+def test_csv_takes_labels_at_the_int64_bounds(tmp_path):
+    path = tmp_path / "bounds.csv"
+    path.write_text("f0,label\n1.0,9223372036854775807\n2.0,-9223372036854775808\n")
+    _, labels = load_csv(path)
+    assert labels.tolist() == [2**63 - 1, -2**63]
 
 
 def test_csv_rejects_ragged_rows(tmp_path):

@@ -353,6 +353,22 @@ def test_run_pipeline_csv_with_a_bad_field_surfaces_as_pipeline_error(tmp_path):
         cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
         with pytest.raises(PipelineError, match=f"^dataset: .*row 3 field f1 is '{field}'"):
             run_pipeline(cfg)
+    # a label beyond int64 would otherwise end in an OverflowError traceback
+    for label in ("99999999999999999999", "-9223372036854775809"):
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,{label}\n")
+        cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
+        with pytest.raises(PipelineError, match=f"^dataset: .*row 3 field label is '{label}', not an int64 integer$"):
+            run_pipeline(cfg)
+
+
+def test_run_pipeline_csv_whose_feature_range_overflows_fails_in_the_shard_phase(tmp_path):
+    # every value is finite; max - min of f0 is not, which left every sample one code
+    path = tmp_path / "wide.csv"
+    rows = "".join(f"{1e308 if i % 2 else -1e308!r},{float(i)!r},{i % 2}\n" for i in range(200))
+    path.write_text("f0,f1,label\n" + rows)
+    cfg = config_from_dict({"dataset": {"csv": str(path)}, "clusters": 2})
+    with pytest.raises(PipelineError, match=r"^shard: feature 0 spans -1e\+308 to 1e\+308: its range is not a finite number$"):
+        run_pipeline(cfg)
 
 
 def test_site_above_the_degree_limit_fails_alike_in_sim_and_wire(monkeypatch):

@@ -616,6 +616,30 @@ def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
         assert inertia == expect_inertia
 
 
+@pytest.mark.parametrize("kind", KMEANS_KINDS)
+def test_lloyd_equals_the_direct_lloyd_from_starts_that_empty_clusters(kind, monkeypatch):
+    # a restart's labels, inertia and centres, not only the winner's: repeated
+    # and far-off starts empty clusters, so restarts converge on the step after
+    # a re-seed, where the closing assignment must run
+    monkeypatch.setattr(kmeans_module, "MAX_ITER", 30)
+    monkeypatch.setattr(oracles, "MAX_ITER", 30)
+    rng = np.random.default_rng(50 + KMEANS_KINDS.index(kind))
+    for _ in range(100):
+        points, k = _kmeans_case(rng, kind)
+        k = max(k, 2)
+        start = points[rng.integers(0, len(points), size=k)]
+        start[rng.random(k) < 0.3] = start[0]
+        start[rng.random(k) < 0.2] += 100.0
+        columns = np.ascontiguousarray(points.T)
+        norm_bound = float(np.sqrt((points * points).sum(axis=1).max()))
+        got, expect = start.copy(), start.copy()
+        labels, inertia = kmeans_module._lloyd(points, got, columns, norm_bound)
+        expect_labels, expect_inertia = direct_lloyd(points, expect, columns, norm_bound)
+        assert np.array_equal(labels, expect_labels)
+        assert inertia == expect_inertia
+        assert np.array_equal(got, expect)
+
+
 def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(17), 4, 60)
     emb = _iterative_embedding(build_graph(planted), 4)
@@ -666,6 +690,56 @@ def test_kmeans_equals_the_row_sum_plusplus_seeding_bitwise(d, monkeypatch):
             expect_labels, expect_inertia = kmeans(points, k, seed)
         assert np.array_equal(labels, expect_labels)
         assert inertia == expect_inertia
+
+
+CHOICE_CASES = ["one_point", "single_nonzero", "zeros", "trailing_zeros", "4000_points"]
+
+
+@pytest.mark.parametrize("case", CHOICE_CASES)
+def test_plusplus_draw_equals_generator_choice(case):
+    # the seeding draws without numpy's checks of p; this pins the draw, and
+    # the generator state after it, to every numpy release the suite runs on
+    rng = np.random.default_rng(40 + CHOICE_CASES.index(case))
+    for _ in range(200):
+        n = {"one_point": 1, "4000_points": 4000}.get(case, int(rng.integers(2, 600)))
+        weights = rng.random(n) ** 4 * 10.0 ** rng.integers(-300, 300)
+        if case == "single_nonzero":
+            weights = np.zeros(n)
+            weights[rng.integers(n)] = rng.random() + 1e-300
+        elif case == "zeros":
+            weights[rng.random(n) < 0.6] = 0.0
+            weights[rng.integers(n)] = 1.0
+        elif case == "trailing_zeros":
+            weights[int(rng.integers(1, n)):] = 0.0
+        p = weights / weights.sum()
+        seed = int(rng.integers(2 ** 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert kmeans_module._choice(p, a) == int(b.choice(n, p=p))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_assign_with_one_tie_bound_equals_the_direct_argmin():
+    # norms from 1e-3 to 1e3 share one bound, taken at the largest; a third
+    # of the points sit on the bisector of centres 0 and 1, some nudged a few
+    # ulps off it, so their best two direct distances tie or nearly tie
+    rng = np.random.default_rng(45)
+    ties = 0
+    for _ in range(60):
+        n, d, k = 600, int(rng.integers(2, 13)), int(rng.integers(2, 7))
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        centers = points[rng.choice(n, k, replace=False)] * (1.0 + rng.random((k, 1)))
+        mid, normal = (centers[0] + centers[1]) / 2, centers[1] - centers[0]
+        on = rng.random(n) < 1 / 3
+        points[on] -= ((points[on] - mid) @ normal / (normal @ normal))[:, None] * normal
+        points[on] *= 1.0 + rng.integers(-4, 5, size=(int(on.sum()), 1)) * np.finfo(np.float64).eps
+        columns = np.ascontiguousarray(points.T)
+        norm_bound = float(np.sqrt((points * points).sum(axis=1).max()))
+        labels = kmeans_module._assign(points, columns, norm_bound, centers)
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(labels, np.argmin(d2, axis=1))
+        top = np.sort(d2, axis=1)[:, :2]
+        ties += int((top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1]).sum())
+    assert ties > 1000
 
 
 @pytest.mark.parametrize("value, row", [(np.nan, 0), (np.inf, 2), (-np.inf, 1)])
