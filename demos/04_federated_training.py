@@ -33,16 +33,16 @@ cfg = TrainingConfig(
     loss=LossConfig(distance_scale=1.0, temperature=1.0),
     seed=23,
 )
-params, history = train(shards, mlp_spec(8, (8, 8), 6), cfg)
+params, losses = train(shards, mlp_spec(8, (8, 8), 6), cfg)
 
 print("\nround   mean loss   per-site losses")
-for i, r in enumerate(history.records):
+for i, row in enumerate(losses):
     if i % 5 == 0:
-        sites = "  ".join(f"{v:.4f}" for v in r.site_losses)
-        print(f"{i:>5}   {r.mean_loss:.5f}   {sites}")
+        sites = "  ".join(f"{v:.4f}" for v in row)
+        print(f"{i:>5}   {row.mean():.5f}   {sites}")
 
-rer = relative_error_ratio(history)
-print(f"\nloss: first {history.records[0].mean_loss:.5f}  last {history.records[-1].mean_loss:.5f}")
+rer = relative_error_ratio(losses)
+print(f"\nloss: first {losses[0].mean():.5f}  last {losses[-1].mean():.5f}")
 print(f"relative error ratio: final {rer[-1]:.4f}  (min over rounds is {rer.min():.0f} by construction)")
 ledger = total_cost_bits(cfg.n_sites, param_count(params), cfg.n_rounds, [], params.code_length)
 print(f"gradient/parameter traffic during training: {ledger.training_bits} bits")

@@ -33,7 +33,7 @@ cfg = TrainingConfig(
     loss=LossConfig(distance_scale=1.0, temperature=1.0),
     seed=23,
 )
-params, history = train(shards, net, cfg)
+params, _ = train(shards, net, cfg)
 
 books = []
 for i, shard in enumerate(shards):

@@ -33,11 +33,11 @@ cfg = TrainingConfig(
 )
 
 result = run_wire_locally(shards, net, cfg)
-sim_params, sim_history = train(shards, net, cfg)
+sim_params, sim_losses = train(shards, net, cfg)
 
 print(f"wire final params == sim final params (bitwise): "
       f"{np.array_equal(result.params.values, sim_params.values)}")
-print(f"loss series identical: {np.array_equal(result.history.losses, sim_history.losses)}")
+print(f"loss tables (rounds x sites) identical: {np.array_equal(result.losses, sim_losses)}")
 
 meter = result.meter
 n = param_count(result.params)

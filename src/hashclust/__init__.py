@@ -37,7 +37,6 @@ from .sampling import build_buckets, select_batch
 from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import (
     TrainingConfig,
-    TrainingHistory,
     global_merge,
     local_round,
     relative_error_ratio,
@@ -58,7 +57,6 @@ __all__ = [
     "PipelineConfig",
     "Shard",
     "TrainingConfig",
-    "TrainingHistory",
     "backward",
     "batch_loss",
     "binarize_batch",

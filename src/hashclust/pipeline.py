@@ -17,6 +17,7 @@ rejects that flat echo.
 
 from __future__ import annotations
 
+import csv
 import json
 import socket
 import time
@@ -311,20 +312,26 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     wire_books = None
     with _phase("train", timings):
         if cfg.mode == "sim":
-            params, history = train(shards, net_spec, tcfg)
+            params, losses = train(shards, net_spec, tcfg)
         else:
             if cfg.listen is not None:
                 listener = socket.create_server(parse_endpoint(cfg.listen))
                 result = serve_global(listener, net_spec, tcfg, timeout=cfg.timeout)
             else:
                 result = run_wire_locally(shards, net_spec, tcfg, timeout=cfg.timeout)
-            params, history = result.params, result.history
+            params, losses = result.params, result.losses
             meter, wire_books = result.meter, result.site_books
 
     with _phase("encode", timings):
         site_maps = [encode_shard(params, s, origin=f"site{i}") for i, s in enumerate(shards)]
-        # in wire mode the coordinator clusters what it actually received
-        books = wire_books if wire_books is not None else [m[0] for m in site_maps]
+        books = [m[0] for m in site_maps]
+        # in wire mode the coordinator clusters and labels through its own
+        # encoding, so each site must have sent exactly that book
+        for site, sent in enumerate(wire_books or ()):
+            if sent != books[site]:
+                raise InconsistentStateError(
+                    f"site {site} sent a codebook other than the coordinator's encoding of its shard"
+                )
     with _phase("merge", timings):
         merged = merge_codebooks(books)
         if merged.total_degree != n:
@@ -352,7 +359,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if meter is not None:
             ledger.measured_paper_bits = meter.paper_bits
             ledger.measured_physical_bits = meter.physical_bits
-        rer = [] if not history.records else [float(v) for v in relative_error_ratio(history)]
+        rer = relative_error_ratio(losses).tolist() if len(losses) else []
         results = {
             "name": cfg.name,
             "mode": cfg.mode,
@@ -398,7 +405,7 @@ def run_report(result_paths, out_path=None):
     """Tabulate runs: one row each, sorted by dataset name then seed.
 
     The cost column is megabytes, bits / (8 * 2**20). Returns the rows;
-    writes CSV to out_path when given.
+    writes CSV to out_path when given, quoting a name that needs it.
     """
     rows = []
     for path in result_paths:
@@ -421,10 +428,11 @@ def run_report(result_paths, out_path=None):
     rows.sort(key=lambda r: (r["dataset"], r["seed"]))
     if out_path is not None:
         header = ["dataset", "seed", "mode", "purity", "nmi", "total_bits", "megabytes"]
-        lines = [",".join(header)]
-        lines += [",".join(str(r[k]) for k in header) for r in rows]
         try:
-            Path(out_path).write_text("\n".join(lines) + "\n")
+            with open(out_path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([r[k] for k in header] for r in rows)
         except OSError as exc:
             raise PipelineError(f"report: {out_path}: {exc}") from exc
     return rows

@@ -42,21 +42,6 @@ class TrainingConfig:
             raise InvalidSpecError(f"batch_size must be >= 2: a batch needs a pair, got {self.batch_size}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    mean_loss: float
-    site_losses: tuple
-
-
-@dataclass
-class TrainingHistory:
-    records: list = field(default_factory=list)
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.mean_loss for r in self.records])
-
-
 def derive_round_seed(base_seed: int, round_index: int) -> int:
     """Batch-selection seed for one round, shared by every site.
 
@@ -108,22 +93,24 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
 
 
 def run_rounds(params: NetworkParams, cfg: TrainingConfig, exchange):
-    """The round loop of simulation and wire mode alike; returns (params, history).
+    """The round loop of simulation and wire mode alike; returns (params, losses).
 
     ``exchange(params, r)`` hands round r's parameters to every site and
-    returns their (gradients, losses) in site order. One loop for both modes
-    keeps their parameter trajectories bitwise the same.
+    returns their (gradients, losses) in site order. ``losses`` is a float64
+    (n_rounds, n_sites) table: row r holds round r's batch losses in site
+    order. One loop for both modes keeps their parameter trajectories and
+    loss tables bitwise the same.
     """
-    history = TrainingHistory()
+    losses = np.empty((cfg.n_rounds, cfg.n_sites))
     for r in range(cfg.n_rounds):
-        grads, losses = exchange(params, r)
+        grads, losses[r] = exchange(params, r)
         params = global_merge(params, grads, cfg.learning_rate)
-        history.records.append(RoundRecord(float(np.mean(losses)), tuple(losses)))
-    return params, history
+    return params, losses
 
 
 def train(shards, spec, cfg: TrainingConfig):
-    """Run the full protocol in process for cfg.n_rounds; returns (params, history).
+    """Run the full protocol in process for cfg.n_rounds; returns (params, losses),
+    the losses a float64 (n_rounds, n_sites) table as run_rounds gives it.
 
     ``shards`` must have exactly cfg.n_sites entries; each round runs one
     local_round per shard through run_rounds. Deterministic for fixed
@@ -141,15 +128,17 @@ def train(shards, spec, cfg: TrainingConfig):
     return run_rounds(init_network(spec, cfg.seed), cfg, exchange)
 
 
-def relative_error_ratio(history: TrainingHistory) -> np.ndarray:
-    """Min-max normalized loss per round: (loss - min) / (max - min).
+def relative_error_ratio(losses) -> np.ndarray:
+    """Min-max normalized loss per round: (loss - min) / (max - min), where a
+    round's loss is the mean of its row of the (n_rounds, n_sites) table.
 
-    A constant history is degenerate; it yields all zeros and a
-    DegenerateHistoryWarning.
+    A table of no rounds or no sites raises ShapeError. Equal losses in every
+    round are degenerate; they yield all zeros and a DegenerateHistoryWarning.
     """
-    if not history.records:
-        raise ShapeError("history is empty")
-    losses = history.losses
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.ndim != 2 or 0 in losses.shape:
+        raise ShapeError(f"need a (rounds, sites) loss table of at least one of each, got shape {losses.shape}")
+    losses = losses.mean(axis=1)
     lo, hi = losses.min(), losses.max()
     if hi == lo:
         warnings.warn(

@@ -61,7 +61,7 @@ from .network import (
     validate_spec,
     write_blob,
 )
-from .training import TrainingConfig, TrainingHistory, local_round, run_rounds
+from .training import TrainingConfig, local_round, run_rounds
 from .network import serialize_values  # noqa: F401 - unused; perfbench/layers.py wraps wire.serialize_values
 from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
@@ -188,7 +188,7 @@ class TrafficMeter:
 @dataclass
 class WireGlobalResult:
     params: NetworkParams
-    history: TrainingHistory
+    losses: np.ndarray  # float64 (n_rounds, n_sites), as training.run_rounds gives it
     site_books: list
     meter: TrafficMeter
 
@@ -256,7 +256,7 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
             payload = expect_frame(conn, TAG_HELLO)
             meter.record(TAG_HELLO, payload)
             conns[_hello_site(payload, conns, digest)] = conn
-        params, history = run_rounds(params, cfg, exchange)
+        params, losses = run_rounds(params, cfg, exchange)
         broadcast(TAG_PARAMS, serialize_params(params))
         books = collect(
             TAG_CODES,
@@ -267,7 +267,7 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
         for conn in accepted:
             conn.close()
         listener.close()
-    return WireGlobalResult(params=params, history=history, site_books=books, meter=meter)
+    return WireGlobalResult(params=params, losses=losses, site_books=books, meter=meter)
 
 
 def _dial(host: str, port: int, timeout: float):

@@ -195,11 +195,11 @@ def test_criterion_4_desk_scale_quality():
         )
 
 
-def desk_training_history(master_seed, n_sites):
+def desk_training_losses(master_seed, n_sites):
     cfg = apply_overrides(config_from_file(DEFAULT_CONFIG), seed=master_seed, sites=n_sites)
     _, shards, net_spec, tcfg = setup_run(cfg)
-    _, history = train(shards, net_spec, tcfg)
-    return history
+    _, losses = train(shards, net_spec, tcfg)
+    return losses
 
 
 def test_criterion_5_convergence_shape():
@@ -207,11 +207,11 @@ def test_criterion_5_convergence_shape():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in range(5):
-            series = relative_error_ratio(desk_training_history(seed, 4))
+            series = relative_error_ratio(desk_training_losses(seed, 4))
             finals.append(float(series[-1]))
             mins.append(float(series.min()))
-            fin8.append(desk_training_history(seed, 8).records[-1].mean_loss)
-            fin2.append(desk_training_history(seed, 2).records[-1].mean_loss)
+            fin8.append(desk_training_losses(seed, 8)[-1].mean())
+            fin2.append(desk_training_losses(seed, 2)[-1].mean())
     med8, med2 = float(np.median(fin8)), float(np.median(fin2))
     rer_ok = max(finals) <= 0.2 and all(m == 0.0 for m in mins)
     sites_ok = med8 <= med2

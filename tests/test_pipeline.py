@@ -1,17 +1,20 @@
 import copy
+import csv
 import json
 import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from conftest import free_port
 
-from hashclust import codebook, pipeline
+from hashclust import codebook, pipeline, wire
 from hashclust.cli import main
-from hashclust.codebook import merge_codebooks
+from hashclust.codebook import Codebook, merge_codebooks
 from hashclust.errors import InvalidSpecError, PipelineError
+from hashclust.network import code_words
 from hashclust.pipeline import (
     PipelineConfig,
     apply_overrides,
@@ -394,6 +397,29 @@ def test_codebook_above_dense_bound_surfaces_as_pipeline_error(monkeypatch):
         run_pipeline(config_from_dict(make_raw(seed=1)))
 
 
+def test_wire_site_whose_book_differs_from_the_coordinators_encoding_fails_in_encode(monkeypatch):
+    """Each site moves one sample to a code its book lacks; the coordinator,
+    which labels through its own encoding of the shard, must refuse the run."""
+    honest = wire.encode_shard
+
+    def tampered(params, shard, origin="site"):
+        book, sample_map = honest(params, shard, origin)
+        L = book.code_length
+        bits = (np.arange(2 ** L)[:, None] >> np.arange(L)[::-1]) & 1
+        every_code = code_words(np.packbits(bits.astype(bool), axis=1))
+        absent = every_code[~(every_code[:, None] == book.codes[None]).all(axis=2).any(axis=1)][:1]
+        degrees = book.degrees.copy()
+        donor = np.argmax(degrees)
+        assert degrees[donor] >= 2
+        degrees[donor] -= 1
+        moved = Codebook.from_arrays(np.concatenate([book.codes, absent]), np.append(degrees, 1), L, book.origin)
+        return moved, sample_map
+
+    monkeypatch.setattr(wire, "encode_shard", tampered)
+    with pytest.raises(PipelineError, match=r"^encode: .*site"):
+        run_pipeline(config_from_dict(make_raw(mode="wire", rounds=0)))
+
+
 def test_collapsed_codebook_surfaces_as_pipeline_error():
     # this seed trains all samples onto two codes, too few for k=3
     with pytest.raises(PipelineError, match="cluster"):
@@ -504,6 +530,18 @@ def test_run_report_writes_csv(tmp_path):
     assert lines[0] == "dataset,seed,mode,purity,nmi,total_bits,megabytes"
     assert len(lines) == 2
     assert len(rows) == 1
+
+
+def test_run_report_quotes_a_name_with_a_comma_and_a_quote(tmp_path):
+    name = 'blobs, v2 "final"'
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(fake_result(name, 1, 1024)))
+    out = tmp_path / "table.csv"
+    run_report([str(p)], out_path=out)
+    with open(out, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 7
+    assert row[:3] == [name, "1", "sim"]
 
 
 def test_run_report_rejects_malformed(tmp_path):

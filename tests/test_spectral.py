@@ -467,8 +467,29 @@ def _random_graph(length):
     return build_graph(book(entries)), rng
 
 
-@pytest.mark.parametrize("length", [1, 3, 8, 13, 16])
-def test_transform_product_equals_dense_product(length):
+def _over_self_divisors(names, cases):
+    """Parametrize ``names`` and ``self_divisor``, the kernel's entry at h = 0,
+    over ``cases``: each case with inf (W_ii = 0, the shipped kernel) under its
+    plain id, then with 0.25 (a self weight W_ii = 4 * d_i**2, f0 = 4)."""
+    params = [
+        pytest.param(*case, self_divisor, id="-".join(map(str, case)) + suffix)
+        for self_divisor, suffix in ((np.inf, ""), (0.25, "-f0=4"))
+        for case in cases
+    ]
+    return pytest.mark.parametrize(f"{names}, self_divisor", params)
+
+
+def _set_self_divisor(monkeypatch, self_divisor):
+    """Replace the h = 0 entry of the shipped divisor table, keeping h >= 1."""
+    shipped = spectral.CodeGraph.divisors.fget
+    monkeypatch.setattr(
+        spectral.CodeGraph, "divisors", property(lambda g: np.concatenate([[self_divisor], shipped(g)[1:]]))
+    )
+
+
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,)])
+def test_transform_product_equals_dense_product(length, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
     x = rng.standard_normal((len(graph), 3))
     expect = np.asarray(graph) @ x
@@ -476,9 +497,9 @@ def test_transform_product_equals_dense_product(length):
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
 
-@pytest.mark.parametrize("columns", [1, 3])
-@pytest.mark.parametrize("length", [1, 4, 5, 13, 16])
-def test_transform_product_is_bitwise_the_allocating_one(length, columns):
+@_over_self_divisors("length, columns", [(n, c) for n in (1, 4, 5, 13, 16) for c in (1, 3)])
+def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
     product = spectral._transform_product(graph)
     reference = transform_product_reference(graph)
@@ -495,8 +516,9 @@ def test_transform_product_is_bitwise_the_allocating_one(length, columns):
         assert not any(np.shares_memory(got, a) for a in held)
 
 
-@pytest.mark.parametrize("length", [1, 3, 8, 13, 16])
-def test_transform_degrees_equal_dense_row_sums(length, monkeypatch):
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,)])
+def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, _ = _random_graph(length)
     expect = np.asarray(graph).sum(axis=1)
     monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)

@@ -13,9 +13,7 @@ from hashclust.network import (
     param_count,
 )
 from hashclust.training import (
-    RoundRecord,
     TrainingConfig,
-    TrainingHistory,
     derive_round_seed,
     global_merge,
     local_round,
@@ -153,8 +151,8 @@ def test_train_zero_rounds():
     shards = [np.random.default_rng(3).uniform(size=(6, 2))]
     spec = mlp_spec(2, (3,), 2)
     cfg = small_cfg(n_rounds=0)
-    params, history = train(shards, spec, cfg)
-    assert len(history.records) == 0
+    params, losses = train(shards, spec, cfg)
+    assert losses.shape == (0, 1)
     assert np.array_equal(params.values, init_network(spec, cfg.seed).values)
 
 
@@ -163,29 +161,36 @@ def test_train_identical_shards_equal_single_site():
     rng = np.random.default_rng(5)
     shard = rng.uniform(size=(10, 3))
     spec = mlp_spec(3, (4,), 2)
-    single, hist1 = train([shard], spec, small_cfg(n_rounds=4, n_sites=1))
-    multi, hist4 = train([shard.copy() for _ in range(4)], spec, small_cfg(n_rounds=4, n_sites=4))
+    single, losses1 = train([shard], spec, small_cfg(n_rounds=4, n_sites=1))
+    multi, losses4 = train([shard.copy() for _ in range(4)], spec, small_cfg(n_rounds=4, n_sites=4))
     assert np.array_equal(single.values, multi.values)
-    assert np.allclose(hist1.losses, hist4.losses, rtol=0, atol=0)
+    assert (losses1.shape, losses4.shape) == ((4, 1), (4, 4))
+    for site in range(4):
+        assert np.array_equal(losses4[:, site], losses1[:, 0])
 
 
 def test_train_reproducible():
     rng = np.random.default_rng(6)
     shards = [rng.uniform(size=(9, 2)) for _ in range(2)]
     spec = mlp_spec(2, (2,), 2)
-    a, ha = train(shards, spec, small_cfg(n_sites=2))
-    b, hb = train(shards, spec, small_cfg(n_sites=2))
+    a, losses_a = train(shards, spec, small_cfg(n_sites=2))
+    b, losses_b = train(shards, spec, small_cfg(n_sites=2))
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(ha.losses, hb.losses)
+    assert np.array_equal(losses_a, losses_b)
 
 
 def test_train_history_invariants():
+    """Row r of the table is round r's local_round losses, in site order."""
     rng = np.random.default_rng(7)
     shards = [rng.uniform(size=(12, 2)) for _ in range(2)]
-    _, history = train(shards, mlp_spec(2, (3,), 2), small_cfg(n_rounds=6, n_sites=2))
-    assert len(history.records) == 6
-    for r in history.records:
-        assert r.mean_loss == pytest.approx(np.mean(r.site_losses), rel=1e-12)
+    spec, cfg = mlp_spec(2, (3,), 2), small_cfg(n_rounds=6, n_sites=2)
+    _, losses = train(shards, spec, cfg)
+    assert losses.dtype == np.float64 and losses.shape == (6, 2)
+    params = init_network(spec, cfg.seed)
+    for r in range(cfg.n_rounds):
+        grads, row = zip(*(local_round(shard, params, cfg, round_index=r) for shard in shards))
+        assert np.array_equal(losses[r], row)
+        params = global_merge(params, grads, cfg.learning_rate)
 
 
 def test_round_seed_derivation():
@@ -196,20 +201,17 @@ def test_round_seed_derivation():
 
 # --- RER ---
 
-def make_history(losses):
-    h = TrainingHistory()
-    for v in losses:
-        h.records.append(RoundRecord(mean_loss=v, site_losses=(v,)))
-    return h
+def one_site(losses):
+    return np.array(losses)[:, None]
 
 
 def test_rer_hand_example():
-    rer = relative_error_ratio(make_history([4.0, 3.0, 2.0]))
+    rer = relative_error_ratio(one_site([4.0, 3.0, 2.0]))
     assert np.allclose(rer, [1.0, 0.5, 0.0], atol=1e-15)
 
 
 def test_rer_extremes():
-    rer = relative_error_ratio(make_history([2.0, 5.0, 3.0]))
+    rer = relative_error_ratio(one_site([2.0, 5.0, 3.0]))
     assert rer[np.argmin([2.0, 5.0, 3.0])] == 0.0
     assert rer[np.argmax([2.0, 5.0, 3.0])] == 1.0
     assert np.all((rer >= 0.0) & (rer <= 1.0))
@@ -218,6 +220,16 @@ def test_rer_extremes():
 def test_rer_degenerate_history_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rer = relative_error_ratio(make_history([1.5, 1.5, 1.5]))
+        rer = relative_error_ratio(one_site([1.5, 1.5, 1.5]))
     assert np.array_equal(rer, np.zeros(3))
     assert any(issubclass(w.category, DegenerateHistoryWarning) for w in caught)
+
+
+def test_rer_averages_each_round_over_its_sites():
+    losses = np.array([[4.0, 6.0], [1.0, 3.0], [3.0, 4.0]])  # round means 5, 2, 3.5
+    assert np.array_equal(relative_error_ratio(losses), [1.0, 0.0, 0.5])
+
+
+def test_rer_of_no_rounds_raises():
+    with pytest.raises(ShapeError):
+        relative_error_ratio(np.empty((0, 3)))

@@ -264,10 +264,11 @@ def test_meter_unknown_tag():
 
 def test_wire_matches_simulation_bitwise():
     shards, net, cfg = small_setup()
-    sim_params, sim_history = train(shards, net, cfg)
+    sim_params, sim_losses = train(shards, net, cfg)
     result = run_wire_locally(shards, net, cfg)
     assert np.array_equal(result.params.values, sim_params.values)
-    assert np.array_equal(result.history.losses, sim_history.losses)
+    assert result.losses.shape == (cfg.n_rounds, cfg.n_sites)
+    assert np.array_equal(result.losses, sim_losses)
 
 
 def test_wire_codebooks_match_local_encoding():
@@ -318,7 +319,7 @@ def test_wire_zero_rounds():
     sim_params, _ = train(shards, net, cfg)
     result = run_wire_locally(shards, net, cfg)
     assert np.array_equal(result.params.values, sim_params.values)
-    assert result.history.records == []
+    assert result.losses.shape == (0, cfg.n_sites)
     assert result.meter.frames[TAG_PARAMS] == cfg.n_sites  # final broadcast only
 
 
@@ -340,7 +341,7 @@ def test_site_started_before_coordinator_listens():
     thread.join(timeout=20.0)
     assert not thread.is_alive()
     assert not failures
-    assert len(result.history.records) == cfg.n_rounds
+    assert result.losses.shape == (cfg.n_rounds, 1)
     assert result.meter.frames[TAG_DONE] == 1
 
 
@@ -407,7 +408,7 @@ def test_serve_global_bad_spec_closes_listeners():
 
 def test_sites_ordered_by_hello_not_by_dial_order():
     shards, net, cfg = small_setup(n_sites=3, seed=4)
-    sim_params, sim_history = train(shards, net, cfg)
+    sim_params, sim_losses = train(shards, net, cfg)
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     threads = []
@@ -420,7 +421,7 @@ def test_sites_ordered_by_hello_not_by_dial_order():
     for t in threads:
         t.join(timeout=5.0)
     assert np.array_equal(result.params.values, sim_params.values)
-    assert np.array_equal(result.history.losses, sim_history.losses)
+    assert np.array_equal(result.losses, sim_losses)
 
 
 # --- fault injection: the coordinator fails at once, and every site with it ---
