@@ -28,9 +28,14 @@ arrays that the iterations write in turn. A weight is a
 function of c_i XOR c_j, so W @ X can skip the n x n matrix: scatter onto
 the 2**L code cube, a Walsh-Hadamard transform, a multiply by the
 transformed kernel, the transform again, a gather at the codes; a code's cube
-index is its top L bits, ``codes[:, 0] >> (64 - L)``. The transform's stages
-write two cube buffers in turn, allocated once per product and reused for
-every column of every call. That costs
+index is its top L bits, ``codes[:, 0] >> (64 - L)``. Each transform stage
+is a batch of small matmuls along one digit of the cube index, of radix 16
+or a smaller remainder (the lowest digit in blocks of 256 rows, the top one
+in chunks of 256 columns).
+The product allocates three cube buffers once and reuses them for every
+column of every call: a scatter cube that holds zeros away from the codes'
+indices and that the transforms only read, so it is never cleared, and two
+that the stages write in turn. That costs
 O(L * 2**L) per column against n**2 for the dense product, and is taken when
 it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
 under 5·k vertices (five times the cluster count), too small for a basis of
@@ -65,10 +70,10 @@ from .network import group_words
 # (of an 8 GB host). 2**16 would need 77 GB.
 DENSE_SOLVER_MAX_VERTICES = 2 ** 13
 
-# The Walsh-Hadamard product holds three float64 arrays over the 2**L code
-# cube for its lifetime, the transformed kernel and two cube buffers: 1.5 MB
-# at L = 16, 96 MB at this bound of L = 22 (a fourth, freed again, while the
-# kernel is transformed).
+# The Walsh-Hadamard product holds four float64 arrays over the 2**L code
+# cube for its lifetime, the transformed kernel and three cube buffers: 2 MB
+# at L = 16, 128 MB at this bound of L = 22 (the kernel is transformed in two,
+# before the cube buffers are made).
 TRANSFORM_MAX_CODE_LENGTH = 22
 
 # Entries of the dense weights computed at once, in whole rows. Beside W, a
@@ -156,26 +161,38 @@ def _hadamard(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(index[:, None] & index[None, :]) & 1)
 
 
-def _fwht(src: np.ndarray, dst: np.ndarray, stages) -> tuple[np.ndarray, np.ndarray]:
+def _fwht(src: np.ndarray, dst: np.ndarray, spare: np.ndarray, stages) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized Walsh-Hadamard transform of one contiguous 2**L vector.
 
     ``stages`` holds Hadamard matrices of 16 x 16 and, when L is not a
     multiple of 4, one smaller remainder; the index bits split into digits of
-    those radices, lowest digit first. Each stage is one matmul that applies
-    its matrix along one digit of the vector viewed as (blocks, radix,
-    stride), so no stage transposes; the transform is one column at a time so
-    that the vector stays in cache. The stages write ``src`` and ``dst`` in
-    turn, so both are overwritten; returns them as (the one that holds the
-    transform, the other).
+    those radices, lowest digit first. Each stage applies its matrix along one
+    digit of the vector viewed as (blocks, radix, stride), as a batch of small
+    matmuls on views of the vector: the lowest digit as (..., 256, radix) @ H,
+    the top one as H @ (radix, 256) chunks of a transposed view, and the
+    digits between as H @ (radix, stride) blocks. Each output still sums the
+    same radix +-1 products as one matmul per stage would, and the tests hold
+    the two equal bit for bit. The transform runs one column at a time so
+    that the vector stays in cache. The first stage reads ``src``; the stages
+    write ``dst`` and ``spare`` in turn, so ``src`` is left as it was unless
+    it is ``spare``. Returns (the buffer that holds the transform, the other).
     """
     stride = 1
     for h in stages:
         radix = h.shape[0]
         if stride == 1:
-            np.matmul(src.reshape(-1, radix), h, out=dst.reshape(-1, radix))
+            rows = min(256, src.size // radix)
+            np.matmul(src.reshape(-1, rows, radix), h, out=dst.reshape(-1, rows, radix))
+        elif stride * radix == src.size:
+            chunk = min(256, stride)
+            np.matmul(
+                h,
+                src.reshape(radix, -1, chunk).transpose(1, 0, 2),
+                out=dst.reshape(radix, -1, chunk).transpose(1, 0, 2),
+            )
         else:
             np.matmul(h, src.reshape(-1, radix, stride), out=dst.reshape(-1, radix, stride))
-        src, dst = dst, src
+        src, dst, spare = dst, spare, dst
         stride *= radix
     return src, dst
 
@@ -187,29 +204,31 @@ def _transform_product(graph: CodeGraph):
     K is a convolution over the code cube Z_2^L, so the Walsh-Hadamard
     transform H diagonalizes it: K y = H (Hf * Hy) / 2**L. Each column of
     D X is scattered onto the cube, transformed, multiplied by Hf, transformed
-    back and gathered at the codes, then scaled by D / 2**L. The transforms
-    run in two cube buffers that the product allocates once and reuses for
-    every column of every call, so one product must not run in two threads
-    at once; what it returns is a new array.
+    back and gathered at the codes, then scaled by D / 2**L. The product
+    allocates three cube buffers once and reuses them for every column of
+    every call: the scatter cube, zero except at the codes' indices, which
+    each column overwrites there and the transforms only read, and two that
+    the transform stages write in turn. So one product must not run in two
+    threads at once; what it returns is a new array.
     """
     length = graph.length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
     # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
     index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
-    spectrum, _ = _fwht(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], np.empty(size), stages)
+    kernel = 1.0 / graph.divisors[np.bitwise_count(np.arange(size))]
+    spectrum, _ = _fwht(kernel, np.empty(size), kernel, stages)
     degrees = graph.degrees
-    cube, other = np.empty(size), np.empty(size)
+    scatter, cube, other = np.zeros(size), np.empty(size), np.empty(size)
 
     def product(x):
         y = degrees[:, None] * x
         out = np.empty_like(y)
         for j in range(y.shape[1]):
-            cube.fill(0.0)
-            cube[index] = y[:, j]
-            spec, spare = _fwht(cube, other, stages)
+            scatter[index] = y[:, j]
+            spec, spare = _fwht(scatter, cube, other, stages)
             spec *= spectrum
-            out[:, j] = _fwht(spec, spare, stages)[0][index]
+            out[:, j] = _fwht(spec, spare, spec, stages)[0][index]
         out *= (degrees / size)[:, None]
         return out
 

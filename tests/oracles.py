@@ -255,9 +255,10 @@ def _fwht_reference(v: np.ndarray, stages) -> np.ndarray:
 def transform_product_reference(graph):
     """X -> W @ X through the code cube, every cube and stage a new array.
 
-    The reference for ``spectral._transform_product``, which runs the same
-    matmuls in two cube buffers it reuses: the same scatter, transforms,
-    spectrum and gather, so the two agree bit for bit.
+    The reference for ``spectral._transform_product``: the same scatter,
+    spectrum and gather, and transforms of one matmul per stage, where the
+    product reuses three cube buffers and splits each stage into a batch of
+    smaller matmuls over the same +-1 products, so the two agree bit for bit.
     """
     length = graph.length
     size = 1 << length

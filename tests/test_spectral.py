@@ -487,7 +487,7 @@ def _set_self_divisor(monkeypatch, self_divisor):
     )
 
 
-@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,)])
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
 def test_transform_product_equals_dense_product(length, self_divisor, monkeypatch):
     _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
@@ -497,7 +497,7 @@ def test_transform_product_equals_dense_product(length, self_divisor, monkeypatc
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
 
-@_over_self_divisors("length, columns", [(n, c) for n in (1, 4, 5, 13, 16) for c in (1, 3)])
+@_over_self_divisors("length, columns", [(n, c) for n in (1, 4, 5, 13, 16, 17) for c in (1, 3)] + [(22, 1)])
 def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_divisor, monkeypatch):
     _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
@@ -510,13 +510,13 @@ def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_d
     assert np.array_equal(first, kept)  # the later call left the earlier result alone
     for x, got in zip(xs, (first, second)):
         assert np.array_equal(got, reference(x))
-    # every array the product keeps between calls, the two cube buffers among them
+    # every array the product keeps between calls, the three cube buffers among them
     held = [cell.cell_contents for cell in product.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
     for got in (first, second):
         assert not any(np.shares_memory(got, a) for a in held)
 
 
-@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,)])
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
 def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatch):
     _set_self_divisor(monkeypatch, self_divisor)
     graph, _ = _random_graph(length)
@@ -525,6 +525,44 @@ def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatc
     w, _, deg = spectral._operator(graph)
     assert w is None
     assert np.all(np.abs(deg - expect) <= 1e-13 * expect)
+
+
+@pytest.mark.parametrize("length", [13, 16])
+def test_transform_product_never_writes_its_scatter_cube(length):
+    graph, rng = _random_graph(length)
+    product = spectral._transform_product(graph)
+    reference = transform_product_reference(graph)
+    held = dict(zip(product.__code__.co_freevars, (cell.cell_contents for cell in product.__closure__)))
+    scatter, index = held["scatter"], held["index"]
+    away = np.ones(scatter.size, dtype=bool)
+    away[index] = False
+    assert away.any()  # 300 codes leave most of the cube empty
+    for columns in (3, 1, 3):
+        x = rng.standard_normal((len(graph), columns))
+        assert np.array_equal(product(x), reference(x))
+        assert not scatter[away].any()
+        # the last column's scatter, as it was before the transforms read it
+        assert np.array_equal(scatter[index], graph.degrees * x[:, -1])
+
+
+def test_planted_cut_is_bitwise_the_allocating_products(monkeypatch):
+    planted, _ = planted_codebook(np.random.default_rng(12), 4, 1000)
+    graph = build_graph(planted)
+    assert graph.matrix_free
+    lobpcg = spectral._lobpcg
+    embeddings = []
+
+    def recorded(*args):
+        embeddings.append(lobpcg(*args))
+        return embeddings[-1]
+
+    monkeypatch.setattr(spectral, "_lobpcg", recorded)
+    labels = spectral_cluster(graph, 4, seed=0)
+    monkeypatch.setattr(spectral, "_transform_product", transform_product_reference)
+    reference_labels = spectral_cluster(graph, 4, seed=0)
+    assert len(embeddings) == 2 and embeddings[0] is not None
+    assert np.array_equal(embeddings[0], embeddings[1])
+    assert np.array_equal(labels, reference_labels)
 
 
 @pytest.mark.parametrize("per_group", [1000, 2100])
