@@ -27,10 +27,10 @@ top2 = rank_energy[:2].sum() / rank_energy.sum()
 print(f"variance captured by 2 principal directions: {top2:.4f} "
       "(the rest is the deliberately small ambient noise)")
 
-dataset_spec = make_dataset_spec(
+clusters = make_dataset_spec(
     n_clusters=4, ambient_dim=16, embed_dim=2, samples_per_cluster=100, seed=9
 )
-samples, labels = gen_dataset(dataset_spec)
+samples, labels = gen_dataset(clusters)
 print(f"\ndataset: {samples.shape[0]} samples x {samples.shape[1]} features, "
       f"labels {np.bincount(labels).tolist()}")
 

@@ -10,7 +10,6 @@ that crosses a site boundary is accounted.
 from .codebook import Codebook, encode_shard, merge_codebooks
 from .datasets import (
     ClusterSpec,
-    DatasetSpec,
     Shard,
     gen_cluster,
     gen_dataset,
@@ -49,7 +48,6 @@ __all__ = [
     "Codebook",
     "ClusterSpec",
     "CostLedger",
-    "DatasetSpec",
     "HashClustError",
     "LayerSpec",
     "LossConfig",

@@ -4,7 +4,8 @@ Each cluster lives on a random low-dimensional subspace of the ambient
 space: a projection matrix T (ambient x embed, Frobenius norm 1) maps
 standard-normal latent points into the ambient space, a per-cluster
 uniform shift u separates clusters, and isotropic noise e blurs the
-result. Sample i is ``T z_i + u + e_i``.
+result. Sample i is ``T z_i + u + e_i``. A dataset is its tuple of
+ClusterSpecs: make_dataset_spec builds a uniform one, gen_dataset draws it.
 
 Sharding splits a dataset across sites at random while guaranteeing a
 minimum per-site size. Every shard carries its own min-max normalization
@@ -43,33 +44,11 @@ class ClusterSpec:
             raise InvalidSpecError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    clusters: tuple[ClusterSpec, ...]
-    seed: int
-
-    def __post_init__(self):
-        if len(self.clusters) == 0:
-            raise InvalidSpecError("dataset needs at least one cluster")
-        dims = {c.ambient_dim for c in self.clusters}
-        if len(dims) != 1:
-            raise InvalidSpecError(f"clusters disagree on ambient_dim: {sorted(dims)}")
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.clusters[0].ambient_dim
-
-    @property
-    def n_samples(self) -> int:
-        return sum(c.n_samples for c in self.clusters)
-
-
-def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, seed):
-    """Uniform dataset spec with per-cluster seeds spawned from ``seed``."""
+def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, seed) -> tuple[ClusterSpec, ...]:
+    """The ClusterSpecs of a uniform dataset, each seed spawned from ``seed``."""
     if n_clusters < 1:
         raise InvalidSpecError(f"n_clusters must be >= 1, got {n_clusters}")
-    clusters = tuple(
+    return tuple(
         ClusterSpec(
             ambient_dim=ambient_dim,
             embed_dim=embed_dim,
@@ -78,7 +57,6 @@ def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, s
         )
         for i in range(n_clusters)
     )
-    return DatasetSpec(clusters=clusters, seed=seed)
 
 
 def derive_cluster_seed(base_seed: int, cluster_index: int) -> int:
@@ -103,11 +81,17 @@ def gen_cluster(spec: ClusterSpec) -> np.ndarray:
     return latents @ projection.T + shift + noise
 
 
-def gen_dataset(spec: DatasetSpec):
-    """All clusters stacked, with integer truth labels 0..C-1."""
-    parts = [gen_cluster(c) for c in spec.clusters]
+def gen_dataset(clusters):
+    """The clusters' samples stacked in order, with integer truth labels 0..C-1."""
+    clusters = tuple(clusters)
+    if not clusters:
+        raise InvalidSpecError("dataset needs at least one cluster")
+    dims = {c.ambient_dim for c in clusters}
+    if len(dims) != 1:
+        raise InvalidSpecError(f"clusters disagree on ambient_dim: {sorted(dims)}")
+    parts = [gen_cluster(c) for c in clusters]
     labels = np.concatenate(
-        [np.full(c.n_samples, i, dtype=np.int64) for i, c in enumerate(spec.clusters)]
+        [np.full(c.n_samples, i, dtype=np.int64) for i, c in enumerate(clusters)]
     )
     return np.concatenate(parts, axis=0), labels
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a real-valued setting."""
 
 
 class HashClustError(Exception):
@@ -42,7 +42,11 @@ class InfeasibleShardError(HashClustError):
 
 
 class InconsistentStateError(HashClustError):
-    """A sample's code is missing from the global codebook."""
+    """Codebooks disagree with the data or with each other: the merged
+    book's degrees do not sum to the n samples, it holds more than
+    min(2**L, n) entries, a wire site sent a book unlike the coordinator's
+    encoding of its shard, or in label propagation a site book has another
+    code length than the global one or a code missing from it."""
 
 
 class PipelineError(HashClustError):
@@ -55,3 +59,10 @@ class ProtocolError(HashClustError):
 
 class DegenerateHistoryWarning(UserWarning):
     """Training history has max loss == min loss; RER is reported as all zeros."""
+
+
+def check_positive_finite(value, name: str) -> None:
+    """Refuse a real-valued setting (a rate, scale or timeout) that is zero,
+    negative, NaN or infinite."""
+    if not 0.0 < value < float("inf"):
+        raise InvalidSpecError(f"{name} must be a positive finite number, got {value}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBatchError, InvalidSpecError, ShapeError
+from .errors import InsufficientBatchError, ShapeError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class LossConfig:
 
     def __post_init__(self):
         for key in ("distance_scale", "temperature"):
-            if not getattr(self, key) > 0:
-                raise InvalidSpecError(f"{key} must be positive, got {getattr(self, key)!r}")
+            check_positive_finite(getattr(self, key), key)
 
 
 def batch_loss(batch_x, batch_h, cfg: LossConfig):

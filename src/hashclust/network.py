@@ -286,8 +286,10 @@ def packed_rows(words, length: int) -> np.ndarray:
 # Parameter wire format: the values as consecutive 32-bit IEEE-754
 # big-endian reals, nothing else. Coordinator and sites agree the layers once,
 # in the hello (wire.config_digest), so a blob's length is its only check.
-# The cost ledger counts these 32 bits per parameter; a gradient frame's loss
-# trailer is physical overhead.
+# One encoder, write_blob, writes both value frames: serialize_params the
+# parameters, serialize_values any other vector of their length (a gradient,
+# with its loss trailer). The cost ledger counts these 32 bits per parameter;
+# the loss trailer is physical overhead.
 
 
 def write_blob(values, trailer: bytes = b"") -> bytearray:
@@ -304,9 +306,13 @@ def serialize_params(params: NetworkParams) -> bytearray:
     return write_blob(params.values)
 
 
-def serialize_values(params: NetworkParams, values) -> bytearray:
-    """Serialize an arbitrary flat vector (e.g. a gradient) of ``params``' length."""
-    return serialize_params(NetworkParams(params.layers, np.asarray(values, dtype=np.float64)))
+def serialize_values(params: NetworkParams, values, trailer: bytes = b"") -> bytearray:
+    """A flat vector of ``params``' length (a gradient) as a blob, then
+    ``trailer``; a vector of another shape raises ShapeError."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != params.values.shape:
+        raise ShapeError(f"values have shape {values.shape}, expected {params.values.shape}")
+    return write_blob(values, trailer)
 
 
 def read_blob(data, n: int, trailer: int = 0) -> np.ndarray:

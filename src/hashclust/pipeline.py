@@ -30,13 +30,13 @@ import numpy as np
 from . import codebook
 from .codebook import encode_shard, merge_codebooks
 from .datasets import gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
-from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError
+from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_positive_finite
 from .loss import LossConfig
 from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
 from .spectral import build_graph, propagate_labels, spectral_cluster
 from .training import TrainingConfig, relative_error_ratio, train
-from .wire import DEFAULT_TIMEOUT, check_timeout, parse_endpoint, run_sub_site, run_wire_locally, serve_global
+from .wire import DEFAULT_TIMEOUT, parse_endpoint, run_sub_site, run_wire_locally, serve_global
 
 # fixed spawn keys so each phase draws from an independent stream
 _SEED_STREAMS = {"data": 0, "shard": 1, "train": 2, "cluster": 3}
@@ -94,7 +94,7 @@ class PipelineConfig:
         training_config(self, n_sites=1)
         for endpoint in filter(None, (self.listen, self.connect)):
             parse_endpoint(endpoint)
-        check_timeout(self.timeout, "wire.timeout")
+        check_positive_finite(self.timeout, "wire.timeout")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -239,9 +239,9 @@ def _output_dir(out) -> Path:
 
 def _load_dataset(cfg: PipelineConfig):
     if cfg.generate is not None:
-        spec = make_dataset_spec(**cfg.generate, seed=derive_seed(cfg.seed, "data"))
-        samples, truth = gen_dataset(spec)
-        return samples, truth, spec
+        clusters = make_dataset_spec(**cfg.generate, seed=derive_seed(cfg.seed, "data"))
+        samples, truth = gen_dataset(clusters)
+        return samples, truth, clusters
     samples, truth = load_csv(cfg.csv)
     return samples, truth, None
 
@@ -255,7 +255,7 @@ def run_generate(cfg: PipelineConfig):
     out_dir = _output_dir(cfg.out)
     timings: dict = {}
     with _phase("dataset", timings):
-        samples, truth, spec = _load_dataset(cfg)
+        samples, truth, clusters = _load_dataset(cfg)
     csv_path = out_dir / "dataset.csv"
     manifest_path = out_dir / "manifest.json"
     with _phase("write", timings):
@@ -266,7 +266,7 @@ def run_generate(cfg: PipelineConfig):
             "generate": cfg.generate,
             "seed": cfg.seed,
             "data_seed": derive_seed(cfg.seed, "data"),
-            "cluster_seeds": [c.seed for c in spec.clusters],
+            "cluster_seeds": [c.seed for c in clusters],
             "n_samples": int(samples.shape[0]),
             "n_features": int(samples.shape[1]),
             "csv": csv_path.name,
@@ -284,7 +284,7 @@ def setup_run(cfg: PipelineConfig, timings: dict | None = None):
     ``timings``, when given, receives the dataset and shard phase times."""
     timings = {} if timings is None else timings
     with _phase("dataset", timings):
-        samples, truth, _spec = _load_dataset(cfg)
+        samples, truth, _clusters = _load_dataset(cfg)
     with _phase("shard", timings):
         shards = shard_dataset(
             samples, truth, cfg.sites, cfg.min_per_site, derive_seed(cfg.seed, "shard")

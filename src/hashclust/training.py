@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHistoryWarning, InsufficientBatchError, InvalidSpecError, ShapeError
+from .errors import (
+    DegenerateHistoryWarning,
+    InsufficientBatchError,
+    InvalidSpecError,
+    ShapeError,
+    check_positive_finite,
+)
 from .loss import LossConfig, batch_loss
 from .network import NetworkParams, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
@@ -36,8 +42,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.n_rounds < 0:
             raise InvalidSpecError("n_rounds must be >= 0")
-        if self.n_sites < 1 or self.learning_rate <= 0:
-            raise InvalidSpecError("n_sites and learning_rate must be positive")
+        if self.n_sites < 1:
+            raise InvalidSpecError(f"n_sites must be >= 1, got {self.n_sites}")
+        check_positive_finite(self.learning_rate, "learning_rate")
         if self.batch_size < 2:
             raise InvalidSpecError(f"batch_size must be >= 2: a batch needs a pair, got {self.batch_size}")
 

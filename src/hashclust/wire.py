@@ -3,10 +3,11 @@
 Frame layout: 1-byte tag, 4-byte big-endian payload length, payload.
 Tags: 0x01 parameter broadcast, 0x02 gradient push, 0x03 codes push,
 0x04 done, 0x05 hello. A parameter or gradient payload holds the flat value
-vector as big-endian float32 and nothing else (network.write_blob); a
-gradient payload adds the site's mean batch loss as an 8-byte big-endian
-float trailer (telemetry for the convergence series; it counts as physical
-overhead, never as formula bits).
+vector as big-endian float32 and nothing else; a gradient payload adds the
+site's mean batch loss as an 8-byte big-endian float trailer (telemetry for
+the convergence series; it counts as physical overhead, never as formula
+bits). One encoder, network.write_blob, writes both: serialize_params calls
+it for the parameters, serialize_values for a gradient and its trailer.
 
 Each payload is copied once on either side. A sender writes it into one
 buffer (a gradient's values and trailer alike) and hands that buffer and
@@ -51,18 +52,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
-from .errors import InvalidSpecError, ProtocolError, ShapeError
+from .errors import InvalidSpecError, ProtocolError, ShapeError, check_positive_finite
 from .network import (
     NetworkParams,
     deserialize_params,
     init_network,
     read_blob,
     serialize_params,
+    serialize_values,
     validate_spec,
-    write_blob,
 )
 from .training import TrainingConfig, local_round, run_rounds
-from .network import serialize_values  # noqa: F401 - unused; perfbench/layers.py wraps wire.serialize_values
 from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
 TAG_PARAMS = 0x01
@@ -77,12 +77,6 @@ _HELLO = struct.Struct(">I32s")
 _MAX_PAYLOAD = 1 << 31
 
 DEFAULT_TIMEOUT = 60.0
-
-
-def check_timeout(timeout, name: str = "timeout") -> None:
-    """Refuse a socket timeout that is not a positive finite number of seconds."""
-    if not 0.0 < timeout < float("inf"):
-        raise InvalidSpecError(f"{name} must be a positive finite number, got {timeout}")
 
 
 def send_frame(sock, tag: int, payload: bytes = b"") -> None:
@@ -136,14 +130,6 @@ def config_digest(cfg: TrainingConfig, spec) -> bytes:
     """SHA-256 of the config and layer specs' repr, which names every round,
     batch and seed setting and every layer's widths and activation."""
     return hashlib.sha256(repr((cfg, tuple(spec))).encode()).digest()
-
-
-def _encode_gradient(params: NetworkParams, grad, loss: float) -> bytearray:
-    """The gradient payload, values and loss trailer, in one buffer."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.values.shape:
-        raise ShapeError(f"gradient has shape {grad.shape}, expected {params.values.shape}")
-    return write_blob(grad, _LOSS_TRAILER.pack(loss))
 
 
 def _decode_gradient(payload, n: int):
@@ -244,7 +230,7 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
         return zip(*gradients)
 
     try:
-        check_timeout(timeout)
+        check_positive_finite(timeout, "timeout")
         params = init_network(spec, cfg.seed)
         meter = TrafficMeter(params.values.size, params.code_length)
         digest = config_digest(cfg, params.layers)
@@ -293,14 +279,14 @@ def run_sub_site(host: str, port: int, site: int, shard, spec, cfg: TrainingConf
     InvalidSpecError before the site dials.
     """
     spec = validate_spec(spec)
-    check_timeout(timeout)
+    check_positive_finite(timeout, "timeout")
     with _dial(host, port, timeout) as sock:
         sock.settimeout(timeout)
         send_frame(sock, TAG_HELLO, _HELLO.pack(site, config_digest(cfg, spec)))
         for r in range(cfg.n_rounds):
             params = deserialize_params(expect_frame(sock, TAG_PARAMS), spec)
             grad, loss = local_round(shard, params, cfg, round_index=r)
-            send_frame(sock, TAG_GRADIENT, _encode_gradient(params, grad, loss))
+            send_frame(sock, TAG_GRADIENT, serialize_values(params, grad, _LOSS_TRAILER.pack(loss)))
         params = deserialize_params(expect_frame(sock, TAG_PARAMS), spec)
         book, _ = encode_shard(params, shard, origin="site")
         send_frame(sock, TAG_CODES, encode_codes_payload(book))
@@ -318,7 +304,7 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
     host = "127.0.0.1"
     shards = list(shards)
     spec = validate_spec(spec)
-    check_timeout(timeout)
+    check_positive_finite(timeout, "timeout")
     if len(shards) != cfg.n_sites:
         raise InvalidSpecError(
             f"config says {cfg.n_sites} sites but {len(shards)} shards supplied"

@@ -3,7 +3,6 @@ import pytest
 
 from hashclust.datasets import (
     ClusterSpec,
-    DatasetSpec,
     Shard,
     derive_cluster_seed,
     gen_cluster,
@@ -95,28 +94,26 @@ def test_dataset_varied_embed_dims():
         ClusterSpec(ambient_dim=64, embed_dim=e, n_samples=2, seed=derive_cluster_seed(1, i))
         for i, e in enumerate(d for d in (2, 4, 8, 16, 32, 64) for _ in range(20))
     )
-    spec = DatasetSpec(clusters=clusters, seed=1)
-    x, labels = gen_dataset(spec)
-    assert len(spec.clusters) == 120
+    x, labels = gen_dataset(clusters)
+    assert len(clusters) == 120
     assert x.shape == (240, 64)
     assert labels.max() == 119
 
 
 def test_dataset_empty_rejected():
-    with pytest.raises(InvalidSpecError):
-        DatasetSpec(clusters=(), seed=0)
+    with pytest.raises(InvalidSpecError, match="^dataset needs at least one cluster$"):
+        gen_dataset(())
 
 
 def test_dataset_mixed_ambient_rejected():
     a = ClusterSpec(ambient_dim=4, embed_dim=2, n_samples=3, seed=0)
     b = ClusterSpec(ambient_dim=5, embed_dim=2, n_samples=3, seed=1)
-    with pytest.raises(InvalidSpecError):
-        DatasetSpec(clusters=(a, b), seed=0)
+    with pytest.raises(InvalidSpecError, match=r"^clusters disagree on ambient_dim: \[4, 5\]$"):
+        gen_dataset((a, b))
 
 
 def test_distinct_cluster_seeds_distinct_transforms():
-    spec = make_dataset_spec(3, 4, 2, 5, seed=9)
-    mats = [replay_transform_and_shift(c)[0] for c in spec.clusters]
+    mats = [replay_transform_and_shift(c)[0] for c in make_dataset_spec(3, 4, 2, 5, seed=9)]
     assert not np.array_equal(mats[0], mats[1])
     assert not np.array_equal(mats[1], mats[2])
 

@@ -127,6 +127,13 @@ def test_config_validation():
         LossConfig(distance_scale=1.0, temperature=-2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["distance_scale", "temperature"])
+def test_config_rejects_a_value_that_is_not_finite(key, value):
+    with pytest.raises(InvalidSpecError, match=f"^{key} must be a positive finite number, got (nan|inf)$"):
+        LossConfig(**{key: value})
+
+
 # --- gradients ---
 
 def test_grad_zero_at_kink():

@@ -20,7 +20,9 @@ from hashclust.network import (
     packed_rows,
     param_count,
     serialize_params,
+    serialize_values,
     validate_spec,
+    write_blob,
 )
 from hashclust.training import global_merge
 
@@ -345,6 +347,22 @@ def test_serialize_rejects_truncated():
     blob = serialize_params(params)
     with pytest.raises(ShapeError, match=f"value section has {len(blob) - 2} bytes, expected {len(blob)}"):
         deserialize_params(blob[:-2], params.layers)
+
+
+def test_serialize_values_is_write_blob_with_its_trailer():
+    params = tiny_params(seed=12, dims=(4, 5, 3))
+    grad = np.random.default_rng(12).normal(size=param_count(params))
+    trailer = b"\x3f\xe0\x00\x00\x00\x00\x00\x00"
+    assert serialize_values(params, grad, trailer) == write_blob(grad, trailer)
+    assert serialize_values(params, grad) == write_blob(grad)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_serialize_values_rejects_another_length(delta):
+    params = tiny_params()
+    n = param_count(params)
+    with pytest.raises(ShapeError, match=rf"values have shape \({n + delta},\), expected \({n},\)"):
+        serialize_values(params, np.zeros(n + delta))
 
 
 def test_float32_grid_idempotent():

@@ -654,7 +654,7 @@ def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, valu
 @pytest.fixture
 def no_data(monkeypatch):
     """Fail the test if a run generates its dataset."""
-    def gen_dataset(spec):
+    def gen_dataset(clusters):
         raise AssertionError("the dataset was generated")
     monkeypatch.setattr(pipeline, "gen_dataset", gen_dataset)
 
@@ -698,9 +698,9 @@ def test_cli_connect_without_site_fails_before_data(tmp_path, capsys, no_data):
     "path, value, message",
     [(("training", "rounds"), -1, "n_rounds must be >= 0"),
      (("training", "batch_size"), 1, "batch_size must be >= 2"),
-     (("training", "learning_rate"), 0, "learning_rate must be positive"),
-     (("training", "distance_scale"), -1.5, "distance_scale must be positive"),
-     (("training", "temperature"), 0, "temperature must be positive"),
+     (("training", "learning_rate"), 0, "learning_rate must be a positive finite number"),
+     (("training", "distance_scale"), -1.5, "distance_scale must be a positive finite number"),
+     (("training", "temperature"), 0, "temperature must be a positive finite number"),
      (("network", "hidden_dims"), [4, 0], "network.hidden_dims entries must be >= 1, got [4, 0]")],
     ids=["rounds", "batch_size", "learning_rate", "distance_scale", "temperature", "hidden_dims"],
 )
@@ -759,6 +759,16 @@ def test_config_section_that_is_not_an_object_is_refused(section, value):
     raw = value if section is None else {**make_raw(), section: value}
     where = section or "config"
     with pytest.raises(InvalidSpecError, match=f"{where} must be a JSON object, got {type(value).__name__}"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("key", ["learning_rate", "distance_scale", "temperature"])
+def test_config_rejects_a_training_real_that_is_not_finite(key, token):
+    raw = make_raw()
+    # Python's json reads NaN and Infinity, and 1e400 overflows to inf
+    raw["training"][key] = json.loads(token)
+    with pytest.raises(InvalidSpecError, match=f"^{key} must be a positive finite number, got (nan|inf)$"):
         config_from_dict(raw)
 
 

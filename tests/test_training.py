@@ -44,6 +44,12 @@ def test_config_rejects_a_batch_without_a_pair(batch_size):
     small_cfg(batch_size=2)
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.05, float("nan"), float("inf")])
+def test_config_rejects_a_learning_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(InvalidSpecError, match="^learning_rate must be a positive finite number"):
+        small_cfg(learning_rate=rate)
+
+
 # --- global_merge ---
 
 def test_merge_hand_example():

@@ -29,7 +29,6 @@ from hashclust.wire import (
     TAG_PARAMS,
     TrafficMeter,
     _decode_gradient,
-    _encode_gradient,
     config_digest,
     expect_frame,
     parse_endpoint,
@@ -167,7 +166,7 @@ def test_decoded_frames_survive_later_frames_on_the_connection():
     a, b = socket.socketpair()
     try:
         send_frame(a, TAG_CODES, encode_codes_payload(book))
-        send_frame(a, TAG_GRADIENT, _encode_gradient(params, grad, 0.5))
+        send_frame(a, TAG_GRADIENT, serialize_values(params, grad, struct.pack(">d", 0.5)))
         got_book = decode_codes_payload(expect_frame(b, TAG_CODES), params.code_length, origin="site")
         got_grad, loss = _decode_gradient(expect_frame(b, TAG_GRADIENT), param_count(params))
         codes, degrees, values = got_book.codes.copy(), got_book.degrees.copy(), got_grad.copy()
