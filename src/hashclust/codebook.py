@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyShardError, IncompatibleCodebooksError, ShapeError
+from .errors import InconsistentStateError, ShapeError
 from .network import HashCode, NetworkParams, code_words, forward, group_words, output_words, packed_rows
 
 # the largest degree a CODES_PUSH float32 carries exactly; a run refuses a
@@ -56,7 +56,7 @@ class Codebook:
         entries = tuple(entries)
         lengths = {e.code.length for e in entries}
         if len(lengths) > 1:
-            raise IncompatibleCodebooksError("codebook entries have mixed code lengths")
+            raise InconsistentStateError("codebook entries have mixed code lengths")
         length = lengths.pop() if lengths else 0
         packed = [e.code.packed for e in entries]
         self.codes = checked_code_words(packed, length) if packed else np.zeros((0, 0), dtype=np.uint64)
@@ -102,7 +102,7 @@ def encode_shard(params: NetworkParams, x, origin: str = "site"):
     """Map every sample to its code; returns (Codebook, per-sample entry index)."""
     x = np.atleast_2d(np.asarray(getattr(x, "normalized", x), dtype=np.float64))
     if x.shape[0] == 0:
-        raise EmptyShardError("cannot encode an empty shard")
+        raise ShapeError("cannot encode an empty shard")
     h, _ = forward(params, x)
     words = output_words(h)
     order, starts = group_words(words)
@@ -116,13 +116,13 @@ def merge_codebooks(books) -> Codebook:
     """Union of site codebooks; degrees add where codes coincide, codes ascend."""
     books = list(books)
     if not books:
-        raise IncompatibleCodebooksError("no codebooks to merge")
+        raise InconsistentStateError("no codebooks to merge")
     for book in books:
         if not len(book):
-            raise IncompatibleCodebooksError(f"codebook {book.origin!r} has no entries")
+            raise InconsistentStateError(f"codebook {book.origin!r} has no entries")
     length = books[0].code_length
     if any(b.code_length != length for b in books):
-        raise IncompatibleCodebooksError("codebooks have mixed code lengths")
+        raise InconsistentStateError("codebooks have mixed code lengths")
     words = np.concatenate([b.codes for b in books])
     order, starts = group_words(words)
     degrees = np.add.reduceat(np.concatenate([b.degrees for b in books])[order], starts)

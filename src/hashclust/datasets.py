@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleShardError, InvalidSpecError, ShapeError
+from .errors import InvalidSpecError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
     if min_per_site < 1:
         raise InvalidSpecError(f"min_per_site must be >= 1, got {min_per_site}")
     if n < n_sites * min_per_site:
-        raise InfeasibleShardError(
+        raise InvalidSpecError(
             f"{n} samples cannot cover {n_sites} sites at >= {min_per_site} each"
         )
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one check of a real-valued setting."""
+"""Exception types shared across the package, and the one check of a real-valued
+setting. Every refusal is a HashClustError: InvalidSpecError, ShapeError,
+InconsistentStateError, PipelineError or ProtocolError."""
 
 
 class HashClustError(Exception):
@@ -6,39 +8,14 @@ class HashClustError(Exception):
 
 
 class InvalidSpecError(HashClustError):
-    """A layer list, cluster spec, or config fails its structural invariants."""
+    """A layer list, cluster spec, or config fails its structural invariants,
+    a cluster count k is outside [1, n], a batch size is below 1, or a
+    dataset is too small for every site's minimum shard size."""
 
 
 class ShapeError(HashClustError):
-    """An array argument has the wrong dimensions or length."""
-
-
-class EmptyShardError(HashClustError):
-    """A local dataset is empty where at least one sample is required."""
-
-
-class InsufficientBatchError(HashClustError):
-    """Fewer than two samples available, so no training pair can be formed."""
-
-
-class InvalidCodebookError(HashClustError):
-    """A codebook violates its invariants (e.g. duplicate codes)."""
-
-
-class IncompatibleCodebooksError(HashClustError):
-    """Codebooks with mixed code lengths cannot be merged."""
-
-
-class InvalidKError(HashClustError):
-    """Requested cluster count exceeds the number of vertices."""
-
-
-class UnsupportedSizeError(HashClustError):
-    """Graph too large for the dense eigensolver."""
-
-
-class InfeasibleShardError(HashClustError):
-    """Dataset too small to give every site its minimum shard size."""
+    """An array argument has the wrong dimensions or length: an empty shard,
+    fewer than two samples for a pair, or a graph past the dense bound."""
 
 
 class InconsistentStateError(HashClustError):
@@ -46,7 +23,8 @@ class InconsistentStateError(HashClustError):
     book's degrees do not sum to the n samples, it holds more than
     min(2**L, n) entries, a wire site sent a book unlike the coordinator's
     encoding of its shard, or in label propagation a site book has another
-    code length than the global one or a code missing from it."""
+    code length than the global one or a code missing from it; a book has
+    duplicate codes or mixed code lengths; a merge has no book or an empty one."""
 
 
 class PipelineError(HashClustError):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidKError, ShapeError
+from .errors import InvalidSpecError, ShapeError
 
 N_RESTARTS = 10
 MAX_ITER = 300
@@ -167,7 +167,7 @@ def kmeans(points, k: int, seed):
         raise ShapeError(f"point {row} is not finite: {points[row].tolist()}")
     n = points.shape[0]
     if k < 1 or k > n:
-        raise InvalidKError(f"k={k} incompatible with {n} points")
+        raise InvalidSpecError(f"k={k} incompatible with {n} points")
     if k == n:
         return np.arange(n), 0.0
     rng = np.random.default_rng(seed)

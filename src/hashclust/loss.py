@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBatchError, ShapeError, check_positive_finite
+from .errors import ShapeError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def batch_loss(batch_x, batch_h, cfg: LossConfig):
     if batch_h.shape[0] != n:
         raise ShapeError("batch_x and batch_h disagree on batch size")
     if n < 2:
-        raise InsufficientBatchError("need at least 2 samples to form a pair")
+        raise ShapeError("need at least 2 samples to form a pair")
 
     ii, jj, order = _pair_tables(n)
     dx = batch_x[ii] - batch_x[jj]

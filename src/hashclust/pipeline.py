@@ -401,6 +401,13 @@ def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     return {"name": cfg.name, "mode": "wire", "role": "site", "site": cfg.site, "timings": timings}
 
 
+def _typed(value, kinds, what: str, key: str):
+    """``value`` if it is one of ``kinds`` and not a bool; else InvalidSpecError names ``key``."""
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    raise InvalidSpecError(f"{key} must be {what}, got {value!r}")
+
+
 def run_report(result_paths, out_path=None):
     """Tabulate runs: one row each, sorted by dataset name then seed.
 
@@ -412,18 +419,19 @@ def run_report(result_paths, out_path=None):
         try:
             with open(path) as fh:
                 res = json.load(fh)
+            bits = _typed(res["ledger"]["total_bits"], (int, float), "a number", "ledger.total_bits")
             rows.append(
                 {
-                    "dataset": res["name"],
-                    "seed": res["seed"],
+                    "dataset": _typed(res["name"], str, "a string", "name"),
+                    "seed": _typed(res["seed"], int, "an integer", "seed"),
                     "mode": res["mode"],
-                    "purity": res["purity"],
-                    "nmi": res["nmi"],
-                    "total_bits": res["ledger"]["total_bits"],
-                    "megabytes": res["ledger"]["total_bits"] / (8 * 2 ** 20),
+                    "purity": _typed(res["purity"], (int, float), "a number", "purity"),
+                    "nmi": _typed(res["nmi"], (int, float), "a number", "nmi"),
+                    "total_bits": bits,
+                    "megabytes": bits / (8 * 2 ** 20),
                 }
             )
-        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, InvalidSpecError, json.JSONDecodeError) as exc:
             raise PipelineError(f"report: {path}: {exc}") from exc
     rows.sort(key=lambda r: (r["dataset"], r["seed"]))
     if out_path is not None:

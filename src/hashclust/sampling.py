@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyShardError
+from .errors import InvalidSpecError, ShapeError
 from .network import NetworkParams, forward, group_words, output_words
 
 # the summed distance of a bucket with no member left: far below every real
@@ -46,7 +46,7 @@ def build_buckets(params: NetworkParams, x) -> BucketIndex:
     """Bucket every sample of the local dataset by its current code."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
-        raise EmptyShardError("cannot bucket an empty shard")
+        raise ShapeError("cannot bucket an empty shard")
     h, _ = forward(params, x)
     words = output_words(h)
     # the grouping orders the samples by code, and by index within a code
@@ -63,11 +63,11 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     equal summed distance go to the smallest packed code.
     """
     if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+        raise InvalidSpecError("batch_size must be >= 1")
     counts = buckets.sizes().tolist()
     n_samples = sum(counts)
     if n_samples == 0:
-        raise EmptyShardError("no samples to select from")
+        raise ShapeError("no samples to select from")
     rng = np.random.default_rng(seed)
     # the members of a bucket not drawn yet are the first counts[b] of its pool
     pools = {}

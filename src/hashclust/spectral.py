@@ -54,13 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .errors import (
-    InconsistentStateError,
-    InvalidCodebookError,
-    InvalidKError,
-    ShapeError,
-    UnsupportedSizeError,
-)
+from .errors import InconsistentStateError, InvalidSpecError, ShapeError
 from .kmeans import kmeans
 from .network import group_words
 
@@ -129,7 +123,7 @@ def build_graph(book: Codebook) -> CodeGraph:
     """The code graph of a codebook's codes and degrees."""
     _, starts = group_words(book.codes)
     if len(starts) != len(book):
-        raise InvalidCodebookError("duplicate codes in codebook")
+        raise InconsistentStateError("duplicate codes in codebook")
     return CodeGraph(codes=book.codes, degrees=book.degrees.astype(np.float64), length=book.code_length)
 
 
@@ -137,7 +131,7 @@ def _dense_weights(graph: CodeGraph) -> np.ndarray:
     """The n x n weights, a block of rows at a time; the only place W is built."""
     n = len(graph)
     if n > DENSE_SOLVER_MAX_VERTICES:
-        raise UnsupportedSizeError(
+        raise ShapeError(
             f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
         )
     codes, degrees, divisors = graph.codes, graph.degrees, graph.divisors
@@ -362,13 +356,13 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     stay zero), and runs seeded k-means (k-means++ starts, 10 restarts, 300
     iteration cap). Vertices with zero weighted degree go straight to cluster
     0. A matrix-free CodeGraph is made dense only for ``eigh``, which raises
-    UnsupportedSizeError above DENSE_SOLVER_MAX_VERTICES. Deterministic for a
+    ShapeError above DENSE_SOLVER_MAX_VERTICES. Deterministic for a
     fixed seed.
     """
     w, product, deg = _operator(graph)
     n = deg.size
     if k < 1 or k > n:
-        raise InvalidKError(f"k={k} incompatible with {n} vertices")
+        raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     if k == n:
         return np.arange(n)
     if n == 1 or not (deg > 0).any():

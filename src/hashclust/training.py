@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateHistoryWarning,
-    InsufficientBatchError,
-    InvalidSpecError,
-    ShapeError,
-    check_positive_finite,
-)
+from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_positive_finite
 from .loss import LossConfig, batch_loss
 from .network import NetworkParams, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
@@ -64,7 +58,7 @@ def local_round(shard, params: NetworkParams, cfg: TrainingConfig, round_index: 
     """One site's work for one round: select a batch, return (gradient, mean loss)."""
     x = np.atleast_2d(np.asarray(getattr(shard, "normalized", shard), dtype=np.float64))
     if x.shape[0] < 2:
-        raise InsufficientBatchError("a shard needs at least 2 samples to form a pair")
+        raise ShapeError("a shard needs at least 2 samples to form a pair")
     buckets = build_buckets(params, x)
     idx = select_batch(buckets, cfg.batch_size, derive_round_seed(cfg.seed, round_index))
     bx = x[idx]

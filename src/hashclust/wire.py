@@ -75,6 +75,9 @@ _FRAME_HEADER = struct.Struct(">BI")
 _LOSS_TRAILER = struct.Struct(">d")
 _HELLO = struct.Struct(">I32s")
 _MAX_PAYLOAD = 1 << 31
+# the longest payload a received frame may declare, where a tag has a fixed
+# size; the others stop below _MAX_PAYLOAD
+_MAX_LENGTH = {TAG_HELLO: _HELLO.size, TAG_DONE: 0}
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -110,16 +113,16 @@ def _recv_into(sock, buffer) -> None:
 def expect_frame(sock, want_tag: int) -> bytearray:
     """The payload of the next frame, which must carry ``want_tag``. The
     header is checked before any payload is read: another tag or a length
-    past the frame limit is refused at once, so a peer that speaks another
-    protocol costs neither an allocation nor a wait. The payload is a new
-    bytearray of its own, received in place, so what is decoded from it as
-    views stays valid whatever frames follow."""
+    past the frame limit (a hello's size, 0 for done) is refused at once, so
+    a peer that speaks another protocol costs neither an allocation nor a
+    wait. The payload is a new bytearray of its own, received in place, so
+    what is decoded from it as views stays valid whatever frames follow."""
     header = bytearray(_FRAME_HEADER.size)
     _recv_into(sock, header)
     tag, length = _FRAME_HEADER.unpack(header)
     if tag != want_tag:
         raise ProtocolError(f"expected frame tag 0x{want_tag:02x}, got 0x{tag:02x}")
-    if length >= _MAX_PAYLOAD:
+    if length > _MAX_LENGTH.get(tag, _MAX_PAYLOAD - 1):
         raise ProtocolError(f"declared payload of {length} bytes exceeds the frame limit")
     payload = bytearray(length)
     _recv_into(sock, payload)

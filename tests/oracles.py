@@ -9,7 +9,7 @@ No run of the library needs any of it.
 import numpy as np
 
 from hashclust.codebook import Codebook, checked_code_words
-from hashclust.errors import HashClustError, InvalidKError, ShapeError
+from hashclust.errors import HashClustError, InvalidSpecError, ShapeError
 from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import NetworkParams, forward
@@ -311,7 +311,7 @@ def brute_force_ncut(graph, k: int) -> np.ndarray:
     if n > BRUTE_FORCE_MAX_VERTICES:
         raise OracleSizeError(f"{n} vertices exceeds the enumeration bound")
     if k < 1 or k > n:
-        raise InvalidKError(f"k={k} incompatible with {n} vertices")
+        raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     best, best_value = None, np.inf
     for labels in _growth_strings(n, k):
         value = ncut_value(w, labels, k)

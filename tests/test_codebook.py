@@ -12,7 +12,7 @@ from hashclust.codebook import (
     encode_shard,
     merge_codebooks,
 )
-from hashclust.errors import EmptyShardError, IncompatibleCodebooksError, ShapeError
+from hashclust.errors import InconsistentStateError, ShapeError
 from hashclust.network import (
     HashCode,
     NetworkParams,
@@ -93,7 +93,7 @@ def test_encode_idempotent():
 
 
 def test_encode_empty_shard():
-    with pytest.raises(EmptyShardError):
+    with pytest.raises(ShapeError, match="^cannot encode an empty shard$"):
         encode_shard(trained_params(), np.zeros((0, 3)))
 
 
@@ -133,18 +133,18 @@ def test_merge_conserves_total_degree():
 def test_merge_mixed_lengths_rejected():
     a = book([(code(1, 1), 1)])
     b = book([(code(1, 1, 1), 1)])
-    with pytest.raises(IncompatibleCodebooksError):
+    with pytest.raises(InconsistentStateError, match="^codebooks have mixed code lengths$"):
         merge_codebooks([a, b])
 
 
 def test_book_of_mixed_code_lengths_rejected():
-    with pytest.raises(IncompatibleCodebooksError, match="mixed code lengths"):
+    with pytest.raises(InconsistentStateError, match="^codebook entries have mixed code lengths$"):
         Codebook((entry(code(1, 1), 1), entry(code(1, 1, 1), 1)))
 
 
 def test_merge_empty_book_rejected():
     empty = empty_book("site1")
-    with pytest.raises(IncompatibleCodebooksError, match="'site1' has no entries"):
+    with pytest.raises(InconsistentStateError, match="^codebook 'site1' has no entries$"):
         merge_codebooks([book([(code(1, 1), 1)]), empty])
 
 

@@ -13,7 +13,7 @@ from hashclust.datasets import (
     save_csv,
     shard_dataset,
 )
-from hashclust.errors import InfeasibleShardError, InvalidSpecError, ShapeError
+from hashclust.errors import InvalidSpecError, ShapeError
 
 
 def replay_transform_and_shift(spec: ClusterSpec):
@@ -154,7 +154,7 @@ def test_shard_min_size_respected():
 
 def test_shard_infeasible():
     x = np.zeros((99, 2))
-    with pytest.raises(InfeasibleShardError):
+    with pytest.raises(InvalidSpecError, match=r"^99 samples cannot cover 2 sites at >= 50 each$"):
         shard_dataset(x, np.zeros(99, dtype=int), 2, min_per_site=50, seed=0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashclust.errors import InsufficientBatchError, InvalidSpecError, ShapeError
+from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig, batch_loss
 
 from oracles import finite_difference, pair_loss_discrete, pair_loss_grad, pair_loss_relaxed
@@ -227,5 +227,5 @@ def test_batch_grad_is_gradient_of_mean():
 
 
 def test_batch_requires_two_samples():
-    with pytest.raises(InsufficientBatchError):
+    with pytest.raises(ShapeError, match="^need at least 2 samples to form a pair$"):
         batch_loss(np.zeros((1, 2)), np.zeros((1, 3)), CFG11)

@@ -553,6 +553,31 @@ def test_run_report_rejects_malformed(tmp_path):
         run_report([str(tmp_path / "missing.json")])
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("name", 1, "name must be a string, got 1"),
+        ("seed", "2", "seed must be an integer, got '2'"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("purity", "0.9", "purity must be a number, got '0.9'"),
+        ("nmi", None, "nmi must be a number, got None"),
+        ("total_bits", False, "ledger.total_bits must be a number, got False"),
+    ],
+)
+def test_cli_report_refuses_a_wrongly_typed_field(tmp_path, capsys, key, value, reason):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(fake_result("d", 1, 1024)))
+    res = fake_result("d", 2, 1024)
+    if key == "total_bits":
+        res["ledger"][key] = value
+    else:
+        res[key] = value
+    bad.write_text(json.dumps(res))
+    assert main(["report", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: report: {bad}: {reason}\n"
+
+
 @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
 def test_cli_report_out_that_cannot_be_written_returns_one(tmp_path, capsys, where):
     result = tmp_path / "r.json"

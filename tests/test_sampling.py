@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashclust.errors import EmptyShardError
+from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
     LayerSpec,
     NetworkParams,
@@ -72,7 +72,7 @@ def test_buckets_partition_the_shard():
 
 def test_build_buckets_empty_shard():
     params = zero_net(2, 3)
-    with pytest.raises(EmptyShardError):
+    with pytest.raises(ShapeError, match="^cannot bucket an empty shard$"):
         build_buckets(params, np.zeros((0, 2)))
 
 
@@ -188,7 +188,14 @@ def test_select_batch_empty_buckets():
     x = np.zeros((1, 2))
     buckets = build_buckets(params, x)
     empty = BucketIndex(codes=np.zeros((0, 1), dtype=np.uint64), members=())
-    with pytest.raises(EmptyShardError):
+    with pytest.raises(ShapeError, match="^no samples to select from$"):
         select_batch(empty, 3, 0)
     # sanity: the nonempty one works
     assert select_batch(buckets, 1, 0).tolist() == [0]
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_select_batch_rejects_batch_size_below_one(batch_size):
+    buckets = build_buckets(zero_net(2, 3), np.zeros((1, 2)))
+    with pytest.raises(InvalidSpecError, match="^batch_size must be >= 1$"):
+        select_batch(buckets, batch_size, 0)

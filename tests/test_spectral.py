@@ -9,13 +9,7 @@ from hashclust.codebook import (
     encode_shard,
     merge_codebooks,
 )
-from hashclust.errors import (
-    InconsistentStateError,
-    InvalidCodebookError,
-    InvalidKError,
-    ShapeError,
-    UnsupportedSizeError,
-)
+from hashclust.errors import InconsistentStateError, InvalidSpecError, ShapeError
 from hashclust import kmeans as kmeans_module
 from hashclust.kmeans import kmeans
 from hashclust.network import init_network, mlp_spec
@@ -110,7 +104,7 @@ def test_graph_degree_scaling_is_quadratic():
 
 
 def test_graph_rejects_duplicate_codes():
-    with pytest.raises(InvalidCodebookError):
+    with pytest.raises(InconsistentStateError, match="^duplicate codes in codebook$"):
         build_graph(codebook_of([packed(code(1, 1)), packed(code(1, 1))], [1, 2], 2))
 
 
@@ -122,9 +116,9 @@ def test_graph_rejects_codebook_above_dense_bound():
     graph = build_graph(codebook_of([i.to_bytes(4, "big") for i in range(n)], [1] * n, length))
     assert not graph.matrix_free
     bound = f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
-    with pytest.raises(UnsupportedSizeError, match=bound):
+    with pytest.raises(ShapeError, match=bound):
         np.asarray(graph)
-    with pytest.raises(UnsupportedSizeError, match=bound):
+    with pytest.raises(ShapeError, match=bound):
         spectral_cluster(graph, 2, seed=0)
 
 
@@ -587,7 +581,7 @@ def test_spectral_k_equals_n():
 
 
 def test_spectral_k_too_large():
-    with pytest.raises(InvalidKError):
+    with pytest.raises(InvalidSpecError, match="^k=4 incompatible with 3 vertices$"):
         spectral_cluster(np.zeros((3, 3)), 4, seed=0)
 
 

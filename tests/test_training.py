@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hashclust.errors import DegenerateHistoryWarning, InsufficientBatchError, InvalidSpecError, ShapeError
+from hashclust.errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig
 from hashclust.network import (
     LayerSpec,
@@ -125,7 +125,7 @@ def test_local_round_two_sites_identical():
 
 def test_local_round_rejects_tiny_shard():
     params = init_network(mlp_spec(2, (), 2), 6)
-    with pytest.raises(InsufficientBatchError):
+    with pytest.raises(ShapeError, match="^a shard needs at least 2 samples to form a pair$"):
         local_round(np.zeros((1, 2)), params, small_cfg())
 
 

@@ -195,6 +195,21 @@ def test_expect_frame_rejects_oversized_declaration():
         b.close()
 
 
+@pytest.mark.parametrize("tag, size", [(TAG_HELLO, 36), (TAG_DONE, 0)])
+def test_expect_frame_limits_hello_and_done_to_their_size(tag, size):
+    a, b = socket.socketpair()
+    try:
+        send_frame(a, tag, bytes(size))
+        assert expect_frame(b, tag) == bytes(size)
+        # one byte more is refused at the header, before any payload is sent
+        a.sendall(struct.pack(">BI", tag, size + 1))
+        with pytest.raises(ProtocolError, match=f"^declared payload of {size + 1} bytes exceeds the frame limit$"):
+            expect_frame(b, tag)
+    finally:
+        a.close()
+        b.close()
+
+
 # --- traffic metering ---
 
 def test_meter_params_frame():
@@ -495,6 +510,13 @@ def _foreign_protocol(port, shards, net, cfg):
         sock.recv(1)
 
 
+def _oversized_hello(port, shards, net, cfg):
+    # a hello header declaring 256 MiB, refused before any payload buffer is made
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(struct.pack(">BI", TAG_HELLO, 1 << 28))
+        sock.recv(1)
+
+
 # name: (faulty site 1, coordinator timeout, the ProtocolError it raises)
 FAULTS = {
     "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
@@ -504,6 +526,7 @@ FAULTS = {
                              "site 1 sent a malformed frame 0x02: value section has 124 bytes, expected 160"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
     "foreign_protocol": (_foreign_protocol, 5.0, "expected frame tag 0x05, got 0x47"),
+    "oversized_hello": (_oversized_hello, 5.0, "declared payload of 268435456 bytes exceeds the frame limit"),
     "empty_codes": (_empty_codes, 5.0, "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
     "other_network": (_site(1, mlp_spec(4, (3,), 4)), 5.0, "site 1 runs another training config or network"),
