@@ -43,10 +43,10 @@ meter = result.meter
 n = param_count(result.params)
 print(f"\nframes: {meter.frames[TAG_PARAMS]} parameter broadcasts, "
       f"{meter.frames[TAG_GRADIENT]} gradient pushes, {meter.frames[TAG_CODES]} code pushes")
-print(f"measured parameter bits: {meter.param_bits} "
+print(f"measured parameter bits: {meter.paper[TAG_PARAMS]} "
       f"(formula: {32 * n * 4 * (20 + 1)})")
-print(f"measured gradient bits:  {meter.gradient_bits} (formula: {32 * n * 4 * 20})")
-print(f"measured code bits:      {meter.code_bits}")
+print(f"measured gradient bits:  {meter.paper[TAG_GRADIENT]} (formula: {32 * n * 4 * 20})")
+print(f"measured code bits:      {meter.paper[TAG_CODES]}")
 print(f"\nformula traffic: {meter.paper_bits} bits")
 print(f"physical payload: {meter.physical_bits} bits "
       "(code padding, loss telemetry and the hellos ride on top)")

@@ -2,17 +2,18 @@
 
 Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
-codes that sit close in hamming space are strongly tied. ``build_graph``
+codes that sit close in hamming space are strongly tied, and a code's own
+samples tie it to itself with ``KERNEL_AT_ZERO * degree_i**2``. ``build_graph``
 returns a CodeGraph that holds only the book's ``network.code_words`` rows
 as they are (the form batch selection compares too), their degrees and the
-code length L. The kernel
-1 / hamming, 0 at distance 0, is one table, ``CodeGraph.divisors``; both
-products divide by it. ``np.asarray`` builds the dense n x n weights. The
-graph is cut with the classic spectral relaxation (symmetric normalized
-Laplacian, k smallest eigenvectors, row-normalized embedding, k-means),
-which is what the cited method prescribes; k-means updates its centres with
-``np.bincount`` and keeps a masked mean per cluster only for k = 1 (one
-column) and for a step that empties a cluster (see ``kmeans``). The first
+code length L. The kernel f(h) = 1 / h, with f(0) = f0 = KERNEL_AT_ZERO, is
+one table, ``CodeGraph.divisors``; both products divide by it.
+``np.asarray`` builds the dense n x n weights. The graph is cut with the
+classic spectral relaxation (symmetric normalized Laplacian, k smallest
+eigenvectors, row-normalized embedding, k-means), which is what the cited
+method prescribes; k-means updates its centres with ``np.bincount`` and
+keeps a masked mean per cluster only for k = 1 (one column) and for a step
+that empties a cluster (see ``kmeans``). The first
 eigenvector is known, D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007,
 Prop. 3); the other k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput.
 2001), a block eigensolver that touches the graph only through products
@@ -58,6 +59,14 @@ from .errors import InconsistentStateError, InvalidSpecError, ShapeError
 from .kmeans import kmeans
 from .network import group_words
 
+# f0, the kernel at hamming distance 0: samples that share a code are closer
+# than those of any two codes, so a code's self weight f0 * d_i**2 exceeds the
+# d_i * d_j of a neighbour at distance 1. With W_ii = 0 a cluster whose samples
+# share a few codes has little affinity inside it, and the cut can split it up
+# or fold it into another. 4 is a power of two, so the divisor 1/4 and
+# W_ii = 4 * d_i**2 are exact; f0 = 8 and 16 cut nearly alike, f0 = 2 worse.
+KERNEL_AT_ZERO = 4
+
 # Checked before a code graph is made dense, which holds one n x n float64
 # array (8 B per vertex pair). LOBPCG on dense weights adds little to it; the
 # dense eigh fallback needs about 45 B per pair, about 3 GB at 2**13 vertices
@@ -85,7 +94,7 @@ LOBPCG_MAX_ITER = 200
 
 @dataclass(frozen=True, eq=False)
 class CodeGraph:
-    """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = 0, kept as its vertices.
+    """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = f0 * d_i**2, kept as its vertices.
 
     ``codes`` holds code i as row i of ``network.code_words``, as its book
     does, so its first bit is bit 63 of word 0; ``degrees`` the vertex
@@ -111,8 +120,9 @@ class CodeGraph:
     @property
     def divisors(self) -> np.ndarray:
         """The kernel as a table over the distance h = 0..L: W_ij = d_i * d_j /
-        divisors[h_ij], with divisors[h] = h, and inf at h = 0 so that W_ii = 0."""
-        return np.array([np.inf, *range(1, self.length + 1)])
+        divisors[h_ij], with divisors[h] = h, and 1 / KERNEL_AT_ZERO at h = 0 so
+        that W_ii = f0 * d_i**2, exactly."""
+        return np.array([1 / KERNEL_AT_ZERO, *range(1, self.length + 1)])
 
     def __array__(self, dtype=None, copy=None):
         w = _dense_weights(self)
@@ -141,7 +151,7 @@ def _dense_weights(graph: CodeGraph) -> np.ndarray:
         rows = slice(start, start + step)
         # popcount of XOR: the exact integer distances, as intp so that they
         # index the divisors without a cast. d_i * d_j rounds once and the
-        # division by the divisor once; inf on the diagonal gives 0.
+        # division by the divisor once; 1/f0 on the diagonal gives f0 * d_i**2.
         ham = np.bitwise_count(codes[rows, None, :] ^ codes[None, :, :]).sum(axis=2, dtype=np.intp)
         block = weights[rows]
         np.multiply.outer(degrees[rows], degrees, out=block)
@@ -365,7 +375,7 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
         raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     if k == n:
         return np.arange(n)
-    if n == 1 or not (deg > 0).any():
+    if not (deg > 0).any():
         return np.zeros(n, dtype=np.int64)
     emb = _lobpcg(product, _inv_sqrt(deg), k) if n >= 5 * k else None
     if emb is None:

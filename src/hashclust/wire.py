@@ -33,10 +33,12 @@ runs, which merges the gradients in site order, so the two modes stay
 bit-identical.
 
 Every byte crosses the coordinator, so a single TrafficMeter there observes
-all traffic. Per frame it accrues two counters: "paper" bits (32 per
-parameter or degree, L per code: the quantities the cost formulas charge)
-and "physical" bits (actual payload bytes; the 5-byte frame header is
-excluded everywhere). Hello and done frames are physical only.
+all traffic. It tallies by tag the frames, their "physical" bits (payload
+bytes; the 5-byte frame header is excluded everywhere) and their "paper"
+bits, the quantities the cost formulas charge, and parses no payload:
+serve_global decodes each received frame once and counts its paper bits
+from what it sent or decoded, 32 per parameter or gradient value, 32 + L
+per codebook entry (a degree and a code), none for hello and done.
 """
 
 from __future__ import annotations
@@ -142,36 +144,25 @@ def _decode_gradient(payload, n: int):
 
 
 class TrafficMeter:
-    """Byte/bit accounting for one protocol run, split paper vs physical;
-    parameter and gradient frames must hold ``n_params`` values."""
+    """Frames, physical bits and paper bits of one protocol run, tallied by
+    frame tag. It reads no payload: ``record`` is handed a frame's paper
+    bits by the coordinator, which counts them from what it sent or decoded."""
 
-    def __init__(self, n_params: int, code_length: int):
-        self.n_params = n_params
-        self.code_length = code_length
-        self.param_bits = 0
-        self.gradient_bits = 0
-        self.code_bits = 0
-        self.physical_bits = 0
-        self.frames = Counter()
+    def __init__(self):
+        self.frames, self.physical, self.paper = Counter(), Counter(), Counter()
 
-    def record(self, tag: int, payload: bytes) -> None:
+    def record(self, tag: int, payload, paper_bits: int = 0) -> None:
         self.frames[tag] += 1
-        self.physical_bits += 8 * len(payload)
-        if tag == TAG_PARAMS:
-            self.param_bits += 32 * read_blob(payload, self.n_params).size
-        elif tag == TAG_GRADIENT:
-            self.gradient_bits += 32 * read_blob(payload, self.n_params, _LOSS_TRAILER.size).size
-        elif tag == TAG_CODES:
-            if len(payload) < 4:
-                raise ProtocolError("codes payload too short")
-            (count,) = struct.unpack(">I", payload[:4])
-            self.code_bits += count * (32 + self.code_length)
-        elif tag not in (TAG_DONE, TAG_HELLO):
-            raise ProtocolError(f"unknown frame tag 0x{tag:02x}")
+        self.physical[tag] += 8 * len(payload)
+        self.paper[tag] += paper_bits
 
     @property
     def paper_bits(self) -> int:
-        return self.param_bits + self.gradient_bits + self.code_bits
+        return sum(self.paper.values())
+
+    @property
+    def physical_bits(self) -> int:
+        return sum(self.physical.values())
 
 
 @dataclass
@@ -210,32 +201,33 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
     """
     accepted = []
     conns = [None] * cfg.n_sites
+    meter = TrafficMeter()
 
-    def broadcast(tag, payload):
+    def broadcast(tag, payload, paper_bits=0):
         for conn in conns:
             send_frame(conn, tag, payload)
-            meter.record(tag, payload)
+            meter.record(tag, payload, paper_bits)
 
-    def collect(tag, decode):
+    def collect(tag, decode, paper_bits):
         out = []
         for site, conn in enumerate(conns):
             payload = expect_frame(conn, tag)
             try:
-                meter.record(tag, payload)
                 out.append(decode(payload, site))
             except (ShapeError, InvalidSpecError) as exc:
                 raise ProtocolError(f"site {site} sent a malformed frame 0x{tag:02x}: {exc}") from exc
+            meter.record(tag, payload, paper_bits(out[-1]))
         return out
 
     def exchange(params, _round):
-        broadcast(TAG_PARAMS, serialize_params(params))
-        gradients = collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload, meter.n_params))
+        n = params.values.size
+        broadcast(TAG_PARAMS, serialize_params(params), 32 * n)
+        gradients = collect(TAG_GRADIENT, lambda payload, _site: _decode_gradient(payload, n), lambda g: 32 * g[0].size)
         return zip(*gradients)
 
     try:
         check_positive_finite(timeout, "timeout")
         params = init_network(spec, cfg.seed)
-        meter = TrafficMeter(params.values.size, params.code_length)
         digest = config_digest(cfg, params.layers)
         listener.settimeout(timeout)
         for _ in range(cfg.n_sites):
@@ -246,10 +238,11 @@ def serve_global(listener, spec, cfg: TrainingConfig, timeout: float = DEFAULT_T
             meter.record(TAG_HELLO, payload)
             conns[_hello_site(payload, conns, digest)] = conn
         params, losses = run_rounds(params, cfg, exchange)
-        broadcast(TAG_PARAMS, serialize_params(params))
+        broadcast(TAG_PARAMS, serialize_params(params), 32 * params.values.size)
         books = collect(
             TAG_CODES,
             lambda payload, site: decode_codes_payload(payload, params.code_length, origin=f"site{site}"),
+            lambda book: len(book) * (32 + book.code_length),
         )
         broadcast(TAG_DONE, b"")
     finally:

@@ -420,6 +420,23 @@ def test_wire_site_whose_book_differs_from_the_coordinators_encoding_fails_in_en
         run_pipeline(config_from_dict(make_raw(mode="wire", rounds=0)))
 
 
+def test_samples_that_share_a_code_hold_their_cluster_together():
+    # 4 x 250 samples of 256 dims, L = 16, 2 sites, 100 rounds: the cut finds
+    # the four clusters whole. With no self weight (W_ii = 0 in place of
+    # f0 * d_i**2) it split them [1, 500, 55, 444], purity 0.556.
+    raw = {
+        "dataset": {"generate": {"n_clusters": 4, "ambient_dim": 256, "embed_dim": 2, "samples_per_cluster": 250}},
+        "code_length": 16,
+        "clusters": 4,
+        "sites": 2,
+        "training": {"rounds": 100},
+        "seed": 0,
+    }
+    res = run_pipeline(config_from_dict(raw))
+    assert res["cluster_sizes"] == [250, 250, 250, 250]
+    assert res["purity"] == res["nmi"] == 1.0
+
+
 def test_collapsed_codebook_surfaces_as_pipeline_error():
     # this seed trains all samples onto two codes, too few for k=3
     with pytest.raises(PipelineError, match="cluster"):

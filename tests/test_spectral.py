@@ -84,16 +84,17 @@ def test_hamming_length_mismatch():
 # --- build_graph ---
 
 def test_graph_two_antipodal_codes():
-    # degrees 3 and 5 at hamming 4: single off-diagonal weight 15/4
+    # degrees 3 and 5 at hamming 4: single off-diagonal weight 15/4, self
+    # weights f0 * d**2 = 4 * 9 and 4 * 25
     w = np.asarray(build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)])))
     assert w.shape == (2, 2)
-    assert w[0, 0] == w[1, 1] == 0.0
-    assert w[0, 1] == w[1, 0] == pytest.approx(3.75)
+    assert sorted(np.diag(w)) == [36.0, 100.0]
+    assert w[0, 1] == w[1, 0] == 3.75
 
 
 def test_graph_single_vertex():
     w = np.asarray(build_graph(book([(code(1, -1), 9)])))
-    assert np.array_equal(w, np.zeros((1, 1)))
+    assert np.array_equal(w, [[4.0 * 81]])
 
 
 def test_graph_degree_scaling_is_quadratic():
@@ -149,7 +150,7 @@ def test_graph_weights_equal_hamming_weights_exactly(length):
     book_bits, book_degrees = code_bits(b), b.degrees.tolist()
     for i, (bi, di) in enumerate(zip(book_bits, book_degrees)):
         for j, (bj, dj) in enumerate(zip(book_bits, book_degrees)):
-            expect = 0.0 if i == j else di * dj / hamming(bi, bj)
+            expect = 4.0 * di * di if i == j else di * dj / hamming(bi, bj)
             assert w[i, j] == expect
 
 
@@ -461,29 +462,8 @@ def _random_graph(length):
     return build_graph(book(entries)), rng
 
 
-def _over_self_divisors(names, cases):
-    """Parametrize ``names`` and ``self_divisor``, the kernel's entry at h = 0,
-    over ``cases``: each case with inf (W_ii = 0, the shipped kernel) under its
-    plain id, then with 0.25 (a self weight W_ii = 4 * d_i**2, f0 = 4)."""
-    params = [
-        pytest.param(*case, self_divisor, id="-".join(map(str, case)) + suffix)
-        for self_divisor, suffix in ((np.inf, ""), (0.25, "-f0=4"))
-        for case in cases
-    ]
-    return pytest.mark.parametrize(f"{names}, self_divisor", params)
-
-
-def _set_self_divisor(monkeypatch, self_divisor):
-    """Replace the h = 0 entry of the shipped divisor table, keeping h >= 1."""
-    shipped = spectral.CodeGraph.divisors.fget
-    monkeypatch.setattr(
-        spectral.CodeGraph, "divisors", property(lambda g: np.concatenate([[self_divisor], shipped(g)[1:]]))
-    )
-
-
-@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
-def test_transform_product_equals_dense_product(length, self_divisor, monkeypatch):
-    _set_self_divisor(monkeypatch, self_divisor)
+@pytest.mark.parametrize("length", [1, 3, 8, 13, 16, 17, 22])
+def test_transform_product_equals_dense_product(length):
     graph, rng = _random_graph(length)
     x = rng.standard_normal((len(graph), 3))
     expect = np.asarray(graph) @ x
@@ -491,9 +471,8 @@ def test_transform_product_equals_dense_product(length, self_divisor, monkeypatc
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
 
-@_over_self_divisors("length, columns", [(n, c) for n in (1, 4, 5, 13, 16, 17) for c in (1, 3)] + [(22, 1)])
-def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_divisor, monkeypatch):
-    _set_self_divisor(monkeypatch, self_divisor)
+@pytest.mark.parametrize("length, columns", [(n, c) for n in (1, 4, 5, 13, 16, 17) for c in (1, 3)] + [(22, 1)])
+def test_transform_product_is_bitwise_the_allocating_one(length, columns):
     graph, rng = _random_graph(length)
     product = spectral._transform_product(graph)
     reference = transform_product_reference(graph)
@@ -510,9 +489,8 @@ def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_d
         assert not any(np.shares_memory(got, a) for a in held)
 
 
-@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
-def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatch):
-    _set_self_divisor(monkeypatch, self_divisor)
+@pytest.mark.parametrize("length", [1, 3, 8, 13, 16, 17, 22])
+def test_transform_degrees_equal_dense_row_sums(length, monkeypatch):
     graph, _ = _random_graph(length)
     expect = np.asarray(graph).sum(axis=1)
     monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)

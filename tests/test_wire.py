@@ -9,14 +9,16 @@ import pytest
 
 from conftest import free_port
 
+from hashclust import wire
 from hashclust.codebook import decode_codes_payload, encode_codes_payload, encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
-from hashclust.errors import InvalidSpecError, ProtocolError, ShapeError
+from hashclust.errors import InvalidSpecError, ProtocolError
 from hashclust.network import (
     deserialize_params,
     init_network,
     mlp_spec,
     param_count,
+    read_blob,
     serialize_params,
     serialize_values,
 )
@@ -213,47 +215,39 @@ def test_expect_frame_limits_hello_and_done_to_their_size(tag, size):
 # --- traffic metering ---
 
 def test_meter_params_frame():
-    net = mlp_spec(3, (4,), 2)
-    params = init_network(net, seed=0)
-    blob = serialize_params(params)
-    meter = TrafficMeter(param_count(params), code_length=2)
-    meter.record(TAG_PARAMS, blob)
-    assert meter.param_bits == 32 * param_count(params)
-    assert meter.physical_bits == 8 * len(blob)
-    assert meter.paper_bits == meter.param_bits
-    assert meter.frames[TAG_PARAMS] == 1
+    # the meter tallies by tag what it is handed: a frame, its payload bits
+    # and the paper bits its sender counted
+    params = init_network(mlp_spec(3, (4,), 2), seed=0)
+    blob, bits = serialize_params(params), 32 * param_count(params)
+    meter = TrafficMeter()
+    meter.record(TAG_PARAMS, blob, bits)
+    meter.record(TAG_PARAMS, blob, bits)
+    assert meter.frames == {TAG_PARAMS: 2}
+    assert meter.physical == {TAG_PARAMS: 2 * 8 * len(blob)}
+    assert meter.paper == {TAG_PARAMS: 2 * bits}
+    assert (meter.paper_bits, meter.physical_bits) == (2 * bits, 2 * 8 * len(blob))
 
 
 def test_meter_gradient_counts_values_not_trailer():
-    net = mlp_spec(3, (4,), 2)
-    params = init_network(net, seed=0)
-    payload = serialize_params(params) + struct.pack(">d", 0.25)
-    meter = TrafficMeter(param_count(params), code_length=2)
-    meter.record(TAG_GRADIENT, payload)
-    assert meter.gradient_bits == 32 * param_count(params)
-    assert meter.physical_bits == 8 * len(payload) == 8 * (4 * param_count(params) + 8)
-
-
-@pytest.mark.parametrize("tag, extra", [(TAG_PARAMS, 0), (TAG_GRADIENT, 8)])
-def test_meter_refuses_a_frame_of_another_parameter_count(tag, extra):
-    params = init_network(mlp_spec(3, (4,), 2), seed=0)
-    payload = serialize_params(params) + bytes(extra)
-    meter = TrafficMeter(param_count(params) + 1, code_length=2)
-    with pytest.raises(ShapeError, match=f"value section has {4 * param_count(params)} bytes"):
-        meter.record(tag, payload)
+    shards, net, cfg = small_setup(n_sites=1, n_rounds=1)
+    result = run_wire_locally(shards, net, cfg)
+    n = param_count(result.params)
+    assert result.meter.paper[TAG_GRADIENT] == 32 * n
+    assert result.meter.physical[TAG_GRADIENT] == 8 * (4 * n + 8)
 
 
 def test_meter_codes_frame():
-    # count header says 5 codes: paper charge is 5*(32+L) regardless of body
-    payload = struct.pack(">I", 5) + b"\x00" * 25
-    meter = TrafficMeter(10, code_length=8)
-    meter.record(TAG_CODES, payload)
-    assert meter.code_bits == 5 * (32 + 8)
-    assert meter.physical_bits == 8 * len(payload)
+    # paper charge is (32 + L) per entry of the decoded book, padding and count aside
+    shards, net, cfg = small_setup(n_sites=1, n_rounds=0)
+    result = run_wire_locally(shards, net, cfg)
+    (book,) = result.site_books
+    L = net[-1].output_dim
+    assert result.meter.paper[TAG_CODES] == len(book) * (32 + L)
+    assert result.meter.physical[TAG_CODES] == 8 * (4 + len(book) * (4 + (L + 7) // 8))
 
 
 def test_meter_done_is_physical_only():
-    meter = TrafficMeter(10, code_length=8)
+    meter = TrafficMeter()
     meter.record(TAG_DONE, b"")
     assert meter.paper_bits == 0
     assert meter.physical_bits == 0
@@ -261,17 +255,21 @@ def test_meter_done_is_physical_only():
 
 
 def test_meter_hello_is_physical_only():
-    meter = TrafficMeter(10, code_length=8)
+    meter = TrafficMeter()
     meter.record(TAG_HELLO, struct.pack(">I", 0) + bytes(32))
     assert meter.paper_bits == 0
-    assert meter.physical_bits == 8 * 36
+    assert meter.physical_bits == meter.physical[TAG_HELLO] == 8 * 36
     assert meter.frames[TAG_HELLO] == 1
 
 
-def test_meter_unknown_tag():
-    meter = TrafficMeter(10, code_length=8)
-    with pytest.raises(ProtocolError):
-        meter.record(0x7F, b"")
+def test_coordinator_reads_each_gradient_frame_once(monkeypatch):
+    shards, net, cfg = small_setup(n_sites=2, n_rounds=3)
+    reads = []
+    monkeypatch.setattr(wire, "read_blob", lambda *args: reads.append(args) or read_blob(*args))
+    result = run_wire_locally(shards, net, cfg)
+    # the coordinator's only read_blob calls decode the gradients, one per frame
+    assert len(reads) == result.meter.frames[TAG_GRADIENT] == cfg.n_sites * cfg.n_rounds
+    assert all(trailer == 8 for _data, _n, trailer in reads)
 
 
 # --- loopback end to end ---
@@ -303,11 +301,15 @@ def test_wire_meter_matches_cost_formulas():
     n = param_count(result.params)
     meter = result.meter
     m, rounds = cfg.n_sites, cfg.n_rounds
-    assert meter.param_bits == 32 * n * m * (rounds + 1)
-    assert meter.gradient_bits == 32 * n * m * rounds
     L = net[-1].output_dim
-    assert meter.code_bits == (32 + L) * sum(len(b) for b in result.site_books)
-    assert meter.paper_bits == meter.param_bits + meter.gradient_bits + meter.code_bits
+    assert meter.paper == {
+        TAG_PARAMS: 32 * n * m * (rounds + 1),
+        TAG_GRADIENT: 32 * n * m * rounds,
+        TAG_CODES: (32 + L) * sum(len(b) for b in result.site_books),
+        TAG_DONE: 0,
+        TAG_HELLO: 0,
+    }
+    assert meter.paper_bits == sum(meter.paper.values())
     assert meter.frames[TAG_PARAMS] == m * (rounds + 1)
     assert meter.frames[TAG_GRADIENT] == m * rounds
     assert meter.frames[TAG_CODES] == m
@@ -316,9 +318,14 @@ def test_wire_meter_matches_cost_formulas():
     # physical exceeds paper only by the loss trailers, the hellos, the code
     # counts and padding; parameter and gradient frames carry no layer table
     code_bytes = sum(4 + len(b) * (4 + (L + 7) // 8) for b in result.site_books)
-    assert meter.physical_bits == 8 * (
-        4 * n * m * (rounds + 1) + (4 * n + 8) * m * rounds + 36 * m + code_bytes
-    )
+    assert meter.physical == {
+        TAG_PARAMS: 8 * 4 * n * m * (rounds + 1),
+        TAG_GRADIENT: 8 * (4 * n + 8) * m * rounds,
+        TAG_CODES: 8 * code_bytes,
+        TAG_DONE: 0,
+        TAG_HELLO: 8 * 36 * m,
+    }
+    assert meter.physical_bits == sum(meter.physical.values())
 
 
 def test_wire_merged_codebook_conserves_degree():
@@ -491,15 +498,20 @@ def _short_hello(port, shards, net, cfg):
         sock.recv(1)
 
 
-def _empty_codes(port, shards, net, cfg):
-    # zero gradients through every round, then a codebook of no entries
-    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
-        send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg, net))
-        for _ in range(cfg.n_rounds):
-            send_frame(sock, TAG_GRADIENT, _gradient_payload(deserialize_params(expect_frame(sock, TAG_PARAMS), net)))
-        expect_frame(sock, TAG_PARAMS)
-        send_frame(sock, TAG_CODES, struct.pack(">I", 0))
-        sock.recv(1)
+def _codes(payload):
+    """A hand-driven site 1: zero gradients through every round, then ``payload`` as its codes."""
+
+    def site(port, shards, net, cfg):
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            send_frame(sock, TAG_HELLO, struct.pack(">I", 1) + config_digest(cfg, net))
+            for _ in range(cfg.n_rounds):
+                params = deserialize_params(expect_frame(sock, TAG_PARAMS), net)
+                send_frame(sock, TAG_GRADIENT, _gradient_payload(params))
+            expect_frame(sock, TAG_PARAMS)
+            send_frame(sock, TAG_CODES, payload)
+            sock.recv(1)
+
+    return site
 
 
 def _foreign_protocol(port, shards, net, cfg):
@@ -527,7 +539,10 @@ FAULTS = {
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
     "foreign_protocol": (_foreign_protocol, 5.0, "expected frame tag 0x05, got 0x47"),
     "oversized_hello": (_oversized_hello, 5.0, "declared payload of 268435456 bytes exceeds the frame limit"),
-    "empty_codes": (_empty_codes, 5.0, "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
+    "empty_codes": (_codes(struct.pack(">I", 0)), 5.0,
+                    "site 1 sent a malformed frame 0x03: codebook payload has no entries"),
+    # shorter than the 4-byte count header
+    "short_codes": (_codes(b"\x00\x01"), 5.0, "^site 1 sent a malformed frame 0x03: truncated codebook payload$"),
     "other_config": (_site(1, batch_size=16), 5.0, "site 1 runs another training config"),
     "other_network": (_site(1, mlp_spec(4, (3,), 4)), 5.0, "site 1 runs another training config or network"),
     "duplicate_index": (_site(0), 5.0, "site 0 connected twice"),
