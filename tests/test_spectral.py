@@ -462,8 +462,33 @@ def _random_graph(length):
     return build_graph(book(entries)), rng
 
 
-@pytest.mark.parametrize("length", [1, 3, 8, 13, 16, 17, 22])
-def test_transform_product_equals_dense_product(length):
+def _over_self_divisors(names, cases):
+    """Parametrize ``names`` and ``self_divisor``, the kernel's entry at h = 0,
+    over ``cases``: each case with inf (W_ii = 0, no self affinity) under its
+    plain id, then on the shipped divisor table (W_ii = f0 * d_i**2, f0 =
+    ``KERNEL_AT_ZERO``) under the id suffix ``-f0=<f0>``."""
+    params = [
+        pytest.param(*case, self_divisor, id="-".join(map(str, case)) + suffix)
+        for self_divisor, suffix in ((np.inf, ""), (None, f"-f0={spectral.KERNEL_AT_ZERO}"))
+        for case in cases
+    ]
+    return pytest.mark.parametrize(f"{names}, self_divisor", params)
+
+
+def _set_self_divisor(monkeypatch, self_divisor):
+    """Replace the h = 0 entry of the shipped divisor table, keeping h >= 1;
+    ``None`` keeps the shipped table whole."""
+    if self_divisor is None:
+        return
+    shipped = spectral.CodeGraph.divisors.fget
+    monkeypatch.setattr(
+        spectral.CodeGraph, "divisors", property(lambda g: np.concatenate([[self_divisor], shipped(g)[1:]]))
+    )
+
+
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
+def test_transform_product_equals_dense_product(length, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
     x = rng.standard_normal((len(graph), 3))
     expect = np.asarray(graph) @ x
@@ -471,8 +496,9 @@ def test_transform_product_equals_dense_product(length):
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
 
-@pytest.mark.parametrize("length, columns", [(n, c) for n in (1, 4, 5, 13, 16, 17) for c in (1, 3)] + [(22, 1)])
-def test_transform_product_is_bitwise_the_allocating_one(length, columns):
+@_over_self_divisors("length, columns", [(n, c) for n in (1, 4, 5, 13, 16, 17) for c in (1, 3)] + [(22, 1)])
+def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
     product = spectral._transform_product(graph)
     reference = transform_product_reference(graph)
@@ -489,8 +515,9 @@ def test_transform_product_is_bitwise_the_allocating_one(length, columns):
         assert not any(np.shares_memory(got, a) for a in held)
 
 
-@pytest.mark.parametrize("length", [1, 3, 8, 13, 16, 17, 22])
-def test_transform_degrees_equal_dense_row_sums(length, monkeypatch):
+@_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
+def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatch):
+    _set_self_divisor(monkeypatch, self_divisor)
     graph, _ = _random_graph(length)
     expect = np.asarray(graph).sum(axis=1)
     monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
