@@ -11,6 +11,12 @@ array. Values are kept on the float32 grid (stored as float64) because every
 parameter transfer is accounted and serialized as 32-bit IEEE-754 reals;
 keeping the in-memory state on that grid makes simulated and wire runs
 bit-identical.
+
+The forward pass runs in float64 wherever its outputs are trained on,
+counted, sent or clustered. Batch selection alone evaluates it in float32
+(``forward(..., dtype=np.float32)``): the weights cast to float32 exactly,
+being on its grid, while the inputs round to it, so only a sample whose
+output lies within float32 rounding of 0 can fall in another bucket.
 """
 
 from __future__ import annotations
@@ -128,13 +134,13 @@ def init_network(spec, seed: int) -> NetworkParams:
     return NetworkParams(layers=layers, values=values)
 
 
-def _split(params: NetworkParams):
+def _split(layers, values):
     """Yield (W, b) views of the flat value vector, one pair per layer."""
     off = 0
-    for l in params.layers:
-        w = params.values[off : off + l.input_dim * l.output_dim]
+    for l in layers:
+        w = values[off : off + l.input_dim * l.output_dim]
         off += l.input_dim * l.output_dim
-        b = params.values[off : off + l.output_dim]
+        b = values[off : off + l.output_dim]
         off += l.output_dim
         yield w.reshape(l.input_dim, l.output_dim), b
 
@@ -148,7 +154,8 @@ class ForwardTrace:
     pre-activation is, so backward needs no pre-activations). ``layers`` and
     ``weights[i]`` are the specs and weight matrices the pass ran with, so
     backward differentiates exactly that pass. The weights are views of the
-    parameter vector; no update writes one in place, each builds a new one.
+    parameter vector (of its cast copy, in a pass of another dtype); no
+    update writes one in place, each builds a new one.
     """
 
     inputs: np.ndarray
@@ -157,13 +164,24 @@ class ForwardTrace:
     acts: list = field(default_factory=list)
 
 
-def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the relaxed network on a batch.
+def forward(params: NetworkParams, x, dtype=np.float64) -> tuple[np.ndarray, ForwardTrace]:
+    """Run the relaxed network on a batch, every layer in ``dtype``.
+
+    The input and the parameter vector are cast to ``dtype`` once. Training,
+    encoding and every caller that counts or sends a result run in float64,
+    the default. Batch selection passes float32 (``sampling.build_buckets``):
+    a bucket is only a sample's sign pattern, and a single-precision product
+    costs about half a double one. The cast is exact for the weights, which
+    sit on the float32 grid, but rounds the inputs, and every layer rounds to
+    float32, so a sample whose output lies within that rounding of 0 can take
+    the other sign.
 
     Parameters
     ----------
     x : array, shape (B, input_dim) or (input_dim,)
         Input batch; a single vector is treated as a batch of one.
+    dtype : float64 or float32
+        The dtype of the outputs and of every array of the trace.
 
     Returns
     -------
@@ -171,14 +189,15 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTrace]:
         tanh outputs, every component in [-1, 1].
     trace : ForwardTrace
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
     if x.shape[1] != params.input_dim:
         raise ShapeError(
             f"input has dimension {x.shape[1]}, network expects {params.input_dim}"
         )
     trace = ForwardTrace(inputs=x, layers=params.layers)
     a = x
-    for (w, b), spec in zip(_split(params), params.layers):
+    values = params.values.astype(dtype, copy=False)
+    for (w, b), spec in zip(_split(params.layers, values), params.layers):
         a = a @ w
         a += b
         if spec.activation == "relu":
@@ -245,8 +264,8 @@ def binarize_batch(h) -> np.ndarray:
 
 def output_words(h) -> np.ndarray:
     """The ``code_words`` rows of a batch of outputs: a code bit is set where
-    ``binarize_batch`` gives +1."""
-    return code_words(np.packbits(binarize_batch(h) > 0, axis=1))
+    h >= 0, as ``binarize_batch`` gives +1, compared in h's own dtype."""
+    return code_words(np.packbits(np.atleast_2d(h) >= 0.0, axis=1))
 
 
 def group_words(words):

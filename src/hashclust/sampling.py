@@ -9,6 +9,14 @@ picked early, which keeps training pairs diverse. Bucket codes are held as
 and the code graph hold too, so a distance is the popcount of a XOR.
 ``network.output_words`` gives the samples' rows and ``network.group_words``
 groups them, as it groups every set of code rows.
+
+A sample's bucket is the sign pattern of a float32 evaluation of the network,
+``forward(params, x, dtype=np.float32)``, at about half the cost of the
+float64 one. The weights cast to float32 exactly, being on its grid; the
+inputs round to it. The batch drawn is then trained on in float64 by
+``training.local_round``, and codebooks are encoded in float64, so only the
+choice of batch can differ, for a sample whose output lies within float32
+rounding of 0.
 """
 
 from __future__ import annotations
@@ -43,11 +51,12 @@ class BucketIndex:
 
 
 def build_buckets(params: NetworkParams, x) -> BucketIndex:
-    """Bucket every sample of the local dataset by its current code."""
+    """Bucket every sample of the local dataset by the code of its float32
+    outputs."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
         raise ShapeError("cannot bucket an empty shard")
-    h, _ = forward(params, x)
+    h, _ = forward(params, x, dtype=np.float32)
     words = output_words(h)
     # the grouping orders the samples by code, and by index within a code
     order, starts = group_words(words)

@@ -409,10 +409,11 @@ def backward_reference(trace, grad_h) -> np.ndarray:
 
 
 def build_buckets_reference(params: NetworkParams, x) -> BucketIndex:
-    """``sampling.build_buckets`` in plain Python: the distinct packed codes
-    by ``sorted(set(...))`` of their bytes, each bucket's samples in index
-    order, and each code's words read from its bytes with ``int.from_bytes``."""
-    h, _ = forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    """``sampling.build_buckets`` in plain Python: the codes of the float32
+    outputs, the distinct packed codes by ``sorted(set(...))`` of their
+    bytes, each bucket's samples in index order, and each code's words read
+    from its bytes with ``int.from_bytes``."""
+    h, _ = forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)), dtype=np.float32)
     packed = pack_bits_batch(np.where(h >= 0.0, 1, -1))
     keys = sorted(set(packed))
     members = {key: [] for key in keys}

@@ -87,6 +87,19 @@ def test_nmi_permutation_invariant():
         assert nmi(rng.permutation(3)[pred], truth) == pytest.approx(base, abs=1e-12)
 
 
+def test_nmi_is_exactly_one_for_a_relabeled_copy_and_in_the_unit_interval_otherwise():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(2, 300))
+        truth = rng.integers(0, int(rng.integers(2, 12)), n)
+        if len(np.unique(truth)) > 1:
+            pred = rng.permutation(100)[truth]
+            assert nmi(pred, truth) == 1.0
+            assert nmi(truth, pred) == 1.0
+        other = rng.integers(0, int(rng.integers(1, 12)), n)
+        assert 0.0 <= nmi(other, truth) <= 1.0
+
+
 def test_nmi_natural_log_value():
     # hand-computed small case in nats
     pred = np.array([0, 0, 0, 1])

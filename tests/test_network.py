@@ -162,6 +162,27 @@ def test_forward_pure():
     assert np.array_equal(h1, h2)
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 2), (16, 32, 8, 12)])
+def test_forward_in_float32_keeps_the_float64_code_bits_clear_of_zero(dims):
+    """The selection pass: float32 outputs and trace, weights cast exactly,
+    and the float64 pass's code bits wherever |h| > 1e-3."""
+    params = tiny_params(seed=4, dims=dims)
+    x = np.random.default_rng(2).normal(size=(500, dims[0]))
+    h, trace = forward(params, x, dtype=np.float32)
+    h64, trace64 = forward(params, x)
+    assert h.dtype == np.float32 and h is trace.acts[-1]
+    assert trace.inputs.dtype == np.float32
+    assert [a.dtype for a in trace.acts] == [np.float32] * len(trace.acts)
+    for w, w64 in zip(trace.weights, trace64.weights, strict=True):
+        assert w.dtype == np.float32 and np.array_equal(w, w64)
+    assert np.allclose(h, h64, rtol=0, atol=1e-5)
+    clear = np.abs(h64) > 1e-3
+    assert clear.mean() > 0.9
+    assert np.array_equal((h >= 0.0)[clear], (h64 >= 0.0)[clear])
+    rows = clear.all(axis=1)
+    assert np.array_equal(output_words(h)[rows], output_words(h64)[rows])
+
+
 # --- backward ---
 
 def test_backward_zero_seed_gives_zero_grad():

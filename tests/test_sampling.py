@@ -60,10 +60,10 @@ def test_buckets_partition_the_shard():
     buckets = build_buckets(params, x)
     seen = sorted(i for m in buckets.members for i in m)
     assert seen == list(range(40))
-    # bucket codes really are the samples' codes
+    # bucket codes really are the samples' codes, those of their float32 outputs
     from hashclust.network import forward
 
-    h, _ = forward(params, x)
+    h, _ = forward(params, x, dtype=np.float32)
     codes = pack_bits_batch(binarize_batch(h))
     for code, members in zip(word_bytes(buckets.codes, 5), buckets.members):
         for i in members:

@@ -151,6 +151,46 @@ def test_local_round_gradient_matches_finite_differences(seed):
     assert np.max(np.abs(grad - numeric) / denom) <= 1e-4
 
 
+def test_only_batch_selection_runs_in_float32(monkeypatch):
+    """Buckets come from a float32 pass; the batch forward, the loss, the
+    backward, the codebook and the merge run in float64."""
+    from hashclust import codebook, sampling, training
+    from hashclust.loss import batch_loss
+    from hashclust.network import forward
+
+    passes, losses = [], []
+
+    def recording(module):
+        def wrapped(params, x, dtype=np.float64):
+            h, trace = forward(params, x, dtype=dtype)
+            passes.append((module.__name__, trace.inputs.dtype.name, h.dtype.name))
+            return h, trace
+        return wrapped
+
+    def loss(bx, h, cfg):
+        value, grad_h = batch_loss(bx, h, cfg)
+        losses.append((h.dtype.name, grad_h.dtype.name))
+        return value, grad_h
+
+    for module in (sampling, training, codebook):
+        monkeypatch.setattr(module, "forward", recording(module))
+    monkeypatch.setattr(training, "batch_loss", loss)
+    params = init_network(mlp_spec(3, (4,), 2), 7)
+    shard = np.random.default_rng(8).uniform(size=(20, 3))
+    grad, value = local_round(shard, params, small_cfg())
+    codebook.encode_shard(params, shard)
+    merged = global_merge(params, [grad], 0.05)
+    assert passes == [
+        ("hashclust.sampling", "float32", "float32"),
+        ("hashclust.training", "float64", "float64"),
+        ("hashclust.codebook", "float64", "float64"),
+    ]
+    assert losses == [("float64", "float64")]
+    assert grad.dtype == np.float64 and grad.shape == params.values.shape
+    assert type(value) is float
+    assert merged.values.dtype == np.float64
+
+
 # --- train ---
 
 def test_train_zero_rounds():
