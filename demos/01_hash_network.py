@@ -6,8 +6,9 @@ shows the tanh outputs getting snapped to +-1 codes and packed into bytes.
 
 import numpy as np
 
-from hashclust import binarize_batch, forward, init_network, mlp_spec, param_count
-from hashclust.network import output_words, packed_rows, serialize_params
+from hashclust import forward, init_network, mlp_spec, param_count
+from hashclust.network import output_words, packed_rows
+from hashclust.wire import serialize_params
 
 spec = mlp_spec(input_dim=4, hidden_dims=(4, 4), code_length=8)
 params = init_network(spec, seed=0)
@@ -26,8 +27,8 @@ print("\nrelaxed outputs (tanh, in (-1, 1)):")
 print(np.round(h, 3))
 
 print("\nsnapped codes:")
-for row, packed in zip(binarize_batch(h), packed_rows(output_words(h), 8)):
-    bits = "".join("1" if b > 0 else "0" for b in row)
+for packed in packed_rows(output_words(h), 8):
+    bits = "".join(map(str, np.unpackbits(packed)))
     print(f"  bits {bits}  packed {packed.tobytes().hex()}")
 
 # fresh untrained networks already spread nearby points across buckets;

@@ -24,7 +24,6 @@ from .metrics import CostLedger, nmi, purity, total_cost_bits
 from .network import (
     LayerSpec,
     NetworkParams,
-    binarize_batch,
     forward,
     backward,
     init_network,
@@ -57,7 +56,6 @@ __all__ = [
     "TrainingConfig",
     "backward",
     "batch_loss",
-    "binarize_batch",
     "build_buckets",
     "build_graph",
     "config_from_file",

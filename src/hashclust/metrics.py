@@ -42,10 +42,10 @@ def purity(pred, truth) -> float:
 def nmi(pred, truth) -> float:
     """Normalized mutual information between two labelings.
 
-    Natural logs throughout. If either labeling is a single cluster its
-    entropy is zero and the result is defined as 0. Otherwise two labelings
-    that are one relabeling of each other (one nonzero cell in every row and
-    column of their table) give exactly 1, and every other pair a value
+    Natural logs throughout. Two labelings that are one relabeling of each
+    other (one nonzero cell in every row and column of their table; two
+    single clusters too) give exactly 1. Otherwise a single cluster on
+    either side has zero entropy and gives 0, and every other pair a value
     clipped to [0, 1], where rounding could otherwise carry it just past.
     """
     table = _contingency(pred, truth)
@@ -57,10 +57,10 @@ def nmi(pred, truth) -> float:
     mi = float((p_ij[nz] * np.log(p_ij[nz] / np.outer(p_i, p_j)[nz])).sum())
     h_i = float(-(p_i[p_i > 0] * np.log(p_i[p_i > 0])).sum())
     h_j = float(-(p_j[p_j > 0] * np.log(p_j[p_j > 0])).sum())
-    if h_i == 0.0 or h_j == 0.0:
-        return 0.0
     if (nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all():
         return 1.0
+    if h_i == 0.0 or h_j == 0.0:
+        return 0.0
     return min(max(mi / float(np.sqrt(h_i * h_j)), 0.0), 1.0)
 
 

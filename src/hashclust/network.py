@@ -2,13 +2,13 @@
 
 A small fully-connected network with ReLU hidden layers and a tanh output
 head. During training the tanh head stands in for the sign function so that
-gradients exist; at inference the outputs are thresholded to L-bit codes in
-{-1,+1}^L.
+gradients exist; at inference ``output_words`` thresholds the outputs to
+L-bit codes, held as ``code_words`` rows, the one in-memory code form.
 
 Parameters live in a single flat vector (per layer: weights row-major, then
 biases) so that whole-network gradients and wire transfers are a single
 array. Values are kept on the float32 grid (stored as float64) because every
-parameter transfer is accounted and serialized as 32-bit IEEE-754 reals;
+parameter transfer is accounted and sent (wire.py) as 32-bit IEEE-754 reals;
 keeping the in-memory state on that grid makes simulated and wire runs
 bit-identical.
 
@@ -256,15 +256,10 @@ class HashCode:
     length: int
 
 
-def binarize_batch(h) -> np.ndarray:
-    """Threshold a batch of outputs to a (B, L) array of +-1 (int8); sign(0) maps to +1."""
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    return np.where(h >= 0.0, 1, -1).astype(np.int8)
-
-
 def output_words(h) -> np.ndarray:
-    """The ``code_words`` rows of a batch of outputs: a code bit is set where
-    h >= 0, as ``binarize_batch`` gives +1, compared in h's own dtype."""
+    """The ``code_words`` rows of a batch of outputs, the one sign rule: a
+    code bit is set where h >= 0 (sign(0) is +1, for -0.0 too), compared in
+    h's own dtype."""
     return code_words(np.packbits(np.atleast_2d(h) >= 0.0, axis=1))
 
 
@@ -300,50 +295,3 @@ def code_words(packed) -> np.ndarray:
 def packed_rows(words, length: int) -> np.ndarray:
     """The packed bytes of ``code_words`` rows of L-bit codes: (n, ceil(L/8)) uint8."""
     return words.astype(">u8").view(np.uint8)[:, : (length + 7) // 8]
-
-
-# Parameter wire format: the values as consecutive 32-bit IEEE-754
-# big-endian reals, nothing else. Coordinator and sites agree the layers once,
-# in the hello (wire.config_digest), so a blob's length is its only check.
-# One encoder, write_blob, writes both value frames: serialize_params the
-# parameters, serialize_values any other vector of their length (a gradient,
-# with its loss trailer). The cost ledger counts these 32 bits per parameter;
-# the loss trailer is physical overhead.
-
-
-def write_blob(values, trailer: bytes = b"") -> bytearray:
-    """One buffer, written in place: ``values`` as big-endian float32, then
-    ``trailer`` (the gradient frame's loss)."""
-    n = len(values)
-    blob = bytearray(4 * n + len(trailer))
-    np.frombuffer(blob, dtype=">f4", count=n)[:] = values
-    blob[4 * n :] = trailer
-    return blob
-
-
-def serialize_params(params: NetworkParams) -> bytearray:
-    return write_blob(params.values)
-
-
-def serialize_values(params: NetworkParams, values, trailer: bytes = b"") -> bytearray:
-    """A flat vector of ``params``' length (a gradient) as a blob, then
-    ``trailer``; a vector of another shape raises ShapeError."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != params.values.shape:
-        raise ShapeError(f"values have shape {values.shape}, expected {params.values.shape}")
-    return write_blob(values, trailer)
-
-
-def read_blob(data, n: int, trailer: int = 0) -> np.ndarray:
-    """The ``n`` values of a serialized blob as a big-endian float32 view of
-    ``data``; ``trailer`` bytes follow them (the gradient frame's loss). The
-    one check of a blob's length."""
-    size = len(data) - trailer
-    if size != 4 * n:
-        raise ShapeError(f"value section has {size} bytes, expected {4 * n}")
-    return np.frombuffer(data, dtype=">f4", count=n)
-
-
-def deserialize_params(data, layers) -> NetworkParams:
-    """The parameters of the network of ``layers`` from their serialized values."""
-    return NetworkParams(layers, read_blob(data, param_count(layers)).astype(np.float64))

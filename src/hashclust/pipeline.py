@@ -315,7 +315,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             params, losses = train(shards, net_spec, tcfg)
         else:
             if cfg.listen is not None:
-                listener = socket.create_server(parse_endpoint(cfg.listen))
+                host, port = parse_endpoint(cfg.listen)
+                # an IPv6 literal is the one host that holds a colon
+                family = socket.AF_INET6 if ":" in host else socket.AF_INET
+                listener = socket.create_server((host, port), family=family)
                 result = serve_global(listener, net_spec, tcfg, timeout=cfg.timeout)
             else:
                 result = run_wire_locally(shards, net_spec, tcfg, timeout=cfg.timeout)
@@ -420,6 +423,8 @@ def run_report(result_paths, out_path=None):
             with open(path) as fh:
                 res = json.load(fh)
             bits = _typed(res["ledger"]["total_bits"], (int, float), "a number", "ledger.total_bits")
+            if res["mode"] not in ("sim", "wire"):
+                raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {res['mode']!r}")
             rows.append(
                 {
                     "dataset": _typed(res["name"], str, "a string", "name"),

@@ -6,8 +6,11 @@ Tags: 0x01 parameter broadcast, 0x02 gradient push, 0x03 codes push,
 vector as big-endian float32 and nothing else; a gradient payload adds the
 site's mean batch loss as an 8-byte big-endian float trailer (telemetry for
 the convergence series; it counts as physical overhead, never as formula
-bits). One encoder, network.write_blob, writes both: serialize_params calls
-it for the parameters, serialize_values for a gradient and its trailer.
+bits). This module holds that layout: one encoder, write_blob, writes both
+frames (serialize_params the parameters, serialize_values a gradient and its
+trailer), and read_blob, the one check of a value section's length, reads
+both (deserialize_params at a site, the gradient decode at the coordinator,
+which also refuses a NaN or infinity in the values or the loss).
 
 Each payload is copied once on either side. A sender writes it into one
 buffer (a gradient's values and trailer alike) and hands that buffer and
@@ -23,10 +26,10 @@ The coordinator listens on one port. A site's first frame is its hello: a
 4-byte big-endian site index and the SHA-256 digest of its TrainingConfig
 and layer specs, which coordinator and sites derive alike from one config
 and their data; the network is agreed there once, so a parameter or
-gradient frame is checked by its length alone. The coordinator orders the
-connections by index and fails at once on a malformed hello, an index
-outside [0, n_sites), an index already taken or a digest unlike its own
-(another config, data width, hidden widths or code length), so a
+gradient frame carries no layer table, only its values. The coordinator
+orders the connections by index and fails at once on a malformed hello, an
+index outside [0, n_sites), an index already taken or a digest unlike its
+own (another config, data width, hidden widths or code length), so a
 mismatched site can neither diverge silently nor wait out its timeout. The
 rounds run through training.run_rounds, the loop the in-process simulation
 runs, which merges the gradients in site order, so the two modes stay
@@ -55,15 +58,7 @@ import numpy as np
 
 from .codebook import decode_codes_payload, encode_codes_payload, encode_shard
 from .errors import InvalidSpecError, ProtocolError, ShapeError, check_positive_finite
-from .network import (
-    NetworkParams,
-    deserialize_params,
-    init_network,
-    read_blob,
-    serialize_params,
-    serialize_values,
-    validate_spec,
-)
+from .network import NetworkParams, init_network, param_count, validate_spec
 from .training import TrainingConfig, local_round, run_rounds
 from .training import global_merge  # noqa: F401 - unused; perfbench/layers.py wraps wire.global_merge
 
@@ -137,10 +132,56 @@ def config_digest(cfg: TrainingConfig, spec) -> bytes:
     return hashlib.sha256(repr((cfg, tuple(spec))).encode()).digest()
 
 
+def write_blob(values, trailer: bytes = b"") -> bytearray:
+    """One buffer, written in place: ``values`` as big-endian float32, then
+    ``trailer`` (the gradient frame's loss)."""
+    n = len(values)
+    blob = bytearray(4 * n + len(trailer))
+    np.frombuffer(blob, dtype=">f4", count=n)[:] = values
+    blob[4 * n :] = trailer
+    return blob
+
+
+def serialize_params(params: NetworkParams) -> bytearray:
+    return write_blob(params.values)
+
+
+def serialize_values(params: NetworkParams, values, trailer: bytes = b"") -> bytearray:
+    """A flat vector of ``params``' length (a gradient) as a blob, then
+    ``trailer``; a vector of another shape raises ShapeError."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != params.values.shape:
+        raise ShapeError(f"values have shape {values.shape}, expected {params.values.shape}")
+    return write_blob(values, trailer)
+
+
+def read_blob(data, n: int, trailer: int = 0) -> np.ndarray:
+    """The ``n`` values of a serialized blob as a big-endian float32 view of
+    ``data``; ``trailer`` bytes follow them (the gradient frame's loss). The
+    one check of a blob's length."""
+    size = len(data) - trailer
+    if size != 4 * n:
+        raise ShapeError(f"value section has {size} bytes, expected {4 * n}")
+    return np.frombuffer(data, dtype=">f4", count=n)
+
+
+def deserialize_params(data, layers) -> NetworkParams:
+    """The parameters of the network of ``layers`` from their serialized values."""
+    return NetworkParams(layers, read_blob(data, param_count(layers)).astype(np.float64))
+
+
 def _decode_gradient(payload, n: int):
     """A gradient of ``n`` values as a big-endian float32 view of
-    ``payload``, and the site's batch loss."""
-    return read_blob(payload, n, _LOSS_TRAILER.size), _LOSS_TRAILER.unpack_from(payload, 4 * n)[0]
+    ``payload``, and the site's batch loss. A NaN or infinity in either is
+    refused: the merge would carry it into every site's parameters."""
+    grad = read_blob(payload, n, _LOSS_TRAILER.size)
+    (loss,) = _LOSS_TRAILER.unpack_from(payload, 4 * n)
+    if not np.isfinite(grad).all():
+        i = np.flatnonzero(~np.isfinite(grad))[0]
+        raise ShapeError(f"gradient value {i} is {grad[i]}, not finite")
+    if not np.isfinite(loss):
+        raise ShapeError(f"batch loss is {loss}, not finite")
+    return grad, loss
 
 
 class TrafficMeter:
@@ -334,8 +375,11 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
 
 def parse_endpoint(text: str):
     """Split "host:port"; the port is a number in [0, 65535], 0 for an
-    OS-assigned loopback port (a resolver would wrap a larger one)."""
+    OS-assigned loopback port (a resolver would wrap a larger one). An IPv6
+    host may be bracketed, "[::1]:80", and loses its brackets."""
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise InvalidSpecError(f"endpoint must look like host:port, got {text!r}")
     if not (port.isascii() and port.isdigit()) or int(port) > 65535:

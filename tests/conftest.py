@@ -10,10 +10,11 @@ import socket
 ACCEPTANCE_RESULTS = []
 
 
-def free_port() -> int:
-    """A loopback port that was free a moment ago, for a coordinator to bind."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
+def free_port(host: str = "127.0.0.1") -> int:
+    """A port of ``host`` (an IPv4 or IPv6 loopback) that was free a moment
+    ago, for a coordinator to bind; OSError where the host has no such address."""
+    with socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET) as probe:
+        probe.bind((host, 0))
         return probe.getsockname()[1]
 
 

@@ -33,7 +33,7 @@ def binarize(h) -> np.ndarray:
     """Threshold one relaxed output vector to a +-1 code (int8); sign(0) maps to +1."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1:
-        raise ShapeError("binarize takes a single vector; see binarize_batch")
+        raise ShapeError("binarize takes a single vector")
     return np.where(h >= 0.0, 1, -1).astype(np.int8)
 
 

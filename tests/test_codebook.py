@@ -16,13 +16,12 @@ from hashclust.errors import InconsistentStateError, ShapeError
 from hashclust.network import (
     HashCode,
     NetworkParams,
-    binarize_batch,
     forward,
     init_network,
     mlp_spec,
 )
 
-from oracles import codebook_of, pack_bits_batch, packed, sorted_book, unpacked, word_bytes
+from oracles import binarize, codebook_of, pack_bits_batch, packed, sorted_book, unpacked, word_bytes
 
 
 def code(*bits):
@@ -76,7 +75,7 @@ def test_encode_degrees_match_bruteforce_recount():
     x = np.random.default_rng(2).normal(size=(25, 3))
     cb, sample_map = encode_shard(params, x)
     h, _ = forward(params, x)
-    packed = pack_bits_batch(binarize_batch(h))
+    packed = pack_bits_batch(np.array([binarize(row) for row in h]))
     for entry_idx, (code_bytes, degree) in enumerate(zip(word_bytes(cb.codes, 4), cb.degrees)):
         members = [i for i in range(25) if packed[i] == code_bytes]
         assert degree == len(members)

@@ -68,6 +68,14 @@ def test_nmi_degenerate_single_cluster():
     assert nmi(pred, truth) == 0.0
 
 
+def test_nmi_of_two_single_clusters_is_one():
+    # equal partitions, as scikit-learn has it; a single cluster against two stays 0
+    assert nmi(np.zeros(5), np.zeros(5)) == 1.0
+    assert nmi(np.full(5, 3), np.zeros(5)) == 1.0
+    assert nmi(np.zeros(5), np.array([0, 0, 1, 1, 1])) == 0.0
+    assert nmi(np.array([0, 0, 1, 1, 1]), np.zeros(5)) == 0.0
+
+
 def test_nmi_symmetric_and_bounded():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -9,9 +9,7 @@ from hashclust.network import (
     NetworkParams,
     as_float32_grid,
     backward,
-    binarize_batch,
     code_words,
-    deserialize_params,
     forward,
     group_words,
     init_network,
@@ -19,12 +17,10 @@ from hashclust.network import (
     output_words,
     packed_rows,
     param_count,
-    serialize_params,
-    serialize_values,
     validate_spec,
-    write_blob,
 )
 from hashclust.training import global_merge
+from hashclust.wire import deserialize_params, serialize_params, serialize_values, write_blob
 
 from oracles import (
     activations,
@@ -302,14 +298,17 @@ def test_packed_padding_must_be_zero():
         checked_code_words(np.array([[0xFF]], dtype=np.uint8), 3)
 
 
-def test_binarize_batch_matches_binarize():
-    rng = np.random.default_rng(7)
-    h = rng.uniform(-1, 1, size=(6, 9))
-    batch = binarize_batch(h)
-    for row, hrow, p in zip(batch, h, pack_bits_batch(batch)):
-        one = binarize(hrow)
-        assert np.array_equal(row, one)
-        assert p == packed(one)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_output_words_is_the_one_sign_rule(dtype):
+    """A bit is set at +0.0 and at -0.0 and clear at the largest float below
+    0, in float32 and float64 alike; every row is the oracle's code."""
+    below_zero = np.nextafter(dtype(0.0), dtype(-1.0))
+    assert below_zero < 0.0
+    edge = np.array([[0.0, -0.0, below_zero]], dtype=dtype)
+    assert word_bytes(output_words(edge), 3) == [packed([1, 1, -1])]
+    h = np.random.default_rng(7).uniform(-1, 1, size=(6, 9)).astype(dtype)
+    h[0, :3] = edge[0]
+    assert word_bytes(output_words(h), 9) == [packed(binarize(row)) for row in h]
 
 
 @pytest.mark.parametrize("length", [1, 8, 12, 13, 64, 65, 128])
@@ -323,7 +322,7 @@ def test_group_codes_matches_sorted_packed_bytes(length):
     words = output_words(h)
     assert words.dtype == np.uint64 and words.shape == (len(h), -(-length // 64))
     order, starts = group_words(words)
-    codes = pack_bits_batch(binarize_batch(h))
+    codes = pack_bits_batch(np.array([binarize(row) for row in h]))
     assert word_bytes(words, length) == codes
     keys = word_bytes(words[order[starts]], length)
     assert keys == sorted(set(codes))
@@ -352,7 +351,7 @@ def test_code_words_xor_popcount_is_hamming_and_rows_order_as_bytes(length):
     assert by_words == by_bytes
 
 
-# --- serialization ---
+# --- serialization (wire.py's value frames) ---
 
 def test_serialize_roundtrip():
     params = tiny_params(seed=11, dims=(4, 5, 3))

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import socket
 import threading
 import time
 
@@ -312,12 +313,12 @@ def test_run_pipeline_codes_longer_than_64_bits(monkeypatch):
         assert len(book) == sim["codebook_size"]
 
 
-def test_run_pipeline_explicit_endpoints():
-    """Coordinator and workers talk through configured host:port endpoints."""
-    port = free_port()
+def run_over_endpoints(endpoint):
+    """A coordinator listening on ``endpoint`` and two sites dialing it, each
+    a wire run_pipeline on a thread of its own; their results by role."""
     raw = make_raw(seed=3, mode="wire", rounds=4)
     coord_raw = copy.deepcopy(raw)
-    coord_raw["wire"] = {"listen": f"127.0.0.1:{port}", "timeout": 30.0}
+    coord_raw["wire"] = {"listen": endpoint, "timeout": 30.0}
     outcomes = {}
 
     def run_coord():
@@ -325,7 +326,7 @@ def test_run_pipeline_explicit_endpoints():
 
     def run_site(i):
         site_raw = copy.deepcopy(raw)
-        site_raw["wire"] = {"connect": f"127.0.0.1:{port}", "site": i, "timeout": 30.0}
+        site_raw["wire"] = {"connect": endpoint, "site": i, "timeout": 30.0}
         outcomes[f"site{i}"] = run_pipeline(config_from_dict(site_raw))
 
     threads = [threading.Thread(target=run_coord)]
@@ -334,11 +335,41 @@ def test_run_pipeline_explicit_endpoints():
         t.start()
     for t in threads:
         t.join(timeout=60.0)
+    return outcomes
+
+
+def test_run_pipeline_explicit_endpoints():
+    """Coordinator and workers talk through configured host:port endpoints."""
+    outcomes = run_over_endpoints(f"127.0.0.1:{free_port()}")
     assert outcomes["site0"]["role"] == "site"
     assert outcomes["site1"]["site"] == 1
     sim = run_pipeline(config_from_dict(make_raw(seed=3, rounds=4)))
     assert outcomes["coord"]["purity"] == sim["purity"]
     assert outcomes["coord"]["ledger"]["total_bits"] == sim["ledger"]["total_bits"]
+
+
+def test_run_pipeline_listens_on_a_bracketed_ipv6_loopback(monkeypatch):
+    """A listen endpoint "[::1]:port" listens on ::1, in the IPv6 family, and
+    the sites dial it there."""
+    try:
+        port = free_port("::1")
+    except OSError:
+        pytest.skip("this host has no IPv6 loopback")
+    listeners = []
+    create_server = socket.create_server
+
+    def spied(address, **kwargs):
+        listeners.append((address, kwargs.get("family")))
+        return create_server(address, **kwargs)
+
+    monkeypatch.setattr(socket, "create_server", spied)
+    outcomes = run_over_endpoints(f"[::1]:{port}")
+    assert listeners == [(("::1", port), socket.AF_INET6)]
+    assert (outcomes["site0"]["site"], outcomes["site1"]["site"]) == (0, 1)
+    sim = run_pipeline(config_from_dict(make_raw(seed=3, rounds=4)))
+    for key in ("purity", "nmi", "cluster_sizes"):
+        assert outcomes["coord"][key] == sim[key]
+    assert outcomes["coord"]["ledger"]["measured_paper_bits"] == sim["ledger"]["total_bits"]
 
 
 def test_run_pipeline_bad_csv_surfaces_as_pipeline_error(tmp_path):
@@ -579,6 +610,8 @@ def test_run_report_rejects_malformed(tmp_path):
         ("purity", "0.9", "purity must be a number, got '0.9'"),
         ("nmi", None, "nmi must be a number, got None"),
         ("total_bits", False, "ledger.total_bits must be a number, got False"),
+        ("mode", "Wire", "mode must be 'sim' or 'wire', got 'Wire'"),
+        ("mode", None, "mode must be 'sim' or 'wire', got None"),
     ],
 )
 def test_cli_report_refuses_a_wrongly_typed_field(tmp_path, capsys, key, value, reason):

@@ -5,14 +5,13 @@ from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
     LayerSpec,
     NetworkParams,
-    binarize_batch,
     code_words,
     init_network,
     mlp_spec,
 )
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 
-from oracles import hamming_sum, pack_bits_batch, packed, unpacked, word_bytes
+from oracles import binarize, hamming_sum, pack_bits_batch, packed, unpacked, word_bytes
 
 
 def zero_net(dim, code_length):
@@ -64,7 +63,7 @@ def test_buckets_partition_the_shard():
     from hashclust.network import forward
 
     h, _ = forward(params, x, dtype=np.float32)
-    codes = pack_bits_batch(binarize_batch(h))
+    codes = pack_bits_batch(np.array([binarize(row) for row in h]))
     for code, members in zip(word_bytes(buckets.codes, 5), buckets.members):
         for i in members:
             assert codes[i] == code

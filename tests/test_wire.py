@@ -12,16 +12,8 @@ from conftest import free_port
 from hashclust import wire
 from hashclust.codebook import decode_codes_payload, encode_codes_payload, encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
-from hashclust.errors import InvalidSpecError, ProtocolError
-from hashclust.network import (
-    deserialize_params,
-    init_network,
-    mlp_spec,
-    param_count,
-    read_blob,
-    serialize_params,
-    serialize_values,
-)
+from hashclust.errors import InvalidSpecError, ProtocolError, ShapeError
+from hashclust.network import init_network, mlp_spec, param_count
 from hashclust.training import TrainingConfig, train
 from hashclust.wire import (
     TAG_CODES,
@@ -32,11 +24,15 @@ from hashclust.wire import (
     TrafficMeter,
     _decode_gradient,
     config_digest,
+    deserialize_params,
     expect_frame,
     parse_endpoint,
+    read_blob,
     run_sub_site,
     run_wire_locally,
     send_frame,
+    serialize_params,
+    serialize_values,
     serve_global,
 )
 from hashclust.loss import LossConfig
@@ -186,6 +182,22 @@ def test_decoded_frames_survive_later_frames_on_the_connection():
         b.close()
 
 
+@pytest.mark.parametrize(
+    "value, loss, match",
+    [(np.inf, 0.5, "gradient value 3 is inf, not finite"),
+     (-np.inf, 0.5, "gradient value 3 is -inf, not finite"),
+     (0.0, np.nan, "batch loss is nan, not finite"),
+     (0.0, -np.inf, "batch loss is -inf, not finite")],
+    ids=["inf_value", "minus_inf_value", "nan_loss", "minus_inf_loss"],
+)
+def test_decode_gradient_refuses_a_non_finite_value_or_loss(value, loss, match):
+    params = init_network(mlp_spec(3, (4,), 2), seed=0)
+    grad = np.zeros(param_count(params))
+    grad[3] = value
+    with pytest.raises(ShapeError, match=f"^{match}$"):
+        _decode_gradient(serialize_values(params, grad, struct.pack(">d", loss)), len(grad))
+
+
 def test_expect_frame_rejects_oversized_declaration():
     a, b = socket.socketpair()
     try:
@@ -265,11 +277,19 @@ def test_meter_hello_is_physical_only():
 def test_coordinator_reads_each_gradient_frame_once(monkeypatch):
     shards, net, cfg = small_setup(n_sites=2, n_rounds=3)
     reads = []
-    monkeypatch.setattr(wire, "read_blob", lambda *args: reads.append(args) or read_blob(*args))
+
+    def counted(data, n, trailer=0):
+        reads.append((threading.current_thread() is threading.main_thread(), trailer))
+        return read_blob(data, n, trailer)
+
+    monkeypatch.setattr(wire, "read_blob", counted)
     result = run_wire_locally(shards, net, cfg)
-    # the coordinator's only read_blob calls decode the gradients, one per frame
-    assert len(reads) == result.meter.frames[TAG_GRADIENT] == cfg.n_sites * cfg.n_rounds
-    assert all(trailer == 8 for _data, _n, trailer in reads)
+    # the coordinator (the main thread) reads each gradient frame once, with
+    # its 8-byte loss trailer; each site thread reads each parameter frame
+    # once, without one, and nothing else is read
+    n_gradients = result.meter.frames[TAG_GRADIENT]
+    assert n_gradients == cfg.n_sites * cfg.n_rounds
+    assert sorted(reads) == [(False, 0)] * ((cfg.n_rounds + 1) * cfg.n_sites) + [(True, 8)] * n_gradients
 
 
 # --- loopback end to end ---
@@ -486,6 +506,13 @@ def _short_payload(sock, params):
     sock.recv(1)
 
 
+def _non_finite_gradient(sock, params):
+    payload = _gradient_payload(params)
+    payload[4:8] = struct.pack(">f", float("nan"))
+    send_frame(sock, TAG_GRADIENT, payload)
+    sock.recv(1)
+
+
 def _wrong_gradient_shape(sock, params):
     # a well-formed gradient, but for a 4-3-4 network instead of the 4-4-4 broadcast
     send_frame(sock, TAG_GRADIENT, _gradient_payload(init_network(mlp_spec(4, (3,), 4), 0)))
@@ -534,6 +561,8 @@ FAULTS = {
     "drop_mid_round": (_raw(_drop), 5.0, "connection closed mid-frame"),
     "truncated_gradient_frame": (_raw(_truncated_frame), 0.5, "receive failed"),
     "short_gradient_payload": (_raw(_short_payload), 5.0, "site 1 sent a malformed frame 0x02"),
+    "non_finite_gradient": (_raw(_non_finite_gradient), 5.0,
+                            "^site 1 sent a malformed frame 0x02: gradient value 1 is nan, not finite$"),
     "wrong_gradient_shape": (_raw(_wrong_gradient_shape), 5.0,
                              "site 1 sent a malformed frame 0x02: value section has 124 bytes, expected 160"),
     "short_hello": (_short_hello, 5.0, "hello of 4 bytes"),
@@ -591,6 +620,7 @@ def test_fault_fails_coordinator_and_sites_at_once(fault):
 def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert parse_endpoint("::1:80") == ("::1", 80)
+    assert parse_endpoint("[::1]:80") == ("::1", 80)
     assert parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
     assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
 
@@ -602,6 +632,8 @@ def test_parse_endpoint_rejects_garbage():
         parse_endpoint("host:notaport")
     with pytest.raises(InvalidSpecError):
         parse_endpoint(":8000")
+    with pytest.raises(InvalidSpecError):
+        parse_endpoint("[]:8000")
     for port in ("-1", "+80", " 80", "٣", "65536", "70000", "99999"):
         with pytest.raises(InvalidSpecError, match=r"not a number in \[0, 65535\]"):
             parse_endpoint(f"127.0.0.1:{port}")
