@@ -161,6 +161,8 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
     n = samples.shape[0]
+    if n != labels.shape[0]:
+        raise ShapeError(f"features/labels disagree: {n} vs {labels.shape[0]}")
     if n_sites < 1:
         raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
     if min_per_site < 1:

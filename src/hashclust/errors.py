@@ -15,7 +15,9 @@ class InvalidSpecError(HashClustError):
 
 class ShapeError(HashClustError):
     """An array argument has the wrong dimensions or length: an empty shard,
-    fewer than two samples for a pair, or a graph past the dense bound."""
+    features and labels of different lengths, fewer than two samples for a
+    pair, a graph past the dense bound, or dense weights that are not square
+    or hold a NaN, an infinity or a negative weight."""
 
 
 class InconsistentStateError(HashClustError):
@@ -24,7 +26,9 @@ class InconsistentStateError(HashClustError):
     min(2**L, n) entries, a wire site sent a book unlike the coordinator's
     encoding of its shard, or in label propagation a site book has another
     code length than the global one or a code missing from it; a book has
-    duplicate codes or mixed code lengths; a merge has no book or an empty one."""
+    duplicate codes (build_graph refuses them, and so does the transform
+    product, for a book cut without build_graph) or mixed code lengths; a
+    merge has no book or an empty one."""
 
 
 class PipelineError(HashClustError):

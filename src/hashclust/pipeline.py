@@ -83,6 +83,8 @@ class PipelineConfig:
             raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if (self.site is None) != (self.connect is None):
             raise InvalidSpecError("'site' and 'connect' only make sense together: a site dials the coordinator")
+        if self.listen is not None and self.connect is not None:
+            raise InvalidSpecError("wire.listen and wire.connect are two roles: a process listens or dials, not both")
         if self.mode != "wire":
             for key in ("listen", "connect", "site"):
                 if getattr(self, key) is not None:
@@ -94,6 +96,8 @@ class PipelineConfig:
         training_config(self, n_sites=1)
         for endpoint in filter(None, (self.listen, self.connect)):
             parse_endpoint(endpoint)
+        if self.connect is not None and parse_endpoint(self.connect)[1] == 0:
+            raise InvalidSpecError(f"wire.connect {self.connect!r} dials port 0, which only wire.listen may take")
         check_positive_finite(self.timeout, "wire.timeout")
 
     def to_dict(self) -> dict:

@@ -3,12 +3,13 @@
 Vertices are the global codebook entries; the edge weight between two codes
 is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
 codes that sit close in hamming space are strongly tied, and a code's own
-samples tie it to itself with ``KERNEL_AT_ZERO * degree_i**2``. ``build_graph``
-returns a CodeGraph that holds only the book's ``network.code_words`` rows
-as they are (the form batch selection compares too), their degrees and the
-code length L. The kernel f(h) = 1 / h, with f(0) = f0 = KERNEL_AT_ZERO, is
-one table, ``CodeGraph.divisors``; both products divide by it.
-``np.asarray`` builds the dense n x n weights. The graph is cut with the
+samples tie it to itself with ``KERNEL_AT_ZERO * degree_i**2``. The graph
+is its codebook: ``build_graph`` checks that the book's codes are distinct
+and returns the book, whose ``network.code_words`` rows (the form batch
+selection compares too), degrees and code length L are all the cut reads.
+The kernel f(h) = 1 / h, with f(0) = f0 = KERNEL_AT_ZERO, is one table,
+``_divisors(L)``; both products divide by it, and ``_dense_weights`` builds
+the dense n x n weights. The graph is cut with the
 classic spectral relaxation (symmetric normalized Laplacian, k smallest
 eigenvectors, row-normalized embedding, k-means), which is what the cited
 method prescribes; k-means updates its centres with ``np.bincount`` and
@@ -50,8 +51,6 @@ dense one, and the LOBPCG eigenvectors against the dense ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codebook import Codebook
@@ -92,59 +91,38 @@ LOBPCG_TOLERANCE = 1e-8
 LOBPCG_MAX_ITER = 200
 
 
-@dataclass(frozen=True, eq=False)
-class CodeGraph:
-    """The code graph W_ij = d_i * d_j / hamming(c_i, c_j), W_ii = f0 * d_i**2, kept as its vertices.
-
-    ``codes`` holds code i as row i of ``network.code_words``, as its book
-    does, so its first bit is bit 63 of word 0; ``degrees`` the vertex
-    degrees d_i as float64.
-    ``np.asarray(graph)`` builds the dense n x n weights; ``spectral_cluster``
-    applies W without them when ``matrix_free``.
-    """
-
-    codes: np.ndarray
-    degrees: np.ndarray
-    length: int
-
-    def __len__(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def matrix_free(self) -> bool:
-        """Whether W @ x goes through the Walsh-Hadamard transform: its 2**L
-        cube fits the memory bound, and its L * 2**L operations per column
-        are fewer than the n**2 of the dense product."""
-        return self.length <= TRANSFORM_MAX_CODE_LENGTH and len(self) ** 2 > self.length << self.length
-
-    @property
-    def divisors(self) -> np.ndarray:
-        """The kernel as a table over the distance h = 0..L: W_ij = d_i * d_j /
-        divisors[h_ij], with divisors[h] = h, and 1 / KERNEL_AT_ZERO at h = 0 so
-        that W_ii = f0 * d_i**2, exactly."""
-        return np.array([1 / KERNEL_AT_ZERO, *range(1, self.length + 1)])
-
-    def __array__(self, dtype=None, copy=None):
-        w = _dense_weights(self)
-        return w if dtype is None else w.astype(dtype, copy=False)
-
-
-def build_graph(book: Codebook) -> CodeGraph:
-    """The code graph of a codebook's codes and degrees."""
+def build_graph(book: Codebook) -> Codebook:
+    """The code graph of a codebook, which is the book itself; repeated codes are refused."""
     _, starts = group_words(book.codes)
     if len(starts) != len(book):
         raise InconsistentStateError("duplicate codes in codebook")
-    return CodeGraph(codes=book.codes, degrees=book.degrees.astype(np.float64), length=book.code_length)
+    return book
 
 
-def _dense_weights(graph: CodeGraph) -> np.ndarray:
+def _divisors(length: int) -> np.ndarray:
+    """The kernel as a table over the distance h = 0..L: W_ij = d_i * d_j /
+    divisors[h_ij], with divisors[h] = h, and 1 / KERNEL_AT_ZERO at h = 0 so
+    that W_ii = f0 * d_i**2, exactly."""
+    return np.array([1 / KERNEL_AT_ZERO, *range(1, length + 1)])
+
+
+def _matrix_free(book: Codebook) -> bool:
+    """Whether W @ x goes through the Walsh-Hadamard transform: its 2**L
+    cube fits the memory bound, and its L * 2**L operations per column
+    are fewer than the n**2 of the dense product."""
+    length = book.code_length
+    return length <= TRANSFORM_MAX_CODE_LENGTH and len(book) ** 2 > length << length
+
+
+def _dense_weights(book: Codebook) -> np.ndarray:
     """The n x n weights, a block of rows at a time; the only place W is built."""
-    n = len(graph)
+    n = len(book)
     if n > DENSE_SOLVER_MAX_VERTICES:
         raise ShapeError(
             f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
         )
-    codes, degrees, divisors = graph.codes, graph.degrees, graph.divisors
+    # every degree is at most MAX_DEGREE = 2**24, so float64 holds it exactly
+    codes, degrees, divisors = book.codes, book.degrees.astype(np.float64), _divisors(book.code_length)
     weights = np.empty((n, n))
     step = max(1, _DENSE_BLOCK_ENTRIES // n)
     for start in range(0, n, step):
@@ -201,7 +179,7 @@ def _fwht(src: np.ndarray, dst: np.ndarray, spare: np.ndarray, stages) -> tuple[
     return src, dst
 
 
-def _transform_product(graph: CodeGraph):
+def _transform_product(book: Codebook):
     """X -> W @ X without the n x n weights.
 
     W = D K D with K_ij = f(c_i XOR c_j), f(x) = 1 / divisors[popcount(x)].
@@ -213,16 +191,19 @@ def _transform_product(graph: CodeGraph):
     every call: the scatter cube, zero except at the codes' indices, which
     each column overwrites there and the transforms only read, and two that
     the transform stages write in turn. So one product must not run in two
-    threads at once; what it returns is a new array.
+    threads at once; what it returns is a new array. A repeated code, which
+    a decoded book may hold, raises InconsistentStateError.
     """
-    length = graph.length
+    length = book.code_length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
     # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
-    index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
-    kernel = 1.0 / graph.divisors[np.bitwise_count(np.arange(size))]
+    index = (book.codes[:, 0] >> (64 - length)).astype(np.intp)
+    if np.bincount(index).max() > 1:
+        raise InconsistentStateError("duplicate codes in codebook")
+    kernel = 1.0 / _divisors(length)[np.bitwise_count(np.arange(size))]
     spectrum, _ = _fwht(kernel, np.empty(size), kernel, stages)
-    degrees = graph.degrees
+    degrees = book.degrees.astype(np.float64)
     scatter, cube, other = np.zeros(size), np.empty(size), np.empty(size)
 
     def product(x):
@@ -241,7 +222,7 @@ def _transform_product(graph: CodeGraph):
 
 def _operator(graph):
     """(dense weights or None, the product X -> W @ X, the weighted degrees)."""
-    if isinstance(graph, CodeGraph) and graph.matrix_free:
+    if isinstance(graph, Codebook) and _matrix_free(graph):
         product = _transform_product(graph)
         return None, product, product(np.ones((len(graph), 1)))[:, 0]
     w = _adjacency(graph)
@@ -249,9 +230,15 @@ def _operator(graph):
 
 
 def _adjacency(graph) -> np.ndarray:
+    """The dense weights: a code graph's own, or a square array's, whose
+    entries must be finite and nonnegative."""
+    if isinstance(graph, Codebook):
+        return _dense_weights(graph)
     w = np.asarray(graph, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"adjacency must be square, got {w.shape}")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ShapeError("adjacency weights must be finite and nonnegative")
     return w
 
 
@@ -359,13 +346,14 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
 def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """Normalized-cut clustering via the spectral relaxation.
 
-    ``graph`` is a CodeGraph or a dense square weight matrix. Takes the
+    ``graph`` is ``build_graph``'s book or a dense square weight matrix of
+    finite, nonnegative entries (ShapeError otherwise). Takes the
     eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG from 5·k
     vertices up, five times the cluster count; dense ``eigh`` below that or
     when LOBPCG does not converge), row-normalizes the embedding (zero rows
     stay zero), and runs seeded k-means (k-means++ starts, 10 restarts, 300
     iteration cap). Vertices with zero weighted degree go straight to cluster
-    0. A matrix-free CodeGraph is made dense only for ``eigh``, which raises
+    0. A matrix-free book is made dense only for ``eigh``, which raises
     ShapeError above DENSE_SOLVER_MAX_VERTICES. Deterministic for a
     fixed seed.
     """

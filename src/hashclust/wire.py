@@ -374,9 +374,10 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
 
 
 def parse_endpoint(text: str):
-    """Split "host:port"; the port is a number in [0, 65535], 0 for an
-    OS-assigned loopback port (a resolver would wrap a larger one). An IPv6
-    host may be bracketed, "[::1]:80", and loses its brackets."""
+    """Split "host:port"; the port is a number in [0, 65535] (a resolver
+    would wrap a larger one). Port 0 asks the OS for a free port, so only a
+    listen endpoint may take it; the config refuses it for wire.connect. An
+    IPv6 host may be bracketed, "[::1]:80", and loses its brackets."""
     host, sep, port = text.rpartition(":")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]

@@ -14,6 +14,7 @@ from hashclust.kmeans import MAX_ITER, kmeans
 from hashclust.loss import LossConfig, batch_loss
 from hashclust.network import NetworkParams, forward
 from hashclust.sampling import BucketIndex
+from hashclust import spectral
 from hashclust.spectral import _adjacency, _hadamard, normalized_laplacian
 
 BRUTE_FORCE_MAX_VERTICES = 12
@@ -260,12 +261,12 @@ def transform_product_reference(graph):
     product reuses three cube buffers and splits each stage into a batch of
     smaller matmuls over the same +-1 products, so the two agree bit for bit.
     """
-    length = graph.length
+    length = graph.code_length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
     index = (graph.codes[:, 0] >> (64 - length)).astype(np.intp)
-    spectrum = _fwht_reference(1.0 / graph.divisors[np.bitwise_count(np.arange(size))], stages)
-    degrees = graph.degrees
+    spectrum = _fwht_reference(1.0 / spectral._divisors(length)[np.bitwise_count(np.arange(size))], stages)
+    degrees = graph.degrees.astype(np.float64)
 
     def product(x):
         y = degrees[:, None] * x

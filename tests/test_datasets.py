@@ -165,6 +165,14 @@ def test_shard_min_below_one_is_refused(min_per_site, n_sites, seed):
         shard_dataset(np.arange(40.0)[:, None], np.zeros(40, dtype=int), n_sites, min_per_site, seed)
 
 
+@pytest.mark.parametrize("n_labels", [50, 150], ids=["fewer_labels", "more_labels"])
+def test_shard_refuses_features_and_labels_of_different_lengths(n_labels):
+    # fewer labels would index past their end, more would be dropped unread
+    x = np.arange(200.0).reshape(100, 2)
+    with pytest.raises(ShapeError, match=f"^features/labels disagree: 100 vs {n_labels}$"):
+        shard_dataset(x, np.zeros(n_labels, dtype=int), 2, min_per_site=10, seed=0)
+
+
 def test_shard_refuses_a_feature_whose_range_overflows():
     # each value is finite, but 1e308 - (-1e308) is not
     x = np.zeros((200, 3))

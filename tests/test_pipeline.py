@@ -127,6 +127,23 @@ def test_config_site_needs_connect():
         config_from_dict(raw)
 
 
+def test_config_refuses_listen_together_with_connect_and_site():
+    raw = make_raw(mode="wire")
+    raw["wire"] = {"listen": "127.0.0.1:9500", "connect": "127.0.0.1:9500", "site": 0}
+    with pytest.raises(InvalidSpecError, match=r"^wire\.listen and wire\.connect are two roles"):
+        config_from_dict(raw)
+
+
+def test_config_refuses_a_site_that_dials_port_0():
+    raw = make_raw(mode="wire")
+    raw["wire"] = {"connect": "127.0.0.1:0", "site": 0}
+    with pytest.raises(InvalidSpecError, match=r"^wire\.connect '127\.0\.0\.1:0' dials port 0"):
+        config_from_dict(raw)
+    # the listen side keeps port 0, which the OS assigns
+    raw["wire"] = {"listen": "127.0.0.1:0"}
+    assert config_from_dict(raw).listen == "127.0.0.1:0"
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(make_raw(seed=4)))
@@ -746,6 +763,22 @@ def test_cli_port_out_of_range_fails_before_data(tmp_path, capsys, no_data, flag
     assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--listen", "127.0.0.1:9500", "--connect", "127.0.0.1:9500", "--site", "0"],
+      "wire.listen and wire.connect are two roles"),
+     (["--connect", "127.0.0.1:0", "--site", "0"], "wire.connect '127.0.0.1:0' dials port 0")],
+    ids=["listen_and_connect", "connect_port_0"],
+)
+def test_cli_wire_role_refused_before_data(tmp_path, capsys, no_data, flags, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw(mode="wire")))
+    assert main(["pipeline", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

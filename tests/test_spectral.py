@@ -86,21 +86,21 @@ def test_hamming_length_mismatch():
 def test_graph_two_antipodal_codes():
     # degrees 3 and 5 at hamming 4: single off-diagonal weight 15/4, self
     # weights f0 * d**2 = 4 * 9 and 4 * 25
-    w = np.asarray(build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)])))
+    w = spectral._dense_weights(build_graph(book([(code(1, 1, 1, 1), 3), (code(-1, -1, -1, -1), 5)])))
     assert w.shape == (2, 2)
     assert sorted(np.diag(w)) == [36.0, 100.0]
     assert w[0, 1] == w[1, 0] == 3.75
 
 
 def test_graph_single_vertex():
-    w = np.asarray(build_graph(book([(code(1, -1), 9)])))
+    w = spectral._dense_weights(build_graph(book([(code(1, -1), 9)])))
     assert np.array_equal(w, [[4.0 * 81]])
 
 
 def test_graph_degree_scaling_is_quadratic():
     entries = [(code(1, 1, -1), 2), (code(1, -1, 1), 3), (code(-1, 1, 1), 4)]
-    w1 = np.asarray(build_graph(book(entries)))
-    w2 = np.asarray(build_graph(book([(c, 5 * d) for c, d in entries])))
+    w1 = spectral._dense_weights(build_graph(book(entries)))
+    w2 = spectral._dense_weights(build_graph(book([(c, 5 * d) for c, d in entries])))
     assert np.allclose(w2, 25.0 * w1)
 
 
@@ -109,16 +109,32 @@ def test_graph_rejects_duplicate_codes():
         build_graph(codebook_of([packed(code(1, 1)), packed(code(1, 1))], [1, 2], 2))
 
 
+def test_graph_is_its_codebook():
+    b = book([(code(1, 1, -1), 2), (code(1, -1, 1), 3)])
+    assert build_graph(b) is b
+
+
+def test_transform_refuses_a_decoded_book_with_a_repeated_code(monkeypatch):
+    # a decoded book keeps its payload's repeats; build_graph would refuse it,
+    # and so does the transform product, which gives each code one cube entry
+    codes = [packed(code(1, 1, -1)), packed(code(-1, 1, 1)), packed(code(1, 1, -1))]
+    decoded = decode_codes_payload(encode_codes_payload(codebook_of(codes, [2, 3, 4], 3)), 3, origin="site0")
+    assert len(decoded) == 3
+    monkeypatch.setattr(spectral, "_matrix_free", lambda book: True)
+    with pytest.raises(InconsistentStateError, match="^duplicate codes in codebook$"):
+        spectral_cluster(decoded, 2, seed=0)
+
+
 def test_graph_rejects_codebook_above_dense_bound():
     # 32-bit codes are past the transform's reach, so the cut needs the n x n weights
     length = 32
     assert length > spectral.TRANSFORM_MAX_CODE_LENGTH
     n = DENSE_SOLVER_MAX_VERTICES + 1
     graph = build_graph(codebook_of([i.to_bytes(4, "big") for i in range(n)], [1] * n, length))
-    assert not graph.matrix_free
+    assert not spectral._matrix_free(graph)
     bound = f"{n} codes exceed the dense solver bound of {DENSE_SOLVER_MAX_VERTICES} vertices"
     with pytest.raises(ShapeError, match=bound):
-        np.asarray(graph)
+        spectral._dense_weights(graph)
     with pytest.raises(ShapeError, match=bound):
         spectral_cluster(graph, 2, seed=0)
 
@@ -128,7 +144,7 @@ def test_graph_matches_pairwise_formula():
     params = init_network(mlp_spec(3, (4,), 4), 0)
     cb, _ = encode_shard(params, rng.normal(size=(30, 3)), origin="site")
     merged = merge_codebooks([cb])
-    w = np.asarray(build_graph(merged))
+    w = spectral._dense_weights(build_graph(merged))
     n = len(merged)
     bits, degrees = code_bits(merged), merged.degrees.tolist()
     for i in range(n):
@@ -146,7 +162,7 @@ def test_graph_weights_equal_hamming_weights_exactly(length):
     bits = np.unique(rng.choice([-1, 1], size=(60, length)), axis=0)
     degrees = rng.integers(1, 10 ** 6, size=len(bits))
     b = book([(row, int(d)) for row, d in zip(bits, degrees)])
-    w = np.asarray(build_graph(b))
+    w = spectral._dense_weights(build_graph(b))
     book_bits, book_degrees = code_bits(b), b.degrees.tolist()
     for i, (bi, di) in enumerate(zip(book_bits, book_degrees)):
         for j, (bj, dj) in enumerate(zip(book_bits, book_degrees)):
@@ -280,9 +296,9 @@ def _min_principal_cosine(a, b):
 def test_iterative_embedding_spans_dense_subspace_on_planted_graph(matrix_free, monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(8), 4, 60)
     # 240 codes at L=16 take the dense product unless the transform is forced
-    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", matrix_free)
+    monkeypatch.setattr(spectral, "_matrix_free", lambda book: matrix_free)
     graph = build_graph(planted)
-    w = np.asarray(graph)
+    w = spectral._dense_weights(graph)
     assert len(planted) >= 5 * 4
     emb = _iterative_embedding(graph, 4)
     assert emb is not None
@@ -314,7 +330,7 @@ def test_iteration_cap_falls_back_to_dense(monkeypatch):
 def test_iterative_embedding_matches_scipy_eigsh():
     linalg = pytest.importorskip("scipy.sparse.linalg")
     planted, _ = planted_codebook(np.random.default_rng(11), 3, 80)
-    w = np.asarray(build_graph(planted))
+    w = spectral._dense_weights(build_graph(planted))
     inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
     m = inv_sqrt[:, None] * w * inv_sqrt[None, :]
     vals, vecs = linalg.eigsh(m, k=3, which="LA", tol=1e-12)
@@ -358,7 +374,7 @@ def test_embedding_column_0_is_the_known_top_eigenvector(graph_kind, monkeypatch
         graph, _, isolated = _graph_with_isolated_vertices()
         k = 3
     else:
-        monkeypatch.setattr(spectral.CodeGraph, "matrix_free", graph_kind == "transform")
+        monkeypatch.setattr(spectral, "_matrix_free", lambda book: graph_kind == "transform")
         graph, k = build_graph(planted_codebook(np.random.default_rng(15), 4, 60)[0]), 4
     _, _, deg = spectral._operator(graph)
     assert deg.size >= 5 * k
@@ -375,7 +391,7 @@ def test_embedding_column_0_is_the_known_top_eigenvector(graph_kind, monkeypatch
 
 def test_lobpcg_applies_w_to_at_most_2k_minus_2_columns(monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(16), 4, 60)
-    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    monkeypatch.setattr(spectral, "_matrix_free", lambda book: True)
     _, product, deg = spectral._operator(build_graph(planted))
     columns = []
 
@@ -402,7 +418,7 @@ def _column_counter(product):
 def test_lobpcg_applies_w_only_to_the_k_minus_1_new_residual_directions(monkeypatch):
     # the graph of the test above: W @ P comes from the basis, not a product
     planted, _ = planted_codebook(np.random.default_rng(16), 4, 60)
-    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    monkeypatch.setattr(spectral, "_matrix_free", lambda book: True)
     _, product, deg = spectral._operator(build_graph(planted))
     counting, columns = _column_counter(product)
     assert spectral._lobpcg(counting, spectral._inv_sqrt(deg), 4) is not None
@@ -419,7 +435,7 @@ def test_lobpcg_on_clusterless_codes_is_orthonormal_with_small_fresh_residuals(s
         for c, d in zip(codes, rng.integers(1, 50, size=1500))
     ]
     graph = build_graph(book(entries))
-    assert graph.matrix_free
+    assert spectral._matrix_free(graph)
     _, product, deg = spectral._operator(graph)
     inv_sqrt = spectral._inv_sqrt(deg)
     counting, columns = _column_counter(product)
@@ -480,9 +496,9 @@ def _set_self_divisor(monkeypatch, self_divisor):
     ``None`` keeps the shipped table whole."""
     if self_divisor is None:
         return
-    shipped = spectral.CodeGraph.divisors.fget
+    shipped = spectral._divisors
     monkeypatch.setattr(
-        spectral.CodeGraph, "divisors", property(lambda g: np.concatenate([[self_divisor], shipped(g)[1:]]))
+        spectral, "_divisors", lambda length: np.concatenate([[self_divisor], shipped(length)[1:]])
     )
 
 
@@ -491,7 +507,7 @@ def test_transform_product_equals_dense_product(length, self_divisor, monkeypatc
     _set_self_divisor(monkeypatch, self_divisor)
     graph, rng = _random_graph(length)
     x = rng.standard_normal((len(graph), 3))
-    expect = np.asarray(graph) @ x
+    expect = spectral._dense_weights(graph) @ x
     err = np.linalg.norm(spectral._transform_product(graph)(x) - expect, axis=0)
     assert np.all(err <= 1e-13 * np.linalg.norm(expect, axis=0))
 
@@ -519,8 +535,8 @@ def test_transform_product_is_bitwise_the_allocating_one(length, columns, self_d
 def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatch):
     _set_self_divisor(monkeypatch, self_divisor)
     graph, _ = _random_graph(length)
-    expect = np.asarray(graph).sum(axis=1)
-    monkeypatch.setattr(spectral.CodeGraph, "matrix_free", True)
+    expect = spectral._dense_weights(graph).sum(axis=1)
+    monkeypatch.setattr(spectral, "_matrix_free", lambda book: True)
     w, _, deg = spectral._operator(graph)
     assert w is None
     assert np.all(np.abs(deg - expect) <= 1e-13 * expect)
@@ -547,7 +563,7 @@ def test_transform_product_never_writes_its_scatter_cube(length):
 def test_planted_cut_is_bitwise_the_allocating_products(monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(12), 4, 1000)
     graph = build_graph(planted)
-    assert graph.matrix_free
+    assert spectral._matrix_free(graph)
     lobpcg = spectral._lobpcg
     embeddings = []
 
@@ -569,7 +585,7 @@ def test_large_planted_cut_never_builds_the_dense_weights(per_group, monkeypatch
     # 4000 codes, then 8400: more than DENSE_SOLVER_MAX_VERTICES
     planted, groups = planted_codebook(np.random.default_rng(12), 4, per_group)
     graph = build_graph(planted)
-    assert graph.matrix_free
+    assert spectral._matrix_free(graph)
 
     def no_dense(graph):
         raise AssertionError("the n x n weights were built")
@@ -577,6 +593,22 @@ def test_large_planted_cut_never_builds_the_dense_weights(per_group, monkeypatch
     monkeypatch.setattr(spectral, "_dense_weights", no_dense)
     labels = spectral_cluster(graph, 4, seed=0)
     assert labels_match_up_to_permutation(labels, groups)
+
+
+def _bad_weights(kind):
+    if kind == "all_nan":
+        return np.full((6, 6), np.nan)
+    w = np.ones((6, 6))
+    w[1, 4] = w[4, 1] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[kind]
+    return w
+
+
+@pytest.mark.parametrize("kind", ["all_nan", "nan", "inf", "negative"])
+def test_dense_weights_must_be_finite_and_nonnegative(kind):
+    with pytest.raises(ShapeError, match="^adjacency weights must be finite and nonnegative$"):
+        spectral_cluster(_bad_weights(kind), 2, seed=0)
+    with pytest.raises(ShapeError, match="^adjacency weights must be finite and nonnegative$"):
+        normalized_laplacian(_bad_weights(kind))
 
 
 def test_spectral_k_equals_n():
