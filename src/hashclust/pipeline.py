@@ -8,11 +8,13 @@ traffic over TCP (loopback threads by default, or real endpoints via the
 listen/connect settings) and additionally reports measured bits.
 
 Config files are JSON; every field of PipelineConfig can be set there, and
-a handful of command-line flags override. A run directory written with
-``out`` is self-describing: ``results.json`` echoes the config as the flat
-fields of PipelineConfig, so ``PipelineConfig(**results["config"])``
-reruns it bit for bit. config_from_dict reads the nested file schema and
-rejects that flat echo.
+a handful of command-line flags override. The file schema is stated once,
+on PipelineConfig's fields: each one that a JSON value sets names its key's
+section, kind and default, and config_from_dict takes each section's keys
+from them. A run directory written with ``out`` is self-describing:
+``results.json`` echoes the config as the flat fields of PipelineConfig, so
+``PipelineConfig(**results["config"])`` reruns it bit for bit.
+config_from_dict reads the nested file schema and rejects that flat echo.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import socket
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,30 +49,41 @@ def derive_seed(master: int, stream: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _file_key(section: str, kind: type, default=MISSING, needs: str = ""):
+    """A field that a config file sets: the key of its name in ``section``
+    ("" is the top level), a JSON value of ``kind`` (see ``_scalar``) that
+    takes ``default`` when absent. A key without a default is required, and
+    its refusal says what it ``needs``."""
+    return field(metadata={"section": section, "kind": kind, "default": default, "needs": needs})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one run needs; mirrors the JSON config schema."""
+    """Everything one run needs; every field is required. A field that a
+    config file sets as one JSON value declares its key's section, kind and
+    default, and config_from_dict reads the file by them; ``name``,
+    ``generate``, ``csv`` and ``hidden_dims`` it reads on their own."""
 
     name: str
     generate: dict | None
     csv: str | None
     hidden_dims: tuple | None
-    code_length: int
-    clusters: int
-    sites: int
-    min_per_site: int
-    rounds: int
-    batch_size: int
-    learning_rate: float
-    distance_scale: float
-    temperature: float
-    mode: str
-    seed: int
-    out: str | None
-    listen: str | None
-    connect: str | None
-    site: int | None
-    timeout: float
+    code_length: int = _file_key("", int, 8)
+    clusters: int = _file_key("", int, needs="the number of output clusters")
+    sites: int = _file_key("", int, 1)
+    min_per_site: int = _file_key("", int, 50)
+    rounds: int = _file_key("training", int, 50)
+    batch_size: int = _file_key("training", int, 32)
+    learning_rate: float = _file_key("training", float, 0.05)
+    distance_scale: float = _file_key("training", float, 1.0)
+    temperature: float = _file_key("training", float, 1.0)
+    mode: str = _file_key("", object, "sim")
+    seed: int = _file_key("", int, 0)
+    out: str | None = _file_key("", str, None)
+    listen: str | None = _file_key("wire", str, None)
+    connect: str | None = _file_key("wire", str, None)
+    site: int | None = _file_key("wire", int, None)
+    timeout: float = _file_key("wire", float, DEFAULT_TIMEOUT)
 
     def __post_init__(self):
         if (self.generate is None) == (self.csv is None):
@@ -118,12 +131,11 @@ def training_config(cfg: PipelineConfig, n_sites: int) -> TrainingConfig:
 
 
 _GENERATE_KEYS = {"n_clusters", "ambient_dim", "embed_dim", "samples_per_cluster"}
-_TRAINING_KEYS = {"rounds", "batch_size", "learning_rate", "distance_scale", "temperature"}
-_WIRE_KEYS = {"listen", "connect", "site", "timeout"}
-_TOP_KEYS = {
-    "name", "dataset", "network", "code_length", "clusters", "sites",
-    "min_per_site", "training", "mode", "seed", "out", "wire",
-}
+_FILE_FIELDS = tuple(f for f in fields(PipelineConfig) if f.metadata)
+
+
+def _section_keys(section: str) -> set:
+    return {f.name for f in _FILE_FIELDS if f.metadata["section"] == section}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -134,23 +146,23 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _string(value, key: str):
-    """A JSON string as it is; an absent value is None, any other type raises."""
-    if value is None or isinstance(value, str):
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _scalar(value, kind, key: str, default=MISSING):
+    """``value`` as ``kind``: a JSON string for str, a JSON number for int or
+    float (a bool is none, nor is a fraction an int), anything for object.
+    JSON null passes where it is the default; anything else raises."""
+    if kind is object or value is None and default is None or kind is str and isinstance(value, str):
         return value
-    raise InvalidSpecError(f"{key} must be a string, got {value!r}")
-
-
-def _number(value, kind, key: str):
-    """A JSON number as ``kind``; a string, a bool, or a fraction for an int raises."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float or isinstance(value, int) or value.is_integer():
             return kind(value)
-    raise InvalidSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    raise InvalidSpecError(f"{key} must be {_KINDS[kind]}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    _reject_unknown(raw, _section_keys("") | {"name", "dataset", "network", "training", "wire"}, "config")
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or set(dataset) not in ({"generate"}, {"csv"}):
         raise InvalidSpecError("config needs dataset.generate {...} or dataset.csv <path>")
@@ -160,46 +172,31 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         missing = _GENERATE_KEYS - set(generate)
         if missing:
             raise InvalidSpecError(f"dataset.generate needs keys: {sorted(missing)}")
-        generate = {k: _number(v, int, f"dataset.generate.{k}") for k, v in generate.items()}
-    training = raw.get("training", {})
-    _reject_unknown(training, _TRAINING_KEYS, "training")
+        generate = {k: _scalar(v, int, f"dataset.generate.{k}") for k, v in generate.items()}
+    sections = {"": raw, "training": raw.get("training", {})}
+    _reject_unknown(sections["training"], _section_keys("training"), "training")
     network = raw.get("network", {})
     _reject_unknown(network, {"hidden_dims"}, "network")
-    wire_cfg = raw.get("wire", {})
-    _reject_unknown(wire_cfg, _WIRE_KEYS, "wire")
+    sections["wire"] = raw.get("wire", {})
+    _reject_unknown(sections["wire"], _section_keys("wire"), "wire")
     hidden = network.get("hidden_dims")
     if not isinstance(hidden, (list, type(None))):
         raise InvalidSpecError(f"network.hidden_dims must be a list of integers, got {hidden!r}")
-    if "clusters" not in raw:
-        raise InvalidSpecError("config needs 'clusters' (the number of output clusters)")
-    csv = _string(dataset.get("csv"), "dataset.csv")
-    name = _string(raw.get("name"), "name")
+    for f in _FILE_FIELDS:
+        if f.metadata["default"] is MISSING and f.name not in sections[f.metadata["section"]]:
+            raise InvalidSpecError(f"config needs {f.name!r} ({f.metadata['needs']})")
+    csv = _scalar(dataset.get("csv"), str, "dataset.csv", None)
+    name = _scalar(raw.get("name"), str, "name", None)
     if name is None:
         name = "synthetic" if generate is not None else Path(csv).stem
-    site = wire_cfg.get("site")
-    return PipelineConfig(
-        name=name,
-        generate=generate,
-        csv=csv,
-        hidden_dims=None if hidden is None
-        else tuple(_number(v, int, "network.hidden_dims") for v in hidden),
-        code_length=_number(raw.get("code_length", 8), int, "code_length"),
-        clusters=_number(raw["clusters"], int, "clusters"),
-        sites=_number(raw.get("sites", 1), int, "sites"),
-        min_per_site=_number(raw.get("min_per_site", 50), int, "min_per_site"),
-        rounds=_number(training.get("rounds", 50), int, "training.rounds"),
-        batch_size=_number(training.get("batch_size", 32), int, "training.batch_size"),
-        learning_rate=_number(training.get("learning_rate", 0.05), float, "training.learning_rate"),
-        distance_scale=_number(training.get("distance_scale", 1.0), float, "training.distance_scale"),
-        temperature=_number(training.get("temperature", 1.0), float, "training.temperature"),
-        mode=raw.get("mode", "sim"),
-        seed=_number(raw.get("seed", 0), int, "seed"),
-        out=_string(raw.get("out"), "out"),
-        listen=_string(wire_cfg.get("listen"), "wire.listen"),
-        connect=_string(wire_cfg.get("connect"), "wire.connect"),
-        site=None if site is None else _number(site, int, "wire.site"),
-        timeout=_number(wire_cfg.get("timeout", DEFAULT_TIMEOUT), float, "wire.timeout"),
-    )
+    if hidden is not None:
+        hidden = tuple(_scalar(v, int, "network.hidden_dims") for v in hidden)
+    values = {}
+    for f in _FILE_FIELDS:
+        where, kind, default = f.metadata["section"], f.metadata["kind"], f.metadata["default"]
+        key = f"{where}.{f.name}" if where else f.name
+        values[f.name] = _scalar(sections[where].get(f.name, default), kind, key, default)
+    return PipelineConfig(name=name, generate=generate, csv=csv, hidden_dims=hidden, **values)
 
 
 def config_from_file(path) -> PipelineConfig:

@@ -5,8 +5,9 @@ is ``degree_i * degree_j / hamming(code_i, code_j)``, so heavily-populated
 codes that sit close in hamming space are strongly tied, and a code's own
 samples tie it to itself with ``KERNEL_AT_ZERO * degree_i**2``. The graph
 is its codebook: ``build_graph`` checks that the book's codes are distinct
-and returns the book, whose ``network.code_words`` rows (the form batch
-selection compares too), degrees and code length L are all the cut reads.
+and returns the book, and the cut checks every book it reads through it. The
+book's ``network.code_words`` rows (the form batch selection compares too),
+degrees and code length L are all the cut reads.
 The kernel f(h) = 1 / h, with f(0) = f0 = KERNEL_AT_ZERO, is one table,
 ``_divisors(L)``; both products divide by it, and ``_dense_weights`` builds
 the dense n x n weights. The graph is cut with the
@@ -92,7 +93,9 @@ LOBPCG_MAX_ITER = 200
 
 
 def build_graph(book: Codebook) -> Codebook:
-    """The code graph of a codebook, which is the book itself; repeated codes are refused."""
+    """The code graph of a codebook, which is the book itself; repeated codes,
+    which a decoded book may hold, are refused. The cut checks every book it
+    reads through here, as each code is one vertex."""
     _, starts = group_words(book.codes)
     if len(starts) != len(book):
         raise InconsistentStateError("duplicate codes in codebook")
@@ -191,16 +194,13 @@ def _transform_product(book: Codebook):
     every call: the scatter cube, zero except at the codes' indices, which
     each column overwrites there and the transforms only read, and two that
     the transform stages write in turn. So one product must not run in two
-    threads at once; what it returns is a new array. A repeated code, which
-    a decoded book may hold, raises InconsistentStateError.
+    threads at once; what it returns is a new array.
     """
     length = book.code_length
     size = 1 << length
     stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
     # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
     index = (book.codes[:, 0] >> (64 - length)).astype(np.intp)
-    if np.bincount(index).max() > 1:
-        raise InconsistentStateError("duplicate codes in codebook")
     kernel = 1.0 / _divisors(length)[np.bitwise_count(np.arange(size))]
     spectrum, _ = _fwht(kernel, np.empty(size), kernel, stages)
     degrees = book.degrees.astype(np.float64)
@@ -223,17 +223,17 @@ def _transform_product(book: Codebook):
 def _operator(graph):
     """(dense weights or None, the product X -> W @ X, the weighted degrees)."""
     if isinstance(graph, Codebook) and _matrix_free(graph):
-        product = _transform_product(graph)
+        product = _transform_product(build_graph(graph))
         return None, product, product(np.ones((len(graph), 1)))[:, 0]
     w = _adjacency(graph)
     return w, w.__matmul__, w.sum(axis=1)
 
 
 def _adjacency(graph) -> np.ndarray:
-    """The dense weights: a code graph's own, or a square array's, whose
-    entries must be finite and nonnegative."""
+    """The dense weights: a code graph's own, whose codes must be distinct,
+    or a square array's, whose entries must be finite and nonnegative."""
     if isinstance(graph, Codebook):
-        return _dense_weights(graph)
+        return _dense_weights(build_graph(graph))
     w = np.asarray(graph, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"adjacency must be square, got {w.shape}")
@@ -346,7 +346,8 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
 def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """Normalized-cut clustering via the spectral relaxation.
 
-    ``graph`` is ``build_graph``'s book or a dense square weight matrix of
+    ``graph`` is a book of distinct codes (InconsistentStateError
+    otherwise, as ``build_graph`` raises) or a dense square weight matrix of
     finite, nonnegative entries (ShapeError otherwise). Takes the
     eigenvectors of the k smallest Laplacian eigenvalues (LOBPCG from 5·k
     vertices up, five times the cluster count; dense ``eigh`` below that or

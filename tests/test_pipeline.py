@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import re
 import socket
@@ -142,6 +143,52 @@ def test_config_refuses_a_site_that_dials_port_0():
     # the listen side keeps port 0, which the OS assigns
     raw["wire"] = {"listen": "127.0.0.1:0"}
     assert config_from_dict(raw).listen == "127.0.0.1:0"
+
+
+# each file key: its refusal of JSON null (None where null is its default),
+# a value of the wrong kind and that value's refusal
+_NULL_AND_WRONG_KIND = {
+    "code_length": ("code_length must be an integer, got None", "4", "code_length must be an integer, got '4'"),
+    "clusters": ("clusters must be an integer, got None", "4", "clusters must be an integer, got '4'"),
+    "sites": ("sites must be an integer, got None", "4", "sites must be an integer, got '4'"),
+    "min_per_site": ("min_per_site must be an integer, got None", "4", "min_per_site must be an integer, got '4'"),
+    "training.rounds": ("training.rounds must be an integer, got None", "4",
+                        "training.rounds must be an integer, got '4'"),
+    "training.batch_size": ("training.batch_size must be an integer, got None", "4",
+                            "training.batch_size must be an integer, got '4'"),
+    "training.learning_rate": ("training.learning_rate must be a number, got None", "x",
+                               "training.learning_rate must be a number, got 'x'"),
+    "training.distance_scale": ("training.distance_scale must be a number, got None", "x",
+                                "training.distance_scale must be a number, got 'x'"),
+    "training.temperature": ("training.temperature must be a number, got None", "x",
+                             "training.temperature must be a number, got 'x'"),
+    "mode": ("mode must be 'sim' or 'wire', got None", 4, "mode must be 'sim' or 'wire', got 4"),
+    "seed": ("seed must be an integer, got None", "4", "seed must be an integer, got '4'"),
+    "out": (None, 4, "out must be a string, got 4"),
+    "wire.listen": (None, 4, "wire.listen must be a string, got 4"),
+    "wire.connect": (None, 4, "wire.connect must be a string, got 4"),
+    "wire.site": (None, "4", "wire.site must be an integer, got '4'"),
+    "wire.timeout": ("wire.timeout must be a number, got None", "x", "wire.timeout must be a number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f for f in dataclasses.fields(PipelineConfig) if f.metadata],
+    ids=lambda f: f.name,
+)
+def test_config_refuses_null_and_a_wrong_kind_by_the_schema(field):
+    section = field.metadata["section"]
+    key = f"{section}.{field.name}" if section else field.name
+    null_message, wrong, wrong_message = _NULL_AND_WRONG_KIND[key]
+    for value, message in ((None, null_message), (wrong, wrong_message)):
+        raw = make_raw()
+        (raw.setdefault(section, {}) if section else raw)[field.name] = value
+        if message is None:
+            assert getattr(config_from_dict(raw), field.name) is None
+        else:
+            with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+                config_from_dict(raw)
 
 
 def test_config_from_file(tmp_path):

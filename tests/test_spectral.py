@@ -115,14 +115,28 @@ def test_graph_is_its_codebook():
 
 
 def test_transform_refuses_a_decoded_book_with_a_repeated_code(monkeypatch):
-    # a decoded book keeps its payload's repeats; build_graph would refuse it,
-    # and so does the transform product, which gives each code one cube entry
+    # a decoded book keeps its payload's repeats; build_graph refuses it, and
+    # so does the cut on the transform path, which gives each code one cube entry
     codes = [packed(code(1, 1, -1)), packed(code(-1, 1, 1)), packed(code(1, 1, -1))]
     decoded = decode_codes_payload(encode_codes_payload(codebook_of(codes, [2, 3, 4], 3)), 3, origin="site0")
     assert len(decoded) == 3
     monkeypatch.setattr(spectral, "_matrix_free", lambda book: True)
     with pytest.raises(InconsistentStateError, match="^duplicate codes in codebook$"):
         spectral_cluster(decoded, 2, seed=0)
+
+
+def test_dense_cut_refuses_a_decoded_book_with_a_repeated_code():
+    # below the transform threshold the cut builds the dense weights, which
+    # would give the repeated code two vertices; it is refused as build_graph refuses it
+    zero = packed(code(-1, -1, -1))
+    codes = [zero, packed(code(1, 1, 1)), zero, packed(code(1, -1, 1))]
+    decoded = decode_codes_payload(encode_codes_payload(codebook_of(codes, [2, 3, 4, 5], 3)), 3, origin="site0")
+    assert len(decoded) == 4 and (decoded.codes[0] == decoded.codes[2]).all()
+    assert not spectral._matrix_free(decoded)
+    with pytest.raises(InconsistentStateError, match="^duplicate codes in codebook$"):
+        spectral_cluster(decoded, 2, seed=0)
+    with pytest.raises(InconsistentStateError, match="^duplicate codes in codebook$"):
+        normalized_laplacian(decoded)
 
 
 def test_graph_rejects_codebook_above_dense_bound():
