@@ -26,9 +26,9 @@ class InconsistentStateError(HashClustError):
     min(2**L, n) entries, a wire site sent a book unlike the coordinator's
     encoding of its shard, or in label propagation a site book has another
     code length than the global one or a code missing from it; a book has
-    duplicate codes (build_graph refuses them, and so does the transform
-    product, for a book cut without build_graph) or mixed code lengths; a
-    merge has no book or an empty one."""
+    duplicate codes (build_graph refuses them, and the cut reads every book
+    through it, on the matrix-free and the dense path alike) or mixed code
+    lengths; a merge has no book or an empty one."""
 
 
 class PipelineError(HashClustError):

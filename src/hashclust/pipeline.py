@@ -167,7 +167,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(dataset, dict) or set(dataset) not in ({"generate"}, {"csv"}):
         raise InvalidSpecError("config needs dataset.generate {...} or dataset.csv <path>")
     generate = dataset.get("generate")
-    if generate is not None:
+    if "generate" in dataset:
         _reject_unknown(generate, _GENERATE_KEYS, "dataset.generate")
         missing = _GENERATE_KEYS - set(generate)
         if missing:
@@ -185,7 +185,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     for f in _FILE_FIELDS:
         if f.metadata["default"] is MISSING and f.name not in sections[f.metadata["section"]]:
             raise InvalidSpecError(f"config needs {f.name!r} ({f.metadata['needs']})")
-    csv = _scalar(dataset.get("csv"), str, "dataset.csv", None)
+    csv = _scalar(dataset["csv"], str, "dataset.csv") if "csv" in dataset else None
     name = _scalar(raw.get("name"), str, "name", None)
     if name is None:
         name = "synthetic" if generate is not None else Path(csv).stem

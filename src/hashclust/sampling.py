@@ -4,7 +4,9 @@ Samples are bucketed by their current hash code. A batch is drawn greedily:
 the first sample uniformly at random, each later one uniformly from the
 bucket whose code maximizes the summed hamming distance to all codes picked
 so far (counted once per prior pick). Opposite corners of the code cube get
-picked early, which keeps training pairs diverse. Bucket codes are held as
+picked early, which keeps training pairs diverse. Every draw comes from one
+pool, the buckets' members end to end, in which a pick's place is filled by
+the last undrawn member of its bucket. Bucket codes are held as
 ``network.code_words`` rows, the one in-memory form of a code that codebooks
 and the code graph hold too, so a distance is the popcount of a XOR.
 ``network.output_words`` gives the samples' rows and ``network.group_words``
@@ -21,7 +23,9 @@ rounding of 0.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,8 +82,10 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     if n_samples == 0:
         raise ShapeError("no samples to select from")
     rng = np.random.default_rng(seed)
-    # the members of a bucket not drawn yet are the first counts[b] of its pool
-    pools = {}
+    # one pool, every bucket's members end to end: bucket b's slice begins at
+    # starts[b], and its members not drawn yet are the first counts[b] of it
+    pool = np.concatenate([np.asarray(m, dtype=np.int64) for m in buckets.members])
+    starts = list(accumulate(counts[:-1], initial=0))
     # each bucket's distance row: the hamming distance from every bucket's
     # code to its own, counted when the bucket is first drawn from
     rows = {}
@@ -87,30 +93,22 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     # a bucket with no member left is held at _DRAWN_EMPTY, never the argmax
     sums = np.array([0 if c else _DRAWN_EMPTY for c in counts], dtype=np.int64)
 
-    def draw(bucket: int, offset: int | None = None) -> int:
-        if bucket not in pools:
-            pools[bucket] = np.asarray(buckets.members[bucket]).tolist()
-            rows[bucket] = np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
-        pool = pools[bucket]
-        size = counts[bucket]
-        j = int(rng.integers(size)) if offset is None else offset
-        idx = pool[j]
-        pool[j] = pool[size - 1]
-        counts[bucket] = size - 1
-        np.add(sums, rows[bucket], out=sums)
-        if size == 1:
-            sums[bucket] = _DRAWN_EMPTY
-        return idx
-
     picked = []
     target = min(batch_size, n_samples)
-
-    # first pick: uniform over all samples via the flattened bucket order
-    pos = int(rng.integers(n_samples))
-    cum = np.cumsum(counts)
-    b0 = int(np.searchsorted(cum, pos, side="right"))
-    picked.append(draw(b0, int(pos - (cum[b0 - 1] if b0 else 0))))
-
-    while len(picked) < target:
-        picked.append(draw(int(sums.argmax())))
-    return np.array(picked, dtype=np.int64)
+    # the first pick is uniform over the whole pool, which is still full
+    j = int(rng.integers(n_samples))
+    bucket = bisect_right(starts, j) - 1
+    while True:
+        # take the pick out: the bucket's last undrawn member fills its place
+        counts[bucket] -= 1
+        picked.append(pool[j])
+        pool[j] = pool[starts[bucket] + counts[bucket]]
+        if bucket not in rows:
+            rows[bucket] = np.bitwise_count(buckets.codes ^ buckets.codes[bucket]).sum(axis=1, dtype=np.int64)
+        np.add(sums, rows[bucket], out=sums)
+        if counts[bucket] == 0:
+            sums[bucket] = _DRAWN_EMPTY
+        if len(picked) == target:
+            return np.array(picked, dtype=np.int64)
+        bucket = int(sums.argmax())
+        j = starts[bucket] + int(rng.integers(counts[bucket]))

@@ -110,8 +110,14 @@ def random_buckets(rng, case):
     bits_drawn = rng.integers(0, 2, size=(4 * n_buckets, length), dtype=np.uint8)
     packed = np.unique(np.packbits(bits_drawn, axis=1), axis=0)[:n_buckets]
     sizes = rng.integers(1, 6, size=len(packed))
+    if case % 3 == 1 and len(sizes) > 3:  # empty buckets: the first, a middle one, the last or all three
+        sizes[[[0], [len(sizes) // 2], [-1], [0, len(sizes) // 2, -1]][case // 3 % 4]] = 0
+    if case % 10 == 3:  # one bucket of at least 100 members
+        sizes[rng.integers(len(sizes))] = rng.integers(100, 300)
     order = rng.permutation(int(sizes.sum()))
     members = tuple(np.split(order, np.cumsum(sizes)[:-1]))
+    if case % 4 == 2:  # members as Python lists, as a caller may build them
+        members = tuple(m.tolist() for m in members)
     return BucketIndex(codes=code_words(packed), members=members)
 
 
@@ -122,7 +128,9 @@ def test_select_batch_matches_the_list_per_pick_selection():
         n = int(buckets.sizes().sum())
         batch_size = int(rng.integers(1, n + 4))
         seed = int(rng.integers(2 ** 32))
+        given = [np.array(m) for m in buckets.members]
         got = select_batch(buckets, batch_size, seed)
+        assert all(np.array_equal(m, g) for m, g in zip(buckets.members, given)), case
         assert got.tolist() == select_batch_reference(buckets, batch_size, seed).tolist(), case
 
 

@@ -105,6 +105,12 @@ def test_config_requires_exactly_one_dataset():
         config_from_dict(raw)
     with pytest.raises(InvalidSpecError):
         config_from_dict({"dataset": {}, "clusters": 2})
+    # a null source is refused by its kind, as a wrong one is, whether or not a name is given
+    for source, message in (("csv", "dataset.csv must be a string, got None"),
+                            ("generate", "dataset.generate must be a JSON object, got NoneType")):
+        for name in ({}, {"name": "toy"}):
+            with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+                config_from_dict({**name, "dataset": {source: None}, "clusters": 2})
 
 
 def test_config_requires_clusters():
@@ -772,9 +778,11 @@ def test_cli_bad_config_value_returns_one(tmp_path, capsys, section, key, value)
         (("out",), 5, "out"),
         # the whole section, since generate and csv together fail as a pair
         (("dataset",), {"csv": 5}, "dataset.csv"),
+        (("dataset",), {"csv": None}, "dataset.csv"),
+        (("dataset",), {"generate": None}, "dataset.generate"),
     ],
     ids=["site_string", "hidden_dims_string", "hidden_dims_fraction", "n_clusters_string", "listen_int",
-         "name_int", "out_int", "csv_int"],
+         "name_int", "out_int", "csv_int", "csv_null", "generate_null"],
 )
 def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, value, key):
     raw = make_raw()
