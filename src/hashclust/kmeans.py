@@ -1,9 +1,8 @@
 """Seeded k-means with k-means++ initialization.
 
 Small, dense, and fully deterministic for a fixed seed: restarts draw from a
-single generator in a fixed order, assignment ties go to the lowest cluster
-index (argmin behavior), and an emptied cluster is re-seeded with the point
-farthest from its current center. Each call makes the points' (d, n) column
+single generator in a fixed order and assignment ties go to the lowest
+cluster index (argmin behavior). Each call makes the points' (d, n) column
 copy and their largest norm once, for every restart.
 
 A Lloyd step takes every point-centre distance from one matrix product of
@@ -11,21 +10,17 @@ the centres with the columns and gives each point the centre the direct
 distances ||p - c||**2 would give it. One tie bound serves every point: the
 product's rounding error, bounded at the largest point norm. A point whose
 second-best centre scores within it of the best is settled by its direct
-distances; a larger bound only sends more points there. With d >= 2 and no
-cluster empty, all k centres come from one ``np.bincount`` of the labels and
-one weighted ``np.bincount`` per coordinate: each adds a centre's points in
-index order, as the mean of its rows does, so the centres are bit for bit
-those means. The per-cluster mean of the masked rows stays for d = 1, where
-numpy sums the one column pairwise, and for a step that empties a cluster,
-whose re-seeding moves a point between the means.
+distances; a larger bound only sends more points there.
 
-A restart stops as soon as a step assigns the labels that the previous step
-made its centres from without a re-seed: making them again would give the
-same centres, and those centres gave these labels, so neither the update
-nor a closing assignment runs. Labels that repeat across a re-seed, and a
-restart that reaches ``MAX_ITER``, end as Lloyd's loop does: with one more
-assignment from the last centres. The inertia is summed from each point's
-difference to its own centre.
+Every step follows one rule. It assigns, and stops if the labels are those
+the centres were made from: the centres are then final and the labels
+theirs. Otherwise it re-seeds each emptied cluster, lowest index first,
+with the point farthest from its centre among clusters of two or more
+points, and makes every centre from one ``np.bincount`` of the labels and
+one weighted ``np.bincount`` per coordinate, which add each centre's points
+in index order. A restart that reaches ``MAX_ITER`` ends with one more
+assignment. The inertia is summed from each point's difference to its own
+centre.
 
 The k-means++ seeding adds each point's squared coordinates from the
 columns, one after another: for d < 8 that is bit for bit the row sum
@@ -112,35 +107,27 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, norm_bo
     norm, both made once per ``kmeans`` call.
     """
     k, d = centers.shape
-    labels, full = None, False
+    labels = None
     for _ in range(MAX_ITER):
         new_labels = _assign(points, columns, norm_bound, centers)
-        if full and np.array_equal(labels, new_labels):
-            # the last step made these centres from the same labels with no
-            # re-seed, so this one would make them again: they are final
+        if np.array_equal(labels, new_labels):
+            # these centres were made from these labels: they are final
             return labels, _inertia(points, centers, labels)
         counts = np.bincount(new_labels, minlength=k)
-        full = bool(counts.all())
-        if d >= 2 and full:
-            # each centre sums its points in index order, as the mean of
-            # its rows would, then divides by its count
-            for j in range(d):
-                centers[:, j] = np.bincount(new_labels, weights=columns[j], minlength=k)
-            centers /= counts[:, None]
-        else:
-            previous = centers.copy()
-            for c in range(k):
-                mask = new_labels == c
-                if mask.any():
-                    centers[c] = points[mask].mean(axis=0)
-                else:
-                    # re-seed an empty cluster with the worst-fit point
-                    fit = ((points - previous[new_labels]) ** 2).sum(axis=1)
-                    far = int(np.argmax(fit))
-                    centers[c] = points[far]
-                    new_labels[far] = c
-        if labels is not None and np.array_equal(labels, new_labels):
-            break
+        if not counts.all():
+            # re-seed each empty cluster, lowest index first, with the point
+            # farthest from its centre in a cluster of two or more points,
+            # so that no re-seed empties another cluster
+            fit = ((points - centers[new_labels]) ** 2).sum(axis=1)
+            for c in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[new_labels] > 1, fit, -1.0)))
+                counts[new_labels[far]] -= 1
+                counts[c] = 1
+                new_labels[far] = c
+        # each centre sums its points in index order, then divides by its count
+        for j in range(d):
+            centers[:, j] = np.bincount(new_labels, weights=columns[j], minlength=k)
+        centers /= counts[:, None]
         labels = new_labels
     labels = _assign(points, columns, norm_bound, centers)
     return labels, _inertia(points, centers, labels)

@@ -13,9 +13,8 @@ The kernel f(h) = 1 / h, with f(0) = f0 = KERNEL_AT_ZERO, is one table,
 the dense n x n weights. The graph is cut with the
 classic spectral relaxation (symmetric normalized Laplacian, k smallest
 eigenvectors, row-normalized embedding, k-means), which is what the cited
-method prescribes; k-means updates its centres with ``np.bincount`` and
-keeps a masked mean per cluster only for k = 1 (one column) and for a step
-that empties a cluster (see ``kmeans``). The first
+method prescribes; each k-means step re-seeds the clusters it empties and
+then updates every centre with ``np.bincount`` (see ``kmeans``). The first
 eigenvector is known, D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007,
 Prop. 3); the other k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput.
 2001), a block eigensolver that touches the graph only through products

@@ -12,12 +12,14 @@ trailer), and read_blob, the one check of a value section's length, reads
 both (deserialize_params at a site, the gradient decode at the coordinator,
 which also refuses a NaN or infinity in the values or the loss).
 
-Each payload is copied once on either side. A sender writes it into one
+Each payload is copied once on either side (a received one past 1 MiB may
+be moved again as its buffer grows). A sender writes it into one
 buffer (a gradient's values and trailer alike) and hands that buffer and
 the 5-byte header to sendmsg together; a partial send resumes where it
 stopped, so the two are never joined. A receiver reads the header, refuses
 an unexpected tag or an oversized length there, and only then receives the
-payload into a new bytearray of exactly its length.
+payload into a new bytearray, which starts at 1 MiB and doubles as bytes
+arrive up to exactly the declared length.
 Every frame owns its buffer, so a decoded gradient, a big-endian float32
 view of its frame merged as it is, stays valid whatever frames follow; a
 decoded codebook copies its codes and degrees out of its frame.
@@ -75,6 +77,8 @@ _MAX_PAYLOAD = 1 << 31
 # the longest payload a received frame may declare, where a tag has a fixed
 # size; the others stop below _MAX_PAYLOAD
 _MAX_LENGTH = {TAG_HELLO: _HELLO.size, TAG_DONE: 0}
+# a payload's first receive buffer; it doubles as bytes arrive
+_FIRST_BUFFER = 1 << 20
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -93,17 +97,18 @@ def send_frame(sock, tag: int, payload: bytes = b"") -> None:
             parts[0] = parts[0][sent:]
 
 
-def _recv_into(sock, buffer) -> None:
-    """Fill ``buffer`` from the socket, or raise ProtocolError."""
+def _recv_into(sock, buffer, after: int = 0) -> None:
+    """Fill ``buffer`` from the socket, or raise ProtocolError counting the
+    bytes short, the ``after`` bytes the frame holds past it included."""
     view = memoryview(buffer)
     got = 0
     while got < len(view):
         try:
             n = sock.recv_into(view[got:])
         except OSError as exc:  # timed out or reset: the peer broke off
-            raise ProtocolError(f"receive failed ({len(view) - got} bytes short): {exc!r}") from exc
+            raise ProtocolError(f"receive failed ({len(view) - got + after} bytes short): {exc!r}") from exc
         if not n:
-            raise ProtocolError(f"connection closed mid-frame ({len(view) - got} bytes short)")
+            raise ProtocolError(f"connection closed mid-frame ({len(view) - got + after} bytes short)")
         got += n
 
 
@@ -113,7 +118,9 @@ def expect_frame(sock, want_tag: int) -> bytearray:
     past the frame limit (a hello's size, 0 for done) is refused at once, so
     a peer that speaks another protocol costs neither an allocation nor a
     wait. The payload is a new bytearray of its own, received in place, so
-    what is decoded from it as views stays valid whatever frames follow."""
+    what is decoded from it as views stays valid whatever frames follow. It
+    starts at ``_FIRST_BUFFER`` bytes and doubles as they arrive, so a
+    length that no bytes follow costs no more than that."""
     header = bytearray(_FRAME_HEADER.size)
     _recv_into(sock, header)
     tag, length = _FRAME_HEADER.unpack(header)
@@ -121,8 +128,12 @@ def expect_frame(sock, want_tag: int) -> bytearray:
         raise ProtocolError(f"expected frame tag 0x{want_tag:02x}, got 0x{tag:02x}")
     if length > _MAX_LENGTH.get(tag, _MAX_PAYLOAD - 1):
         raise ProtocolError(f"declared payload of {length} bytes exceeds the frame limit")
-    payload = bytearray(length)
-    _recv_into(sock, payload)
+    payload = bytearray(min(length, _FIRST_BUFFER))
+    _recv_into(sock, payload, length - len(payload))
+    while len(payload) < length:
+        got = len(payload)
+        payload += bytes(min(got, length - got))
+        _recv_into(sock, memoryview(payload)[got:], length - len(payload))
     return payload
 
 

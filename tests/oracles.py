@@ -213,31 +213,37 @@ def direct_lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, n
     """Lloyd iterations from every point-centre distance ||p - c||**2 itself.
 
     The reference for ``kmeans._lloyd``, which takes its assignments from one
-    matrix product: the same steps, the same empty-cluster re-seeding and the
-    same argmin ties, over an (n, k, d) broadcast, and always a closing
-    assignment. It takes ``_lloyd``'s arguments and reads neither the points'
-    columns nor their norm bound. Updates ``centers`` in place and returns
-    (labels, inertia).
+    matrix product: the same rule over an (n, k, d) broadcast. Each step
+    assigns (argmin ties to the lowest index) and stops if the labels are
+    those its centres were made from; otherwise it re-seeds each empty
+    cluster, lowest index first, with the point farthest from its centre
+    among clusters of two or more points, and makes every centre the sum of
+    its rows in index order over their count. A closing assignment runs
+    only at ``MAX_ITER``. It takes ``_lloyd``'s arguments and reads neither
+    the points' columns nor their norm bound. Updates ``centers`` in place
+    and returns (labels, inertia).
     """
+    n, k = points.shape[0], centers.shape[0]
     labels = None
     for _ in range(MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        for c in range(centers.shape[0]):
-            mask = new_labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(d2[np.arange(points.shape[0]), new_labels]))
-                centers[c] = points[far]
-                new_labels[far] = c
         if labels is not None and np.array_equal(labels, new_labels):
             break
+        fit = d2[np.arange(n), new_labels]
+        for c in range(k):
+            if not (new_labels == c).any():
+                sizes = np.bincount(new_labels, minlength=k)
+                movable = [i for i in range(n) if sizes[new_labels[i]] >= 2]
+                new_labels[max(movable, key=lambda i: (fit[i], -i))] = c
+        for c in range(k):
+            rows = points[new_labels == c]
+            centers[c] = np.cumsum(rows, axis=0)[-1] / len(rows)
         labels = new_labels
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, inertia
+    else:
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+    return labels, float(d2[np.arange(n), labels].sum())
 
 
 def _fwht_reference(v: np.ndarray, stages) -> np.ndarray:

@@ -711,7 +711,8 @@ KMEANS_KINDS = ["normal", "grid", "unit_rows", "few_distinct"]
 def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
     rng = np.random.default_rng(KMEANS_KINDS.index(kind))
     if kind == "few_distinct":
-        # a re-seed every step: no restart converges, so both run to the cap
+        # fewer distinct points than clusters: every step empties a cluster
+        # and re-seeds it, so no restart converges and both run to the cap
         monkeypatch.setattr(kmeans_module, "MAX_ITER", 10)
         monkeypatch.setattr(oracles, "MAX_ITER", 10)
     for seed in range(100):
@@ -724,8 +725,8 @@ def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
 @pytest.mark.parametrize("kind", KMEANS_KINDS)
 def test_lloyd_equals_the_direct_lloyd_from_starts_that_empty_clusters(kind, monkeypatch):
     # a restart's labels, inertia and centres, not only the winner's: repeated
-    # and far-off starts empty clusters, so restarts converge on the step after
-    # a re-seed, where the closing assignment must run
+    # and far-off starts empty clusters, so some restarts converge on the step
+    # after a re-seed, with no closing assignment, and some run to the cap
     monkeypatch.setattr(kmeans_module, "MAX_ITER", 30)
     monkeypatch.setattr(oracles, "MAX_ITER", 30)
     rng = np.random.default_rng(50 + KMEANS_KINDS.index(kind))
@@ -743,6 +744,19 @@ def test_lloyd_equals_the_direct_lloyd_from_starts_that_empty_clusters(kind, mon
         assert np.array_equal(labels, expect_labels)
         assert inertia == expect_inertia
         assert np.array_equal(got, expect)
+
+
+def test_lloyd_reseeds_each_emptied_cluster_with_a_point_of_its_own(monkeypatch):
+    # all five points go to the first centre; the two emptied clusters take
+    # the farthest point, then the farthest left in a cluster of two or more,
+    # and every centre is then the mean of its cluster
+    monkeypatch.setattr(kmeans_module, "MAX_ITER", 1)
+    points = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0], [50.0, 0.0]])
+    centers = np.array([[0.0, 0.0], [1000.0, 1000.0], [-1000.0, 1000.0]])
+    columns = np.ascontiguousarray(points.T)
+    norm_bound = float(np.sqrt((points * points).sum(axis=1).max()))
+    kmeans_module._lloyd(points, centers, columns, norm_bound)
+    assert centers.tolist() == [[(0 + 0.1 + 10) / 3, 0.0], [50.0, 0.0], [10.1, 0.0]]
 
 
 def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypatch):

@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,46 @@ def test_peer_closing_mid_payload_reports_the_bytes_short():
         with pytest.raises(ProtocolError, match=r"connection closed mid-frame \(1047576 bytes short\)"):
             expect_frame(b, TAG_GRADIENT)
     finally:
+        b.close()
+
+
+@pytest.mark.parametrize("sent", [0, 1000, (1 << 20) + 1, (3 << 20) - 1])
+def test_a_frame_cut_short_reports_the_bytes_short_at_every_buffer_size(sent):
+    # the receive buffer starts at 1 MiB and doubles, so a 3 MiB frame is cut
+    # short in its first, second or third buffer
+    length = 3 << 20
+    a, b = socket.socketpair()
+    b.settimeout(10.0)
+
+    def sender():
+        with a:
+            a.sendall(struct.pack(">BI", TAG_GRADIENT, length) + bytes(sent))
+
+    t = threading.Thread(target=sender, daemon=True)
+    try:
+        t.start()
+        with pytest.raises(ProtocolError, match=rf"^connection closed mid-frame \({length - sent} bytes short\)$"):
+            expect_frame(b, TAG_GRADIENT)
+    finally:
+        t.join(timeout=10.0)
+        b.close()
+
+
+def test_a_declared_length_that_no_bytes_follow_allocates_only_the_first_buffer():
+    a, b = socket.socketpair()
+    b.settimeout(0.2)
+    try:
+        a.sendall(struct.pack(">BI", TAG_GRADIENT, 256 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match=r"^receive failed \(268435456 bytes short\)"):
+                expect_frame(b, TAG_GRADIENT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+    finally:
+        a.close()
         b.close()
 
 
