@@ -7,6 +7,12 @@ uniform shift u separates clusters, and isotropic noise e blurs the
 result. Sample i is ``T z_i + u + e_i``. A dataset is its tuple of
 ClusterSpecs: make_dataset_spec builds a uniform one, gen_dataset draws it.
 
+One rule, ``child_seed``, derives every seed from another: stream ``key`` of
+a parent is the first word of numpy's seed sequence of the parent with spawn
+key ``(key,)``. The streams are a phase of the master seed
+(``pipeline.derive_seed``), a cluster of the data seed and a round of the
+training seed (a uint64 word, ``training.local_round``).
+
 Sharding splits a dataset across sites at random while guaranteeing a
 minimum per-site size. Every shard carries its own min-max normalization
 computed from local data only, so no statistics cross site boundaries.
@@ -53,15 +59,15 @@ def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, s
             ambient_dim=ambient_dim,
             embed_dim=embed_dim,
             n_samples=samples_per_cluster,
-            seed=derive_cluster_seed(seed, i),
+            seed=child_seed(seed, i),
         )
         for i in range(n_clusters)
     )
 
 
-def derive_cluster_seed(base_seed: int, cluster_index: int) -> int:
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(cluster_index,))
-    return int(seq.generate_state(1)[0])
+def child_seed(parent: int, key: int, dtype=np.uint32) -> int:
+    """Stream ``key`` of seed ``parent`` by the one seed rule, as a ``dtype`` word."""
+    return int(np.random.SeedSequence(entropy=parent, spawn_key=(key,)).generate_state(1, dtype)[0])
 
 
 def gen_cluster(spec: ClusterSpec) -> np.ndarray:
@@ -127,13 +133,15 @@ class Shard:
 
 
 def make_shard(x, labels, site_index) -> Shard:
-    """One site's shard; a feature whose max - min is not finite raises ShapeError."""
+    """One site's shard; no samples, or a feature range that is not finite, raises ShapeError."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     if x.ndim != 2:
         raise ShapeError(f"shard features must be 2-d, got shape {x.shape}")
     if x.shape[0] != labels.shape[0]:
         raise ShapeError(f"features/labels disagree: {x.shape[0]} vs {labels.shape[0]}")
+    if x.shape[0] == 0:
+        raise ShapeError("a shard needs at least one sample, got none")
     fmin = x.min(axis=0)
     fmax = x.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):

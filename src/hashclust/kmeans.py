@@ -18,9 +18,11 @@ theirs. Otherwise it re-seeds each emptied cluster, lowest index first,
 with the point farthest from its centre among clusters of two or more
 points, and makes every centre from one ``np.bincount`` of the labels and
 one weighted ``np.bincount`` per coordinate, which add each centre's points
-in index order. A restart that reaches ``MAX_ITER`` ends with one more
-assignment. The inertia is summed from each point's difference to its own
-centre.
+in index order. A restart ends with one more assignment when it reaches
+``MAX_ITER``, or when an emptied cluster finds no point farther from its
+centre than the tie bound: with fewer distinct points than k, a re-seed would
+sit on a centre and the clusters would only trade labels. The inertia is
+summed from each point's difference to its own centre.
 
 The k-means++ seeding adds each point's squared coordinates from the
 columns, one after another: for d < 8 that is bit for bit the row sum
@@ -68,18 +70,23 @@ def _plusplus_init(columns: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _tie_bound(d: int, norm_bound: float, sq: np.ndarray) -> float:
+    """``_assign``'s bound on the product's rounding, for centres of squared norms ``sq``."""
+    return 4 * (d + 3) * np.finfo(np.float64).eps * (norm_bound + np.sqrt(sq.max())) ** 2
+
+
 def _assign(points: np.ndarray, columns: np.ndarray, norm_bound: float,
             centers: np.ndarray) -> np.ndarray:
     """Each point's nearest centre, as the direct distances ||p - c||**2 pick it.
 
     The distances come from one matrix product: ||c||**2 - 2 c.p differs from
     ||p - c||**2 by ||p||**2, the same for every centre. Its rounding and that
-    of the direct form differ by less than ``slack``, taken at ``norm_bound``,
-    no point's norm being larger, so a point whose best two centres are
-    further apart gets the same centre either way; the rare point with a
-    second centre within ``slack`` is a near tie and is settled by its direct
-    distances (lowest index on exact ties). Scores are held centre by centre,
-    so each step is one pass over the points.
+    of the direct form differ by less than ``_tie_bound``, taken at
+    ``norm_bound``, no point's norm being larger, so a point whose best two
+    centres are further apart gets the same centre either way; the rare point
+    with a second centre within that bound is a near tie and is settled by its
+    direct distances (lowest index on exact ties). Scores are held centre by
+    centre, so each step is one pass over the points.
     """
     sq = (centers * centers).sum(axis=1)
     score = centers @ columns
@@ -92,8 +99,7 @@ def _assign(points: np.ndarray, columns: np.ndarray, norm_bound: float,
         labels[score[c] < best] = c
         np.minimum(second, np.maximum(best, score[c]), out=second)
         np.minimum(best, score[c], out=best)
-    slack = 4 * (points.shape[1] + 3) * np.finfo(np.float64).eps * (norm_bound + np.sqrt(sq.max())) ** 2
-    near = second <= best + slack
+    near = second <= best + _tie_bound(points.shape[1], norm_bound, sq)
     if near.any():
         d2 = ((points[near, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels[near] = np.argmin(d2, axis=1)
@@ -119,11 +125,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, norm_bo
             # farthest from its centre in a cluster of two or more points,
             # so that no re-seed empties another cluster
             fit = ((points - centers[new_labels]) ** 2).sum(axis=1)
+            bound = _tie_bound(d, norm_bound, (centers * centers).sum(axis=1))
             for c in np.flatnonzero(counts == 0):
                 far = int(np.argmax(np.where(counts[new_labels] > 1, fit, -1.0)))
+                if fit[far] <= bound:
+                    break
                 counts[new_labels[far]] -= 1
                 counts[c] = 1
                 new_labels[far] = c
+            if not counts.all():
+                break  # no re-seed separates: the closing assignment gives these labels
         # each centre sums its points in index order, then divides by its count
         for j in range(d):
             centers[:, j] = np.bincount(new_labels, weights=columns[j], minlength=k)

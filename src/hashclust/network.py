@@ -5,9 +5,10 @@ head. During training the tanh head stands in for the sign function so that
 gradients exist; at inference ``output_words`` thresholds the outputs to
 L-bit codes, held as ``code_words`` rows, the one in-memory code form.
 
-Parameters live in a single flat vector (per layer: weights row-major, then
-biases) so that whole-network gradients and wire transfers are a single
-array. Values are kept on the float32 grid (stored as float64) because every
+Parameters live in a single flat vector so that whole-network gradients and
+wire transfers are a single array; ``_split`` alone knows its layout (per
+layer: weights row-major, then biases) and ``param_count`` its length.
+Values are kept on the float32 grid (stored as float64) because every
 parameter transfer is accounted and sent (wire.py) as 32-bit IEEE-754 reals;
 keeping the in-memory state on that grid makes simulated and wire runs
 bit-identical.
@@ -44,10 +45,6 @@ class LayerSpec:
         if self.activation not in ACTIVATIONS:
             raise InvalidSpecError(f"unknown activation {self.activation!r}")
 
-    @property
-    def n_params(self) -> int:
-        return self.input_dim * self.output_dim + self.output_dim
-
 
 def mlp_spec(input_dim: int, hidden_dims, code_length: int) -> tuple[LayerSpec, ...]:
     """Reference architecture: ReLU hidden layers, tanh head of width ``code_length``."""
@@ -76,7 +73,7 @@ def validate_spec(layers) -> tuple[LayerSpec, ...]:
 
 @dataclass
 class NetworkParams:
-    """Layer shapes plus one flat value vector (weights then biases per layer)."""
+    """Layer shapes plus one flat value vector, laid out as ``_split`` reads it."""
 
     layers: tuple[LayerSpec, ...]
     values: np.ndarray
@@ -84,7 +81,7 @@ class NetworkParams:
     def __post_init__(self):
         self.layers = validate_spec(self.layers)
         self.values = np.asarray(self.values, dtype=np.float64)
-        expected = sum(l.n_params for l in self.layers)
+        expected = param_count(self.layers)
         if self.values.shape != (expected,):
             raise ShapeError(
                 f"values has length {self.values.shape}, expected ({expected},)"
@@ -101,11 +98,10 @@ class NetworkParams:
 
 def param_count(params) -> int:
     """Total number of scalar parameters, weights plus biases over all layers."""
-    layers = getattr(params, "layers", params)
-    layers = tuple(layers)
+    layers = tuple(getattr(params, "layers", params))
     if not layers:
         raise InvalidSpecError("layer list is empty")
-    return sum(l.n_params for l in layers)
+    return sum(l.input_dim * l.output_dim + l.output_dim for l in layers)
 
 
 def as_float32_grid(values: np.ndarray) -> np.ndarray:
@@ -125,13 +121,11 @@ def init_network(spec, seed: int) -> NetworkParams:
     """
     layers = validate_spec(spec)
     rng = np.random.default_rng(seed)
-    chunks = []
-    for l in layers:
-        bound = 1.0 / np.sqrt(l.input_dim)
-        chunks.append(rng.uniform(-bound, bound, size=l.input_dim * l.output_dim))
-        chunks.append(np.zeros(l.output_dim))
-    values = as_float32_grid(np.concatenate(chunks))
-    return NetworkParams(layers=layers, values=values)
+    values = np.zeros(param_count(layers))
+    for w, _ in _split(layers, values):
+        bound = 1.0 / np.sqrt(len(w))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return NetworkParams(layers=layers, values=as_float32_grid(values))
 
 
 def _split(layers, values):
@@ -225,23 +219,18 @@ def backward(trace: ForwardTrace, grad_h) -> np.ndarray:
         raise ShapeError(
             f"grad_h has shape {grad_h.shape}, outputs have {trace.acts[-1].shape}"
         )
-    # dW and db of each layer go straight into their place in the flat vector
-    out = np.empty(sum(l.n_params for l in trace.layers))
-    end = out.size
+    # dW and db of each layer go straight into their views of the flat vector
+    out = np.empty(param_count(trace.layers))
     g = grad_h
-    for i in range(len(trace.layers) - 1, -1, -1):
-        layer = trace.layers[i]
+    for i, (dw, db) in reversed(list(enumerate(_split(trace.layers, out)))):
         a = trace.acts[i]
-        if layer.activation == "relu":
+        if trace.layers[i].activation == "relu":
             dz = g * (a > 0.0)
         else:
             dz = g * (1.0 - a * a)
         a_prev = trace.inputs if i == 0 else trace.acts[i - 1]
-        start = end - layer.n_params
-        n_w = layer.input_dim * layer.output_dim
-        np.matmul(a_prev.T, dz, out=out[start : start + n_w].reshape(layer.input_dim, layer.output_dim))
-        dz.sum(axis=0, out=out[start + n_w : end])
-        end = start
+        np.matmul(a_prev.T, dz, out=dw)
+        dz.sum(axis=0, out=db)
         if i > 0:
             g = dz @ trace.weights[i].T
     return out

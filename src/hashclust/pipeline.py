@@ -31,7 +31,7 @@ import numpy as np
 
 from . import codebook
 from .codebook import encode_shard, merge_codebooks
-from .datasets import gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
+from .datasets import child_seed, gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
 from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_positive_finite
 from .loss import LossConfig
 from .metrics import nmi, purity, total_cost_bits
@@ -45,8 +45,7 @@ _SEED_STREAMS = {"data": 0, "shard": 1, "train": 2, "cluster": 3}
 
 
 def derive_seed(master: int, stream: str) -> int:
-    ss = np.random.SeedSequence(entropy=master, spawn_key=(_SEED_STREAMS[stream],))
-    return int(ss.generate_state(1)[0])
+    return child_seed(master, _SEED_STREAMS[stream])
 
 
 def _file_key(section: str, kind: type, default=MISSING, needs: str = ""):

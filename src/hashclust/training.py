@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import child_seed
 from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_positive_finite
 from .loss import LossConfig, batch_loss
 from .network import NetworkParams, backward, forward, init_network, param_count
@@ -43,24 +44,15 @@ class TrainingConfig:
             raise InvalidSpecError(f"batch_size must be >= 2: a batch needs a pair, got {self.batch_size}")
 
 
-def derive_round_seed(base_seed: int, round_index: int) -> int:
-    """Batch-selection seed for one round, shared by every site.
-
-    Sharing the seed across sites keeps the M-identical-shards case exactly
-    equivalent to single-site training; sites with different shards still
-    select different batches.
-    """
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(round_index,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def local_round(shard, params: NetworkParams, cfg: TrainingConfig, round_index: int = 0):
     """One site's work for one round: select a batch, return (gradient, mean loss)."""
     x = np.atleast_2d(np.asarray(getattr(shard, "normalized", shard), dtype=np.float64))
     if x.shape[0] < 2:
         raise ShapeError("a shard needs at least 2 samples to form a pair")
     buckets = build_buckets(params, x)
-    idx = select_batch(buckets, cfg.batch_size, derive_round_seed(cfg.seed, round_index))
+    # every site draws round r's batch from one seed, so M identical shards
+    # train exactly as one site does; different shards still pick different batches
+    idx = select_batch(buckets, cfg.batch_size, child_seed(cfg.seed, round_index, np.uint64))
     bx = x[idx]
     h, trace = forward(params, bx)
     loss, grad_h = batch_loss(bx, h, cfg.loss)

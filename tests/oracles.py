@@ -218,12 +218,14 @@ def direct_lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, n
     those its centres were made from; otherwise it re-seeds each empty
     cluster, lowest index first, with the point farthest from its centre
     among clusters of two or more points, and makes every centre the sum of
-    its rows in index order over their count. A closing assignment runs
-    only at ``MAX_ITER``. It takes ``_lloyd``'s arguments and reads neither
-    the points' columns nor their norm bound. Updates ``centers`` in place
-    and returns (labels, inertia).
+    its rows in index order over their count. If that point lies no farther
+    from its centre than the product's tie bound, nothing can be separated
+    and the restart ends with this step's assignment, as it ends at
+    ``MAX_ITER``. It takes ``_lloyd``'s arguments, reads the norm bound only
+    for that tie bound and never reads the points' columns. Updates
+    ``centers`` in place and returns (labels, inertia).
     """
-    n, k = points.shape[0], centers.shape[0]
+    (n, d), k = points.shape, centers.shape[0]
     labels = None
     for _ in range(MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -231,11 +233,19 @@ def direct_lloyd(points: np.ndarray, centers: np.ndarray, columns: np.ndarray, n
         if labels is not None and np.array_equal(labels, new_labels):
             break
         fit = d2[np.arange(n), new_labels]
+        centre_norm = np.sqrt((centers ** 2).sum(axis=1).max())
+        tie_bound = 4 * (d + 3) * np.finfo(np.float64).eps * (norm_bound + centre_norm) ** 2
         for c in range(k):
             if not (new_labels == c).any():
                 sizes = np.bincount(new_labels, minlength=k)
                 movable = [i for i in range(n) if sizes[new_labels[i]] >= 2]
-                new_labels[max(movable, key=lambda i: (fit[i], -i))] = c
+                far = max(movable, key=lambda i: (fit[i], -i))
+                if fit[far] <= tie_bound:
+                    break
+                new_labels[far] = c
+        if np.bincount(new_labels, minlength=k).min() == 0:
+            labels = np.argmin(d2, axis=1)
+            break
         for c in range(k):
             rows = points[new_labels == c]
             centers[c] = np.cumsum(rows, axis=0)[-1] / len(rows)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hashclust.loss import LossConfig, batch_loss
-from hashclust.network import LayerSpec, NetworkParams, backward, code_words, forward
+from hashclust.network import LayerSpec, NetworkParams, backward, code_words, forward, param_count
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 from hashclust.training import global_merge
 
@@ -73,8 +73,7 @@ def random_trace(rng, case):
         dims[0] = 300
     layers = tuple(LayerSpec(a, b, "relu") for a, b in zip(dims[:-2], dims[1:-1]))
     layers += (LayerSpec(dims[-2], length, "tanh"),)
-    n_params = sum(l.n_params for l in layers)
-    values = with_signed_zeros(rng, rng.normal(size=n_params).astype(np.float32).astype(np.float64))
+    values = with_signed_zeros(rng, rng.normal(size=param_count(layers)).astype(np.float32).astype(np.float64))
     n = pick(rng, (2, 31), 1, 40)
     x = with_signed_zeros(rng, rng.normal(size=(n, dims[0])))
     _, trace = forward(NetworkParams(layers, values), x)

@@ -4,7 +4,7 @@ import pytest
 from hashclust.datasets import (
     ClusterSpec,
     Shard,
-    derive_cluster_seed,
+    child_seed,
     gen_cluster,
     gen_dataset,
     load_csv,
@@ -91,7 +91,7 @@ def test_dataset_two_clusters():
 def test_dataset_varied_embed_dims():
     # scaled-down version of the layered config: 6 embed dims x 20 clusters
     clusters = tuple(
-        ClusterSpec(ambient_dim=64, embed_dim=e, n_samples=2, seed=derive_cluster_seed(1, i))
+        ClusterSpec(ambient_dim=64, embed_dim=e, n_samples=2, seed=child_seed(1, i))
         for i, e in enumerate(d for d in (2, 4, 8, 16, 32, 64) for _ in range(20))
     )
     x, labels = gen_dataset(clusters)
@@ -188,6 +188,11 @@ def test_shard_keeps_a_finite_range_up_to_the_largest_float():
     shard = make_shard(x, np.zeros(3, dtype=int), 0)
     assert np.array_equal(shard.feature_range, x.max(axis=0) - x.min(axis=0))
     assert np.array_equal(shard.feature_range, [big, big])
+
+
+def test_shard_refuses_an_empty_feature_table():
+    with pytest.raises(ShapeError, match=r"^a shard needs at least one sample, got none$"):
+        make_shard(np.zeros((0, 3)), np.zeros(0), 0)
 
 
 def test_shard_deterministic():

@@ -99,6 +99,18 @@ def test_init_bounds_and_zero_biases():
         assert np.all(b == 0.0)
 
 
+@pytest.mark.parametrize("hidden", [(), (6,), (7, 3)])
+def test_init_draws_each_layers_weights_then_zero_biases_bitwise(hidden):
+    spec = mlp_spec(5, hidden, 4)
+    rng = np.random.default_rng(21)
+    chunks = []
+    for l in spec:
+        bound = 1 / np.sqrt(l.input_dim)
+        chunks += [rng.uniform(-bound, bound, size=l.input_dim * l.output_dim), np.zeros(l.output_dim)]
+    expect = np.concatenate(chunks).astype(np.float32).astype(np.float64)
+    assert np.array_equal(init_network(spec, 21).values, expect)
+
+
 def test_init_values_on_float32_grid():
     params = tiny_params(seed=9)
     assert np.array_equal(params.values, params.values.astype(np.float32).astype(np.float64))

@@ -678,8 +678,9 @@ def test_kmeans_deterministic():
 
 def _kmeans_case(rng, kind):
     """Random points: normal, on an integer grid (exact ties), unit rows with
-    some zero rows, or fewer distinct points than k, so that every Lloyd step
-    empties a cluster and re-seeds it; n in [3, 400], d in [1, 12], k up to 12."""
+    some zero rows, or fewer distinct points than k, so that a Lloyd step
+    empties a cluster that no point can re-seed; n in [3, 400], d in [1, 12],
+    k up to 12."""
     n, d = int(rng.integers(3, 401)), int(rng.integers(1, 13))
     k = int(rng.integers(1, min(12, n) + 1))
     if kind == "grid":
@@ -711,8 +712,9 @@ KMEANS_KINDS = ["normal", "grid", "unit_rows", "few_distinct"]
 def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
     rng = np.random.default_rng(KMEANS_KINDS.index(kind))
     if kind == "few_distinct":
-        # fewer distinct points than clusters: every step empties a cluster
-        # and re-seeds it, so no restart converges and both run to the cap
+        # fewer distinct points than clusters: a step empties a cluster that
+        # no point can re-seed, and both Lloyds end the restart there; the cap
+        # keeps the test short should either not
         monkeypatch.setattr(kmeans_module, "MAX_ITER", 10)
         monkeypatch.setattr(oracles, "MAX_ITER", 10)
     for seed in range(100):
@@ -726,7 +728,8 @@ def test_kmeans_equals_the_direct_distance_lloyd(kind, monkeypatch):
 def test_lloyd_equals_the_direct_lloyd_from_starts_that_empty_clusters(kind, monkeypatch):
     # a restart's labels, inertia and centres, not only the winner's: repeated
     # and far-off starts empty clusters, so some restarts converge on the step
-    # after a re-seed, with no closing assignment, and some run to the cap
+    # after a re-seed, with no closing assignment, and some end where no point
+    # can re-seed an emptied cluster
     monkeypatch.setattr(kmeans_module, "MAX_ITER", 30)
     monkeypatch.setattr(oracles, "MAX_ITER", 30)
     rng = np.random.default_rng(50 + KMEANS_KINDS.index(kind))
@@ -759,6 +762,20 @@ def test_lloyd_reseeds_each_emptied_cluster_with_a_point_of_its_own(monkeypatch)
     assert centers.tolist() == [[(0 + 0.1 + 10) / 3, 0.0], [50.0, 0.0], [10.1, 0.0]]
 
 
+def test_kmeans_restarts_end_when_no_point_can_reseed_an_emptied_cluster(monkeypatch):
+    # 300 rows of 3 distinct points and k = 4: a step empties a cluster, and
+    # every point that could re-seed it sits on its own centre
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 3, size=300)
+    points = rng.standard_normal((3, 4))[rows]
+    assign, calls = kmeans_module._assign, []
+    monkeypatch.setattr(kmeans_module, "_assign", lambda *args: calls.append(1) or assign(*args))
+    labels, inertia = kmeans(points, 4, 0)
+    assert len(calls) <= 3 * kmeans_module.N_RESTARTS
+    assert inertia == 0.0
+    assert labels_match_up_to_permutation(labels, rows)
+
+
 def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypatch):
     planted, _ = planted_codebook(np.random.default_rng(17), 4, 60)
     emb = _iterative_embedding(build_graph(planted), 4)
@@ -773,7 +790,7 @@ def test_kmeans_equals_the_direct_distance_lloyd_on_a_planted_embedding(monkeypa
 def test_kmeans_equals_the_row_sum_plusplus_seeding_bitwise(d, monkeypatch):
     rng = np.random.default_rng(100 + d)
     # the seeding is under test; Lloyd runs alike in both arms, and its cap
-    # keeps the cases of few distinct points, re-seeded every step, short
+    # bounds any case that neither converges nor runs out of re-seeds
     monkeypatch.setattr(kmeans_module, "MAX_ITER", 20)
 
     def row_form(columns, k, rng):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hashclust.datasets import child_seed
 from hashclust.errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError
 from hashclust.loss import LossConfig
 from hashclust.network import (
@@ -14,7 +15,6 @@ from hashclust.network import (
 )
 from hashclust.training import (
     TrainingConfig,
-    derive_round_seed,
     global_merge,
     local_round,
     relative_error_ratio,
@@ -240,8 +240,8 @@ def test_train_history_invariants():
 
 
 def test_round_seed_derivation():
-    assert derive_round_seed(13, 2) == derive_round_seed(13, 2)
-    seeds = {derive_round_seed(13, i) for i in range(50)}
+    assert child_seed(13, 2, np.uint64) == child_seed(13, 2, np.uint64)
+    seeds = {child_seed(13, i, np.uint64) for i in range(50)}
     assert len(seeds) == 50
 
 
