@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError
+from .errors import InvalidSpecError, ShapeError, check_integer
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,8 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
     n = samples.shape[0]
     if n != labels.shape[0]:
         raise ShapeError(f"features/labels disagree: {n} vs {labels.shape[0]}")
+    check_integer(n_sites, "n_sites")
+    check_integer(min_per_site, "min_per_site")
     if n_sites < 1:
         raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
     if min_per_site < 1:

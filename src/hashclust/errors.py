@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one check of a real-valued
-setting. Every refusal is a HashClustError: InvalidSpecError, ShapeError,
-InconsistentStateError, PipelineError or ProtocolError."""
+setting and of a count. Every refusal is a HashClustError: InvalidSpecError,
+ShapeError, InconsistentStateError, PipelineError or ProtocolError."""
+
+import numbers
 
 
 class HashClustError(Exception):
@@ -48,3 +50,9 @@ def check_positive_finite(value, name: str) -> None:
     negative, NaN or infinite."""
     if not 0.0 < value < float("inf"):
         raise InvalidSpecError(f"{name} must be a positive finite number, got {value}")
+
+
+def check_integer(value, name: str) -> None:
+    """Refuse a count or seed that is not an integer; a bool is none."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")

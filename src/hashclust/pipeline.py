@@ -7,14 +7,13 @@ mode keeps everything in-process; wire mode moves the training and code
 traffic over TCP (loopback threads by default, or real endpoints via the
 listen/connect settings) and additionally reports measured bits.
 
-Config files are JSON; every field of PipelineConfig can be set there, and
-a handful of command-line flags override. The file schema is stated once,
-on PipelineConfig's fields: each one that a JSON value sets names its key's
-section, kind and default, and config_from_dict takes each section's keys
-from them. A run directory written with ``out`` is self-describing:
-``results.json`` echoes the config as the flat fields of PipelineConfig, so
-``PipelineConfig(**results["config"])`` reruns it bit for bit.
-config_from_dict reads the nested file schema and rejects that flat echo.
+Config files are JSON, and a handful of command-line flags override them.
+Every key is a field of PipelineConfig, which states its section, kind and
+default and checks every value itself: a file, the results echo,
+``dataclasses.replace`` and the overrides pass one gate with one set of
+messages. ``results.json`` (written with ``out``) echoes the config as the
+flat fields, so ``PipelineConfig(**results["config"])`` reruns it bit for
+bit; config_from_dict reads the nested file schema and rejects that echo.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def derive_seed(master: int, stream: str) -> int:
     return child_seed(master, _SEED_STREAMS[stream])
 
 
-def _file_key(section: str, kind: type, default=MISSING, needs: str = ""):
+def _file_key(section: str, kind, default=MISSING, needs: str = ""):
     """A field that a config file sets: the key of its name in ``section``
     ("" is the top level), a JSON value of ``kind`` (see ``_scalar``) that
     takes ``default`` when absent. A key without a default is required, and
@@ -56,17 +55,20 @@ def _file_key(section: str, kind: type, default=MISSING, needs: str = ""):
     return field(metadata={"section": section, "kind": kind, "default": default, "needs": needs})
 
 
+_GENERATE = {"n_clusters": int, "ambient_dim": int, "embed_dim": int, "samples_per_cluster": int}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one run needs; every field is required. A field that a
-    config file sets as one JSON value declares its key's section, kind and
-    default, and config_from_dict reads the file by them; ``name``,
-    ``generate``, ``csv`` and ``hidden_dims`` it reads on their own."""
+    """Everything one run needs; every field is required. Each field states
+    its config file key (section, kind, default), and every value, from a
+    file, a results echo, ``replace`` or ``apply_overrides``, passes the same
+    checks here. A null ``name`` is the csv file's stem, or "synthetic"."""
 
-    name: str
-    generate: dict | None
-    csv: str | None
-    hidden_dims: tuple | None
+    name: str = _file_key("", str, None)
+    generate: dict | None = _file_key("dataset", _GENERATE, None)
+    csv: str | None = _file_key("dataset", str, None)
+    hidden_dims: tuple | None = _file_key("network", list, None)
     code_length: int = _file_key("", int, 8)
     clusters: int = _file_key("", int, needs="the number of output clusters")
     sites: int = _file_key("", int, 1)
@@ -85,8 +87,14 @@ class PipelineConfig:
     timeout: float = _file_key("wire", float, DEFAULT_TIMEOUT)
 
     def __post_init__(self):
+        for f in fields(self):
+            where, kind, default = f.metadata["section"], f.metadata["kind"], f.metadata["default"]
+            key = f"{where}.{f.name}" if where else f.name
+            object.__setattr__(self, f.name, _scalar(getattr(self, f.name), kind, key, default))
         if (self.generate is None) == (self.csv is None):
             raise InvalidSpecError("dataset must be exactly one of 'generate' or 'csv'")
+        if self.name is None:
+            object.__setattr__(self, "name", "synthetic" if self.csv is None else Path(self.csv).stem)
         if self.mode not in ("sim", "wire"):
             raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {self.mode!r}")
         if self.clusters < 1 or self.code_length < 1:
@@ -129,12 +137,8 @@ def training_config(cfg: PipelineConfig, n_sites: int) -> TrainingConfig:
     )
 
 
-_GENERATE_KEYS = {"n_clusters", "ambient_dim", "embed_dim", "samples_per_cluster"}
-_FILE_FIELDS = tuple(f for f in fields(PipelineConfig) if f.metadata)
-
-
 def _section_keys(section: str) -> set:
-    return {f.name for f in _FILE_FIELDS if f.metadata["section"] == section}
+    return {f.name for f in fields(PipelineConfig) if f.metadata["section"] == section}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -145,57 +149,52 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise InvalidSpecError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list of integers"}
 
 
 def _scalar(value, kind, key: str, default=MISSING):
-    """``value`` as ``kind``: a JSON string for str, a JSON number for int or
-    float (a bool is none, nor is a fraction an int), anything for object.
-    JSON null passes where it is the default; anything else raises."""
+    """``value`` as ``kind``: a JSON string for str, a number for int or float
+    (a bool is none, nor is a fraction an int), a list of integers, as a
+    tuple, for list, an object of exactly a dict kind's keys, each value of
+    its kind, for a dict, anything for object. Null passes where it is the
+    default; anything else raises."""
     if kind is object or value is None and default is None or kind is str and isinstance(value, str):
         return value
-    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float or isinstance(value, int) or value.is_integer():
             return kind(value)
+    if kind is list and isinstance(value, (list, tuple)):
+        return tuple(_scalar(v, int, key) for v in value)
+    if isinstance(kind, dict):
+        _reject_unknown(value, set(kind), key)
+        missing = set(kind) - set(value)
+        if missing:
+            raise InvalidSpecError(f"{key} needs keys: {sorted(missing)}")
+        return {k: _scalar(v, kind[k], f"{key}.{k}") for k, v in value.items()}
     raise InvalidSpecError(f"{key} must be {_KINDS[kind]}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    _reject_unknown(raw, _section_keys("") | {"name", "dataset", "network", "training", "wire"}, "config")
+    """The config a nested file describes: each field's key is found in its
+    section or takes its default. A null dataset source is refused by its
+    kind here, as PipelineConfig reads None as the source not named."""
+    _reject_unknown(raw, _section_keys("") | {"dataset", "network", "training", "wire"}, "config")
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or set(dataset) not in ({"generate"}, {"csv"}):
         raise InvalidSpecError("config needs dataset.generate {...} or dataset.csv <path>")
-    generate = dataset.get("generate")
-    if "generate" in dataset:
-        _reject_unknown(generate, _GENERATE_KEYS, "dataset.generate")
-        missing = _GENERATE_KEYS - set(generate)
-        if missing:
-            raise InvalidSpecError(f"dataset.generate needs keys: {sorted(missing)}")
-        generate = {k: _scalar(v, int, f"dataset.generate.{k}") for k, v in generate.items()}
-    sections = {"": raw, "training": raw.get("training", {})}
-    _reject_unknown(sections["training"], _section_keys("training"), "training")
-    network = raw.get("network", {})
-    _reject_unknown(network, {"hidden_dims"}, "network")
-    sections["wire"] = raw.get("wire", {})
-    _reject_unknown(sections["wire"], _section_keys("wire"), "wire")
-    hidden = network.get("hidden_dims")
-    if not isinstance(hidden, (list, type(None))):
-        raise InvalidSpecError(f"network.hidden_dims must be a list of integers, got {hidden!r}")
-    for f in _FILE_FIELDS:
-        if f.metadata["default"] is MISSING and f.name not in sections[f.metadata["section"]]:
-            raise InvalidSpecError(f"config needs {f.name!r} ({f.metadata['needs']})")
-    csv = _scalar(dataset["csv"], str, "dataset.csv") if "csv" in dataset else None
-    name = _scalar(raw.get("name"), str, "name", None)
-    if name is None:
-        name = "synthetic" if generate is not None else Path(csv).stem
-    if hidden is not None:
-        hidden = tuple(_scalar(v, int, "network.hidden_dims") for v in hidden)
+    source = next(f for f in fields(PipelineConfig) if f.name in dataset)
+    _scalar(dataset[source.name], source.metadata["kind"], f"dataset.{source.name}")
+    sections = {"": raw, "dataset": dataset}
+    for where in ("training", "network", "wire"):
+        sections[where] = raw.get(where, {})
+        _reject_unknown(sections[where], _section_keys(where), where)
     values = {}
-    for f in _FILE_FIELDS:
-        where, kind, default = f.metadata["section"], f.metadata["kind"], f.metadata["default"]
-        key = f"{where}.{f.name}" if where else f.name
-        values[f.name] = _scalar(sections[where].get(f.name, default), kind, key, default)
-    return PipelineConfig(name=name, generate=generate, csv=csv, hidden_dims=hidden, **values)
+    for f in fields(PipelineConfig):
+        section, default = sections[f.metadata["section"]], f.metadata["default"]
+        if default is MISSING and f.name not in section:
+            raise InvalidSpecError(f"config needs {f.name!r} ({f.metadata['needs']})")
+        values[f.name] = section.get(f.name, default)
+    return PipelineConfig(**values)
 
 
 def config_from_file(path) -> PipelineConfig:

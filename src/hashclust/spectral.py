@@ -353,9 +353,10 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     when LOBPCG does not converge), row-normalizes the embedding (zero rows
     stay zero), and runs seeded k-means (k-means++ starts, 10 restarts, 300
     iteration cap). Vertices with zero weighted degree go straight to cluster
-    0. A matrix-free book is made dense only for ``eigh``, which raises
-    ShapeError above DENSE_SOLVER_MAX_VERTICES. Deterministic for a
-    fixed seed.
+    0, except where k equals the vertex count: then vertex i is cluster i
+    (``arange(n)``), zero-degree vertices too. A matrix-free book is made
+    dense only for ``eigh``, which raises ShapeError above
+    DENSE_SOLVER_MAX_VERTICES. Deterministic for a fixed seed.
     """
     w, product, deg = _operator(graph)
     n = deg.size

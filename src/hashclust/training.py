@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import child_seed
-from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_positive_finite
+from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_integer, check_positive_finite
 from .loss import LossConfig, batch_loss
 from .network import NetworkParams, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
@@ -35,6 +35,10 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_rounds", "n_sites", "batch_size", "seed"):
+            check_integer(getattr(self, key), key)
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.n_rounds < 0:
             raise InvalidSpecError("n_rounds must be >= 0")
         if self.n_sites < 1:

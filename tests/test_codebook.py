@@ -334,3 +334,16 @@ def test_payload_with_unsorted_repeated_codes_merges_like_its_clean_twin():
     twin = book([(UNSORTED[0][0], 6), (UNSORTED[1][0], 3), (UNSORTED[3][0], 1)], origin="global")
     assert merge_codebooks([decoded]) == twin
     assert merge_codebooks([decoded]) == merge_codebooks([decode_codes_payload(encode_codes_payload(twin), 5)])
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [(lambda: merge_codebooks([]), InconsistentStateError, "no codebooks to merge"),
+     # two entries of 2.5 bytes each: the size does not divide
+     (lambda: decode_codes_payload(struct.pack(">I", 2) + bytes(5), 8), ShapeError,
+      "codebook payload has 9 bytes, expected 14")],
+    ids=["merge_of_no_books", "payload_of_a_fractional_entry"],
+)
+def test_codebook_refuses_no_books_and_a_payload_of_a_fractional_entry(call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call()

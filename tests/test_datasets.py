@@ -308,3 +308,44 @@ def test_csv_rejects_ragged_rows(tmp_path):
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n")
     with pytest.raises(ShapeError):
         load_csv(path)
+
+
+def _header_only_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("f0,label\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [(lambda tmp: make_dataset_spec(0, 4, 2, 10, seed=0), InvalidSpecError, "n_clusters must be >= 1, got 0"),
+     (lambda tmp: make_shard(np.zeros(3), np.zeros(3), 0), ShapeError, r"shard features must be 2-d, got shape \(3,\)"),
+     (lambda tmp: make_shard(np.zeros((3, 2)), np.zeros(2), 0), ShapeError, "features/labels disagree: 3 vs 2"),
+     (lambda tmp: shard_dataset(np.zeros((3, 2)), np.zeros(3), 0, 1, 0), InvalidSpecError, "n_sites must be >= 1, got 0"),
+     (lambda tmp: save_csv(tmp / "x.csv", np.zeros((3, 2)), np.zeros(2)), ShapeError,
+      "features/labels disagree: 3 vs 2"),
+     (lambda tmp: load_csv(_header_only_csv(tmp)), ShapeError, ".*empty.csv: no data rows")],
+    ids=["no_clusters", "shard_of_1d_features", "shard_of_fewer_labels", "no_sites", "csv_of_fewer_labels",
+         "csv_of_no_rows"],
+)
+def test_datasets_refuse_an_empty_or_mismatched_input(tmp_path, call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "n_sites, min_per_site, message",
+    [(2.5, 10, "n_sites must be an integer, got 2.5"),
+     (True, 10, "n_sites must be an integer, got True"),
+     (2, 2.5, "min_per_site must be an integer, got 2.5"),
+     (2, "10", "min_per_site must be an integer, got '10'")],
+)
+def test_shard_refuses_counts_that_are_not_integers(n_sites, min_per_site, message):
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        shard_dataset(np.arange(80.0).reshape(40, 2), np.zeros(40, dtype=int), n_sites, min_per_site, 0)
+
+
+def test_shard_takes_numpy_integer_counts():
+    x = np.arange(80.0).reshape(40, 2)
+    shards = shard_dataset(x, np.zeros(40, dtype=int), np.int64(2), np.int32(10), 0)
+    assert [len(s) for s in shards] == [len(s) for s in shard_dataset(x, np.zeros(40, dtype=int), 2, 10, 0)]

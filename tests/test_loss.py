@@ -229,3 +229,8 @@ def test_batch_grad_is_gradient_of_mean():
 def test_batch_requires_two_samples():
     with pytest.raises(ShapeError, match="^need at least 2 samples to form a pair$"):
         batch_loss(np.zeros((1, 2)), np.zeros((1, 3)), CFG11)
+
+
+def test_batch_loss_refuses_codes_of_another_batch_size():
+    with pytest.raises(ShapeError, match="^batch_x and batch_h disagree on batch size$"):
+        batch_loss(np.zeros((3, 2)), np.zeros((2, 4)), LossConfig())

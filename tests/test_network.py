@@ -402,3 +402,25 @@ def test_float32_grid_idempotent():
     g = as_float32_grid(v)
     assert np.array_equal(g, as_float32_grid(g))
     assert g.dtype == np.float64
+
+
+def _backward_of_a_wrong_shape():
+    params = init_network(mlp_spec(3, (4,), 2), seed=0)
+    _, trace = forward(params, np.zeros((5, 3)))
+    backward(trace, np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [(lambda: LayerSpec(0, 2, "relu"), InvalidSpecError,
+      r"layer dims must be positive: LayerSpec\(input_dim=0, output_dim=2, activation='relu'\)"),
+     (lambda: LayerSpec(2, 2, "sigmoid"), InvalidSpecError, "unknown activation 'sigmoid'"),
+     (lambda: NetworkParams(mlp_spec(3, (), 2), np.zeros(3)), ShapeError,
+      r"values has length \(3,\), expected \(8,\)"),
+     (lambda: param_count(()), InvalidSpecError, "layer list is empty"),
+     (_backward_of_a_wrong_shape, ShapeError, r"grad_h has shape \(5, 3\), outputs have \(5, 2\)")],
+    ids=["zero_width", "unknown_activation", "short_values", "no_layers", "backward_of_a_wrong_shape"],
+)
+def test_network_refuses_a_bad_layer_or_a_mismatched_shape(call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call()

@@ -151,9 +151,20 @@ def test_config_refuses_a_site_that_dials_port_0():
     assert config_from_dict(raw).listen == "127.0.0.1:0"
 
 
-# each file key: its refusal of JSON null (None where null is its default),
-# a value of the wrong kind and that value's refusal
+@pytest.mark.parametrize("key", ["clusters", "code_length"])
+def test_config_refuses_no_clusters_or_no_code_bits(key):
+    with pytest.raises(InvalidSpecError, match="^clusters and code_length must be >= 1$"):
+        config_from_dict({**make_raw(), key: 0})
+
+
+# each file key: its refusal of JSON null (None where null is the key's
+# absence), a value of the wrong kind and that value's refusal
 _NULL_AND_WRONG_KIND = {
+    "name": (None, 4, "name must be a string, got 4"),
+    "dataset.generate": ("dataset.generate must be a JSON object, got NoneType", [3],
+                         "dataset.generate must be a JSON object, got list"),
+    "dataset.csv": ("dataset.csv must be a string, got None", 4, "dataset.csv must be a string, got 4"),
+    "network.hidden_dims": (None, 0, "network.hidden_dims must be a list of integers, got 0"),
     "code_length": ("code_length must be an integer, got None", "4", "code_length must be an integer, got '4'"),
     "clusters": ("clusters must be an integer, got None", "4", "clusters must be an integer, got '4'"),
     "sites": ("sites must be an integer, got None", "4", "sites must be an integer, got '4'"),
@@ -178,23 +189,56 @@ _NULL_AND_WRONG_KIND = {
 }
 
 
-@pytest.mark.parametrize(
-    "field",
-    [f for f in dataclasses.fields(PipelineConfig) if f.metadata],
-    ids=lambda f: f.name,
-)
+@pytest.mark.parametrize("field", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
 def test_config_refuses_null_and_a_wrong_kind_by_the_schema(field):
     section = field.metadata["section"]
     key = f"{section}.{field.name}" if section else field.name
     null_message, wrong, wrong_message = _NULL_AND_WRONG_KIND[key]
     for value, message in ((None, null_message), (wrong, wrong_message)):
         raw = make_raw()
-        (raw.setdefault(section, {}) if section else raw)[field.name] = value
+        if section == "dataset":  # the file's one source
+            raw["dataset"] = {}
+        target = raw.setdefault(section, {}) if section else raw
+        target[field.name] = value
         if message is None:
-            assert getattr(config_from_dict(raw), field.name) is None
+            taken = config_from_dict(raw)
+            del target[field.name]
+            assert taken == config_from_dict(raw)
         else:
             with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
                 config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("rounds", 2.5, "training.rounds must be an integer, got 2.5"),
+     ("sites", True, "sites must be an integer, got True"),
+     ("clusters", "4", "clusters must be an integer, got '4'"),
+     ("learning_rate", "0.05", "training.learning_rate must be a number, got '0.05'"),
+     ("seed", 1.5, "seed must be an integer, got 1.5"),
+     ("hidden_dims", [8, "8"], "network.hidden_dims must be an integer, got '8'"),
+     ("generate", {"n_clusters": 3, "ambient_dim": 6, "samples_per_cluster": 40},
+      "dataset.generate needs keys: ['embed_dim']")],
+)
+def test_echo_and_overrides_refuse_a_value_as_the_file_does(name, value, message):
+    raw = make_raw()
+    section = next(f for f in dataclasses.fields(PipelineConfig) if f.name == name).metadata["section"]
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    echo = json.loads(json.dumps(config_from_dict(make_raw()).to_dict()))
+    cfg = PipelineConfig(**echo)
+    refusals = [lambda: config_from_dict(raw), lambda: PipelineConfig(**{**echo, name: value}),
+                lambda: apply_overrides(cfg, **{name: value}), lambda: dataclasses.replace(cfg, **{name: value})]
+    for refusal in refusals:
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            refusal()
+
+
+def test_echo_checks_the_dataset_source_and_derives_a_null_name():
+    echo = config_from_dict(make_raw()).to_dict()
+    with pytest.raises(InvalidSpecError, match=r"^dataset must be exactly one of 'generate' or 'csv'$"):
+        PipelineConfig(**{**echo, "generate": None})
+    assert PipelineConfig(**{**echo, "name": None}).name == "synthetic"
+    assert PipelineConfig(**{**echo, "name": None, "generate": None, "csv": "runs/blobs.csv"}).name == "blobs"
 
 
 def test_config_from_file(tmp_path):
@@ -299,6 +343,12 @@ def test_run_pipeline_writes_results(tmp_path):
     results = run_pipeline(cfg)
     on_disk = json.loads((tmp_path / "run" / "results.json").read_text())
     assert on_disk == json.loads(json.dumps(results))
+
+
+def test_run_pipeline_that_cannot_write_results_fails_in_the_write_phase(tmp_path):
+    (tmp_path / "run" / "results.json").mkdir(parents=True)
+    with pytest.raises(PipelineError, match=r"^write: .*results\.json'$"):
+        run_pipeline(apply_overrides(config_from_dict(make_raw(seed=1)), out=str(tmp_path / "run")))
 
 
 def test_rerun_from_results_config_echo(tmp_path):
@@ -741,6 +791,38 @@ def test_cli_generate_and_report(tmp_path, capsys):
     assert code == 0
     assert table.read_text().startswith("dataset,seed,mode")
     capsys.readouterr()
+
+
+def test_cli_wire_run_prints_each_site_and_the_coordinators_measured_bits(tmp_path, capsys):
+    raw = make_raw(seed=3, mode="wire", rounds=4)
+    raw["wire"] = {"timeout": 30.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    endpoint = f"127.0.0.1:{free_port()}"
+    runs = [["--listen", endpoint, "--out", str(tmp_path / "run")]]
+    runs += [["--connect", endpoint, "--site", str(i)] for i in range(2)]
+    codes = {}
+
+    def run(i):
+        codes[i] = main(["pipeline", "--config", str(cfg_path), *runs[i]])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert codes == {0: 0, 1: 0, 2: 0}
+    out = capsys.readouterr().out
+    bits = json.loads((tmp_path / "run" / "results.json").read_text())["ledger"]["measured_paper_bits"]
+    for line in ("site 0 finished", "site 1 finished", f"measured on wire: {bits} bits"):
+        assert line in out
+
+
+def test_cli_report_without_out_prints_its_rows_as_json(tmp_path, capsys):
+    results = tmp_path / "run" / "results.json"
+    run_pipeline(apply_overrides(config_from_dict(make_raw(seed=1)), out=str(results.parent)))
+    assert main(["report", str(results)]) == 0
+    assert capsys.readouterr().out == json.dumps(run_report([results]), indent=2) + "\n"
 
 
 def test_cli_config_error_returns_one(tmp_path, capsys):

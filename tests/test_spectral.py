@@ -629,6 +629,9 @@ def test_spectral_k_equals_n():
     w = np.ones((5, 5)) - np.eye(5)
     labels = spectral_cluster(w, 5, seed=0)
     assert sorted(labels.tolist()) == list(range(5))
+    # a zero-degree vertex too: k = n gives arange(n) before the degree rule
+    w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert spectral_cluster(w, 3, seed=0).tolist() == [0, 1, 2]
 
 
 def test_spectral_k_too_large():
@@ -1018,3 +1021,21 @@ def test_global_site_path_builds_no_code_objects(monkeypatch):
     assert labels_match_up_to_permutation(partition, groups)
     for b, labels in zip(books, per_site):
         assert np.array_equal(labels, _labels_by_code(partition, merged, b))
+
+
+def test_kmeans_refuses_a_cluster_count_outside_one_to_n():
+    for k in (0, 4):
+        with pytest.raises(InvalidSpecError, match=f"^k={k} incompatible with 3 points$"):
+            kmeans(np.zeros((3, 2)), k, 0)
+
+
+def test_spectral_refuses_a_matrix_that_is_not_square_and_a_partition_of_another_size():
+    with pytest.raises(ShapeError, match=r"^adjacency must be square, got \(2, 3\)$"):
+        spectral_cluster(np.zeros((2, 3)), 1, 0)
+    book = codebook_of([packed([1, -1, 1])], [3], 3)
+    with pytest.raises(ShapeError, match="^partition does not match the global codebook$"):
+        propagate_labels(np.zeros(2, dtype=int), book, [])
+
+
+def test_spectral_cluster_puts_every_vertex_of_all_zero_weights_in_cluster_0():
+    assert spectral_cluster(np.zeros((3, 3)), 2, 0).tolist() == [0, 0, 0]

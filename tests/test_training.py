@@ -279,3 +279,32 @@ def test_rer_averages_each_round_over_its_sites():
 def test_rer_of_no_rounds_raises():
     with pytest.raises(ShapeError):
         relative_error_ratio(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"n_rounds": 2.5}, "n_rounds must be an integer, got 2.5"),
+     ({"n_sites": 2.5}, "n_sites must be an integer, got 2.5"),
+     ({"batch_size": 4.5}, "batch_size must be an integer, got 4.5"),
+     ({"batch_size": True}, "batch_size must be an integer, got True"),
+     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+     ({"seed": -1}, "seed must be >= 0, got -1"),
+     ({"n_rounds": -1}, "n_rounds must be >= 0"),
+     ({"n_sites": 0}, "n_sites must be >= 1, got 0")],
+)
+def test_training_config_refuses_counts_and_seeds_that_are_not_nonnegative_integers(changes, message):
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        small_cfg(**changes)
+
+
+def test_training_config_takes_numpy_integers():
+    cfg = small_cfg(n_rounds=np.int64(3), seed=np.uint32(7))
+    assert cfg.n_rounds == 3 and cfg.seed == 7
+
+
+def test_training_refuses_no_gradients_and_a_shard_count_unlike_the_config():
+    params = init_network(mlp_spec(3, (), 2), seed=0)
+    with pytest.raises(ShapeError, match="^no gradients to merge$"):
+        global_merge(params, [], 0.05)
+    with pytest.raises(InvalidSpecError, match="^config says 2 sites but 1 shards supplied$"):
+        train([np.zeros((4, 3))], mlp_spec(3, (), 2), small_cfg(n_sites=2))

@@ -678,3 +678,23 @@ def test_parse_endpoint_rejects_garbage():
     for port in ("-1", "+80", " 80", "٣", "65536", "70000", "99999"):
         with pytest.raises(InvalidSpecError, match=r"not a number in \[0, 65535\]"):
             parse_endpoint(f"127.0.0.1:{port}")
+
+
+class _Huge:
+    """A payload that says it holds 2**31 bytes and holds none."""
+
+    def __len__(self):
+        return 1 << 31
+
+
+def test_send_frame_refuses_a_payload_at_the_frame_limit_before_it_sends():
+    with pytest.raises(ProtocolError, match="^payload of 2147483648 bytes exceeds the frame limit$"):
+        send_frame(None, TAG_PARAMS, _Huge())
+
+
+def test_a_site_whose_dial_is_refused_past_its_timeout_fails():
+    shards, net, cfg = small_setup()
+    start = time.monotonic()
+    with pytest.raises(ConnectionRefusedError):
+        run_sub_site("127.0.0.1", free_port(), 0, shards[0], net, cfg, timeout=0.2)
+    assert time.monotonic() - start >= 0.2
