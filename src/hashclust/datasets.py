@@ -38,6 +38,8 @@ class ClusterSpec:
     seed: int
 
     def __post_init__(self):
+        for key in ("ambient_dim", "embed_dim", "n_samples", "seed"):
+            check_integer(getattr(self, key), key)
         if self.ambient_dim < 2:
             # the shift range is 20 / ln(ambient_dim); ambient 1 would divide by 0
             raise InvalidSpecError(f"ambient_dim must be >= 2, got {self.ambient_dim}")
@@ -52,6 +54,7 @@ class ClusterSpec:
 
 def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, seed) -> tuple[ClusterSpec, ...]:
     """The ClusterSpecs of a uniform dataset, each seed spawned from ``seed``."""
+    check_integer(n_clusters, "n_clusters")
     if n_clusters < 1:
         raise InvalidSpecError(f"n_clusters must be >= 1, got {n_clusters}")
     return tuple(

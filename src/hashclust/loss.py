@@ -75,17 +75,13 @@ def _pair_tables(n: int):
     """The pairs of a batch of n, and each sample's terms in scatter order.
 
     ``ii``, ``jj`` are np.triu_indices(n, k=1): pair p is (ii[p], jj[p]).
-    ``order[:, r]`` indexes the stacked (per_pair, -per_pair) terms: first
+    ``order[:, r]`` indexes the stacked (per_pair, -per_pair) terms: a stable
+    sort of their owners, ii then jj, as in ``network.group_words``, lists
     r's pairs as i, by ascending j, then its pairs as j, negated, by
-    ascending i, n - 1 terms in all.
+    ascending i, n - 1 terms in all; C-ordered, so they sum slice by slice.
     """
     ii, jj = np.triu_indices(n, k=1)
-    p = np.arange(ii.size)
-    signed = np.empty((n, n), dtype=np.intp)
-    signed[ii, jj] = p
-    signed[jj, ii] = ii.size + p
-    r = np.arange(n)
-    order = signed[r, (r + 1 + np.arange(n - 1)[:, None]) % n]
+    order = np.argsort(np.concatenate([ii, jj]), kind="stable").reshape(n, n - 1).T.copy()
     for table in (ii, jj, order):
         table.flags.writeable = False
     return ii, jj, order

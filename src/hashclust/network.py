@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError
+from .errors import InvalidSpecError, ShapeError, check_integer
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -40,6 +40,8 @@ class LayerSpec:
     activation: str
 
     def __post_init__(self):
+        for key in ("input_dim", "output_dim"):
+            check_integer(getattr(self, key), key)
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidSpecError(f"layer dims must be positive: {self}")
         if self.activation not in ACTIVATIONS:

@@ -224,8 +224,9 @@ def _phase(name: str, timings: dict):
         timings[name] = time.perf_counter() - start
 
 
-def _output_dir(out) -> Path:
-    """``out`` as a directory path; a file there or in its way raises
+def _output_dir(out, *names) -> Path:
+    """``out`` as a directory path; a file there or in its way, or anything
+    but a file at one of the ``names`` the run will write in it, raises
     PipelineError, so that a run can refuse it before any data loads."""
     path = Path(out)
     for existing in (path, *path.parents):
@@ -233,6 +234,9 @@ def _output_dir(out) -> Path:
             if not existing.is_dir():
                 raise PipelineError(f"out: {existing} is a file, not a directory")
             break
+    for target in (path / name for name in names):
+        if target.exists() and not target.is_file():
+            raise PipelineError(f"out: {target} is not a file")
     return path
 
 
@@ -251,7 +255,7 @@ def run_generate(cfg: PipelineConfig):
         raise PipelineError("generate: config has no dataset.generate section")
     if cfg.out is None:
         raise PipelineError("generate: config needs 'out' (or the --out flag)")
-    out_dir = _output_dir(cfg.out)
+    out_dir = _output_dir(cfg.out, "dataset.csv", "manifest.json")
     timings: dict = {}
     with _phase("dataset", timings):
         samples, truth, clusters = _load_dataset(cfg)
@@ -304,7 +308,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     if cfg.site is not None:
         return _run_wire_site(cfg, timings)
 
-    out_dir = None if cfg.out is None else _output_dir(cfg.out)
+    out_dir = None if cfg.out is None else _output_dir(cfg.out, "results.json")
     n, shards, net_spec, tcfg = setup_run(cfg, timings)
 
     meter = None

@@ -14,7 +14,8 @@ the dense n x n weights. The graph is cut with the
 classic spectral relaxation (symmetric normalized Laplacian, k smallest
 eigenvectors, row-normalized embedding, k-means), which is what the cited
 method prescribes; each k-means step re-seeds the clusters it empties and
-then updates every centre with ``np.bincount`` (see ``kmeans``). The first
+then updates every centre with ``np.bincount`` (see ``kmeans``). A cut
+into one cluster needs neither: every vertex goes to cluster 0. The first
 eigenvector is known, D^{1/2} 1 normalized (von Luxburg, Stat. Comput. 2007,
 Prop. 3); the other k - 1 come from LOBPCG (Knyazev, SIAM J. Sci. Comput.
 2001), a block eigensolver that touches the graph only through products
@@ -37,7 +38,8 @@ in chunks of 256 columns).
 The product allocates three cube buffers once and reuses them for every
 column of every call: a scatter cube that holds zeros away from the codes'
 indices and that the transforms only read, so it is never cleared, and two
-that the stages write in turn. That costs
+that the stages write in turn. The stage matrices and the transformed kernel
+depend on L alone; they are made once and kept for the last L cut. That costs
 O(L * 2**L) per column against n**2 for the dense product, and is taken when
 it is the cheaper of the two and L <= TRANSFORM_MAX_CODE_LENGTH. Graphs
 under 5·k vertices (five times the cluster count), too small for a basis of
@@ -50,6 +52,8 @@ dense one, and the LOBPCG eigenvectors against the dense ones.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -75,7 +79,8 @@ DENSE_SOLVER_MAX_VERTICES = 2 ** 13
 # The Walsh-Hadamard product holds four float64 arrays over the 2**L code
 # cube for its lifetime, the transformed kernel and three cube buffers: 2 MB
 # at L = 16, 128 MB at this bound of L = 22 (the kernel is transformed in two,
-# before the cube buffers are made).
+# before the cube buffers are made). The transformed kernel of the last L cut
+# stays cached after the product is gone: 32 MB at this bound.
 TRANSFORM_MAX_CODE_LENGTH = 22
 
 # Entries of the dense weights computed at once, in whole rows. Beside W, a
@@ -181,6 +186,21 @@ def _fwht(src: np.ndarray, dst: np.ndarray, spare: np.ndarray, stages) -> tuple[
     return src, dst
 
 
+@functools.lru_cache(maxsize=1)
+def _cube_constants(length: int):
+    """(the transform stages, the kernel's Walsh-Hadamard spectrum) for L-bit
+    codes, read-only. They depend on L alone, so one cut's are the next
+    one's; the cache holds those of the last L, whose spectrum of 2**L
+    float64 takes 512 KB at L = 16 and at most 32 MB, at L = 22."""
+    size = 1 << length
+    stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
+    kernel = 1.0 / _divisors(length)[np.bitwise_count(np.arange(size))]
+    spectrum, _ = _fwht(kernel, np.empty(size), kernel, stages)
+    for table in (*stages, spectrum):
+        table.flags.writeable = False
+    return tuple(stages), spectrum
+
+
 def _transform_product(book: Codebook):
     """X -> W @ X without the n x n weights.
 
@@ -188,8 +208,9 @@ def _transform_product(book: Codebook):
     K is a convolution over the code cube Z_2^L, so the Walsh-Hadamard
     transform H diagonalizes it: K y = H (Hf * Hy) / 2**L. Each column of
     D X is scattered onto the cube, transformed, multiplied by Hf, transformed
-    back and gathered at the codes, then scaled by D / 2**L. The product
-    allocates three cube buffers once and reuses them for every column of
+    back and gathered at the codes, then scaled by D / 2**L. The stages and
+    Hf come from ``_cube_constants``. The product allocates three cube
+    buffers once and reuses them for every column of
     every call: the scatter cube, zero except at the codes' indices, which
     each column overwrites there and the transforms only read, and two that
     the transform stages write in turn. So one product must not run in two
@@ -197,11 +218,9 @@ def _transform_product(book: Codebook):
     """
     length = book.code_length
     size = 1 << length
-    stages = [_hadamard(4)] * (length // 4) + ([_hadamard(length % 4)] if length % 4 else [])
+    stages, spectrum = _cube_constants(length)
     # L <= TRANSFORM_MAX_CODE_LENGTH: one word, the code in its top L bits
     index = (book.codes[:, 0] >> (64 - length)).astype(np.intp)
-    kernel = 1.0 / _divisors(length)[np.bitwise_count(np.arange(size))]
-    spectrum, _ = _fwht(kernel, np.empty(size), kernel, stages)
     degrees = book.degrees.astype(np.float64)
     scatter, cube, other = np.zeros(size), np.empty(size), np.empty(size)
 
@@ -273,7 +292,7 @@ def _orthonormal_complement(r: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
-    """The k largest eigenvectors of M = D^{-1/2} W D^{-1/2}, or None.
+    """The k largest eigenvectors of M = D^{-1/2} W D^{-1/2}, k >= 2, or None.
 
     These are the eigenvectors of the k smallest eigenvalues of the
     normalized Laplacian I - M; they come back in that order, as columns.
@@ -301,8 +320,6 @@ def _lobpcg(product, inv_sqrt: np.ndarray, k: int):
     pos = inv_sqrt > 0
     top[pos, 0] = 1.0 / inv_sqrt[pos]
     top /= np.linalg.norm(top)
-    if k == 1:
-        return top
 
     def apply(x, out):
         np.multiply(inv_sqrt[:, None], product(inv_sqrt[:, None] * x), out=out)
@@ -354,7 +371,8 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     stay zero), and runs seeded k-means (k-means++ starts, 10 restarts, 300
     iteration cap). Vertices with zero weighted degree go straight to cluster
     0, except where k equals the vertex count: then vertex i is cluster i
-    (``arange(n)``), zero-degree vertices too. A matrix-free book is made
+    (``arange(n)``), zero-degree vertices too; else k = 1 puts every vertex
+    in cluster 0 with no embedding or k-means. A matrix-free book is made
     dense only for ``eigh``, which raises ShapeError above
     DENSE_SOLVER_MAX_VERTICES. Deterministic for a fixed seed.
     """
@@ -364,7 +382,7 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
         raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     if k == n:
         return np.arange(n)
-    if not (deg > 0).any():
+    if k == 1 or not (deg > 0).any():
         return np.zeros(n, dtype=np.int64)
     emb = _lobpcg(product, _inv_sqrt(deg), k) if n >= 5 * k else None
     if emb is None:

@@ -349,3 +349,26 @@ def test_shard_takes_numpy_integer_counts():
     x = np.arange(80.0).reshape(40, 2)
     shards = shard_dataset(x, np.zeros(40, dtype=int), np.int64(2), np.int32(10), 0)
     assert [len(s) for s in shards] == [len(s) for s in shard_dataset(x, np.zeros(40, dtype=int), 2, 10, 0)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: make_dataset_spec(3, 6.0, 2, 40, seed=0), "ambient_dim must be an integer, got 6.0"),
+     (lambda: make_dataset_spec(3, 6, True, 40, seed=0), "embed_dim must be an integer, got True"),
+     (lambda: make_dataset_spec(3, 6, 2, "40", seed=0), "n_samples must be an integer, got '40'"),
+     (lambda: make_dataset_spec(3.0, 6, 2, 40, seed=0), "n_clusters must be an integer, got 3.0"),
+     (lambda: make_dataset_spec(True, 6, 2, 40, seed=0), "n_clusters must be an integer, got True"),
+     (lambda: make_dataset_spec("3", 6, 2, 40, seed=0), "n_clusters must be an integer, got '3'"),
+     (lambda: ClusterSpec(ambient_dim=6, embed_dim=2, n_samples=40, seed=1.5), "seed must be an integer, got 1.5")],
+    ids=["float_ambient_dim", "bool_embed_dim", "string_n_samples",
+         "float_n_clusters", "bool_n_clusters", "string_n_clusters", "float_seed"],
+)
+def test_dataset_spec_refuses_sizes_that_are_not_integers(call, message):
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        call()
+
+
+def test_dataset_spec_takes_numpy_integers():
+    clusters = make_dataset_spec(np.int64(3), np.int32(6), np.int64(2), np.int16(40), seed=0)
+    assert clusters == make_dataset_spec(3, 6, 2, 40, seed=0)
+    assert np.array_equal(gen_dataset(clusters)[0], gen_dataset(make_dataset_spec(3, 6, 2, 40, seed=0))[0])

@@ -424,3 +424,22 @@ def _backward_of_a_wrong_shape():
 def test_network_refuses_a_bad_layer_or_a_mismatched_shape(call, kind, message):
     with pytest.raises(kind, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: mlp_spec(3.5, (), 2), "input_dim must be an integer, got 3.5"),
+     (lambda: mlp_spec(3, (True,), 2), "output_dim must be an integer, got True"),
+     (lambda: mlp_spec(3, (), "2"), "output_dim must be an integer, got '2'"),
+     (lambda: LayerSpec(2.0, 2, "relu"), "input_dim must be an integer, got 2.0")],
+    ids=["float_input_dim", "bool_hidden_width", "string_code_length", "float_layer_input"],
+)
+def test_layer_spec_refuses_widths_that_are_not_integers(call, message):
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        call()
+
+
+def test_layer_spec_takes_numpy_integers():
+    spec = mlp_spec(np.int64(3), (np.int32(4),), np.int64(2))
+    assert spec == mlp_spec(3, (4,), 2)
+    assert np.array_equal(init_network(spec, 0).values, init_network(mlp_spec(3, (4,), 2), 0).values)

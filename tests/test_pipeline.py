@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import json
 import re
 import socket
@@ -345,9 +346,12 @@ def test_run_pipeline_writes_results(tmp_path):
     assert on_disk == json.loads(json.dumps(results))
 
 
-def test_run_pipeline_that_cannot_write_results_fails_in_the_write_phase(tmp_path):
-    (tmp_path / "run" / "results.json").mkdir(parents=True)
-    with pytest.raises(PipelineError, match=r"^write: .*results\.json'$"):
+def test_run_pipeline_that_cannot_write_results_fails_in_the_write_phase(tmp_path, monkeypatch):
+    def full_disk(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(pipeline.Path, "write_text", full_disk)
+    with pytest.raises(PipelineError, match=r"^write: \[Errno 28\] No space left on device: '.*results\.json'$"):
         run_pipeline(apply_overrides(config_from_dict(make_raw(seed=1)), out=str(tmp_path / "run")))
 
 
@@ -982,6 +986,20 @@ def test_cli_out_that_names_a_file_fails_before_data(tmp_path, capsys, no_data, 
     err = capsys.readouterr().err
     assert err == f"error: out: {taken} is a file, not a directory\n"
     assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("pipeline", "results.json"), ("generate", "dataset.csv"), ("generate", "manifest.json")],
+)
+def test_cli_out_whose_output_is_not_a_file_fails_before_data(tmp_path, capsys, no_data, command, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw()))
+    taken = tmp_path / "run" / name
+    taken.mkdir(parents=True)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: out: {taken} is not a file\n"
+    assert list(taken.parent.iterdir()) == [taken]  # nothing else was written
 
 
 @pytest.mark.parametrize("command", ["pipeline", "generate"])

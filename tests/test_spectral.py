@@ -362,15 +362,26 @@ def _known_top(deg):
     return top / np.linalg.norm(top)
 
 
-def test_lobpcg_k1_returns_the_known_top_without_a_product():
-    w, _ = planted_two_cluster(np.random.default_rng(13), 9)
+@pytest.mark.parametrize("graph_kind", ["book", "dense"])
+def test_one_cluster_puts_every_vertex_in_cluster_0_without_a_solver(graph_kind, monkeypatch):
+    if graph_kind == "book":
+        graph = build_graph(planted_codebook(np.random.default_rng(13), 2, 60)[0])
+    else:
+        graph, _ = planted_two_cluster(np.random.default_rng(13), 9)
 
-    def no_product(x):
-        raise AssertionError("W was applied")
+    def refuse(name):
+        def ran(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
 
-    emb = spectral._lobpcg(no_product, spectral._inv_sqrt(w.sum(axis=1)), 1)
-    assert emb.shape == (9, 1)
-    assert np.array_equal(emb[:, 0], _known_top(w.sum(axis=1)))
+        return ran
+
+    monkeypatch.setattr(spectral, "_lobpcg", refuse("_lobpcg"))
+    monkeypatch.setattr(np.linalg, "eigh", refuse("eigh"))
+    monkeypatch.setattr(spectral, "kmeans", refuse("kmeans"))
+    for seed in (0, 1):
+        labels = spectral_cluster(graph, 1, seed)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.zeros(len(graph), dtype=np.int64))
 
 
 def _graph_with_isolated_vertices():
@@ -514,6 +525,9 @@ def _set_self_divisor(monkeypatch, self_divisor):
     monkeypatch.setattr(
         spectral, "_divisors", lambda length: np.concatenate([[self_divisor], shipped(length)[1:]])
     )
+    # the transformed kernel is cached per L from the shipped table: bypass
+    # the cache, so that it neither serves nor keeps a spectrum of this one
+    monkeypatch.setattr(spectral, "_cube_constants", spectral._cube_constants.__wrapped__)
 
 
 @_over_self_divisors("length", [(1,), (3,), (8,), (13,), (16,), (17,), (22,)])
@@ -554,6 +568,19 @@ def test_transform_degrees_equal_dense_row_sums(length, self_divisor, monkeypatc
     w, _, deg = spectral._operator(graph)
     assert w is None
     assert np.all(np.abs(deg - expect) <= 1e-13 * expect)
+
+
+def test_cube_constants_are_made_once_per_length_and_read_only():
+    first, _ = _random_graph(16)
+    second = build_graph(planted_codebook(np.random.default_rng(12), 4, 1000)[0])
+    held = [
+        dict(zip(p.__code__.co_freevars, (cell.cell_contents for cell in p.__closure__)))
+        for p in map(spectral._transform_product, (first, second))
+    ]
+    assert held[0]["spectrum"] is held[1]["spectrum"]
+    assert all(a is b for a, b in zip(held[0]["stages"], held[1]["stages"]))
+    for table in (held[0]["spectrum"], *held[0]["stages"]):
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("length", [13, 16])
