@@ -14,8 +14,8 @@ key ``(key,)``. The streams are a phase of the master seed
 training seed (a uint64 word, ``training.local_round``).
 
 Sharding splits a dataset across sites at random while guaranteeing a
-minimum per-site size. Every shard carries its own min-max normalization
-computed from local data only, so no statistics cross site boundaries.
+minimum per-site size. A shard's features are min-max normalized when it is
+made, from local data only, so no statistics cross site boundaries.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer
+from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,9 @@ class ClusterSpec:
     seed: int
 
     def __post_init__(self):
-        for key in ("ambient_dim", "embed_dim", "n_samples", "seed"):
+        for key in ("ambient_dim", "embed_dim", "n_samples"):
             check_integer(getattr(self, key), key)
+        check_seed(self.seed, "seed")
         if self.ambient_dim < 2:
             # the shift range is 20 / ln(ambient_dim); ambient 1 would divide by 0
             raise InvalidSpecError(f"ambient_dim must be >= 2, got {self.ambient_dim}")
@@ -57,6 +58,7 @@ def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, s
     check_integer(n_clusters, "n_clusters")
     if n_clusters < 1:
         raise InvalidSpecError(f"n_clusters must be >= 1, got {n_clusters}")
+    check_seed(seed, "seed")
     return tuple(
         ClusterSpec(
             ambient_dim=ambient_dim,
@@ -107,36 +109,25 @@ def gen_dataset(clusters):
 
 @dataclass(frozen=True)
 class Shard:
-    """One site's slice of the dataset plus its local normalization.
-
-    ``normalized`` rescales each feature to [0, 1] using minima/ranges
-    computed from this shard alone; constant features map to 0. It is
-    computed on first use and kept as one read-only array, since every
-    training round reads it.
-    """
+    """One site's slice of the dataset. ``x`` is its features scaled to [0, 1]
+    by minima and ranges of this shard alone (a constant feature to 0), one
+    read-only array; ``normalized`` is that same array."""
 
     x: np.ndarray
     labels: np.ndarray
     site_index: int
-    feature_min: np.ndarray
-    feature_range: np.ndarray
 
     @property
     def normalized(self) -> np.ndarray:
-        cached = self.__dict__.get("_normalized")
-        if cached is None:
-            safe = np.where(self.feature_range > 0, self.feature_range, 1.0)
-            cached = (self.x - self.feature_min) / safe
-            cached.flags.writeable = False
-            object.__setattr__(self, "_normalized", cached)
-        return cached
+        return self.x
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
 def make_shard(x, labels, site_index) -> Shard:
-    """One site's shard; no samples, or a feature range that is not finite, raises ShapeError."""
+    """One site's shard: ``x`` normalized into a new array, ``x`` unchanged; no
+    samples, or a feature range that is not finite, raises ShapeError."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     if x.ndim != 2:
@@ -154,13 +145,9 @@ def make_shard(x, labels, site_index) -> Shard:
     if wide.size:
         j = int(wide[0])
         raise ShapeError(f"feature {j} spans {fmin[j]} to {fmax[j]}: its range is not a finite number")
-    return Shard(
-        x=x,
-        labels=labels,
-        site_index=site_index,
-        feature_min=fmin,
-        feature_range=frange,
-    )
+    normalized = (x - fmin) / np.where(frange > 0, frange, 1.0)
+    normalized.flags.writeable = False
+    return Shard(x=normalized, labels=labels, site_index=site_index)
 
 
 def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
@@ -176,6 +163,7 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
         raise ShapeError(f"features/labels disagree: {n} vs {labels.shape[0]}")
     check_integer(n_sites, "n_sites")
     check_integer(min_per_site, "min_per_site")
+    check_seed(seed, "seed")
     if n_sites < 1:
         raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
     if min_per_site < 1:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of a real-valued
-setting and of a count. Every refusal is a HashClustError: InvalidSpecError,
-ShapeError, InconsistentStateError, PipelineError or ProtocolError."""
+setting, of a count and of a seed. Every refusal is a HashClustError:
+InvalidSpecError, ShapeError, InconsistentStateError, PipelineError or
+ProtocolError."""
 
 import numbers
 
@@ -56,3 +57,10 @@ def check_integer(value, name: str) -> None:
     """Refuse a count or seed that is not an integer; a bool is none."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(value, name: str) -> None:
+    """Refuse a seed that is not an integer, or is negative."""
+    check_integer(value, name)
+    if value < 0:
+        raise InvalidSpecError(f"{name} must be >= 0, got {value}")

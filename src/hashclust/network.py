@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer
+from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -106,28 +106,21 @@ def param_count(params) -> int:
     return sum(l.input_dim * l.output_dim + l.output_dim for l in layers)
 
 
-def as_float32_grid(values: np.ndarray) -> np.ndarray:
-    """Round to the nearest float32 and return as float64.
-
-    Applied wherever a value crosses (or could cross) the wire, since the
-    transfer format is float32.
-    """
-    return np.asarray(values, dtype=np.float64).astype(np.float32).astype(np.float64)
-
-
 def init_network(spec, seed: int) -> NetworkParams:
     """Random initialization: per-layer uniform weights in +-1/sqrt(fan_in), zero biases.
 
     Deterministic for a fixed seed. The scale keeps the tanh head away from
-    saturation at the start of training.
+    saturation at the start of training. The weights are drawn into a float32
+    vector, which rounds them onto the grid the wire carries.
     """
     layers = validate_spec(spec)
+    check_seed(seed, "seed")
     rng = np.random.default_rng(seed)
-    values = np.zeros(param_count(layers))
+    values = np.zeros(param_count(layers), dtype=np.float32)
     for w, _ in _split(layers, values):
         bound = 1.0 / np.sqrt(len(w))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return NetworkParams(layers=layers, values=as_float32_grid(values))
+    return NetworkParams(layers=layers, values=values)
 
 
 def _split(layers, values):

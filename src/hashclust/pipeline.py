@@ -31,7 +31,7 @@ import numpy as np
 from . import codebook
 from .codebook import encode_shard, merge_codebooks
 from .datasets import child_seed, gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
-from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_positive_finite
+from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_positive_finite, check_seed
 from .loss import LossConfig
 from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
@@ -99,8 +99,7 @@ class PipelineConfig:
             raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {self.mode!r}")
         if self.clusters < 1 or self.code_length < 1:
             raise InvalidSpecError("clusters and code_length must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "seed")
         if (self.site is None) != (self.connect is None):
             raise InvalidSpecError("'site' and 'connect' only make sense together: a site dials the coordinator")
         if self.listen is not None and self.connect is not None:
@@ -401,40 +400,36 @@ def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
     if not 0 <= cfg.site < cfg.sites:
         raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
     _n, shards, net_spec, tcfg = setup_run(cfg, timings)
+    shard = shards[cfg.site]
+    del shards  # the other sites' features are freed before training
     host, port = parse_endpoint(cfg.connect)
     with _phase("train", timings):
-        run_sub_site(host, port, cfg.site, shards[cfg.site], net_spec, tcfg, timeout=cfg.timeout)
+        run_sub_site(host, port, cfg.site, shard, net_spec, tcfg, timeout=cfg.timeout)
     return {"name": cfg.name, "mode": "wire", "role": "site", "site": cfg.site, "timings": timings}
-
-
-def _typed(value, kinds, what: str, key: str):
-    """``value`` if it is one of ``kinds`` and not a bool; else InvalidSpecError names ``key``."""
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        return value
-    raise InvalidSpecError(f"{key} must be {what}, got {value!r}")
 
 
 def run_report(result_paths, out_path=None):
     """Tabulate runs: one row each, sorted by dataset name then seed.
 
-    The cost column is megabytes, bits / (8 * 2**20). Returns the rows;
-    writes CSV to out_path when given, quoting a name that needs it.
+    The cost column is megabytes, bits / (8 * 2**20). Each field is read as
+    the config reads a value (``_scalar``). Returns the rows; writes CSV to
+    out_path when given, quoting a name that needs it.
     """
     rows = []
     for path in result_paths:
         try:
             with open(path) as fh:
                 res = json.load(fh)
-            bits = _typed(res["ledger"]["total_bits"], (int, float), "a number", "ledger.total_bits")
+            bits = _scalar(res["ledger"]["total_bits"], int, "ledger.total_bits")
             if res["mode"] not in ("sim", "wire"):
                 raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {res['mode']!r}")
             rows.append(
                 {
-                    "dataset": _typed(res["name"], str, "a string", "name"),
-                    "seed": _typed(res["seed"], int, "an integer", "seed"),
+                    "dataset": _scalar(res["name"], str, "name"),
+                    "seed": _scalar(res["seed"], int, "seed"),
                     "mode": res["mode"],
-                    "purity": _typed(res["purity"], (int, float), "a number", "purity"),
-                    "nmi": _typed(res["nmi"], (int, float), "a number", "nmi"),
+                    "purity": _scalar(res["purity"], float, "purity"),
+                    "nmi": _scalar(res["nmi"], float, "nmi"),
                     "total_bits": bits,
                     "megabytes": bits / (8 * 2 ** 20),
                 }

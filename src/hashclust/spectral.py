@@ -58,7 +58,7 @@ import functools
 import numpy as np
 
 from .codebook import Codebook
-from .errors import InconsistentStateError, InvalidSpecError, ShapeError
+from .errors import InconsistentStateError, InvalidSpecError, ShapeError, check_integer, check_seed
 from .kmeans import kmeans
 from .network import group_words
 
@@ -378,6 +378,8 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """
     w, product, deg = _operator(graph)
     n = deg.size
+    check_integer(k, "k")
+    check_seed(seed, "seed")
     if k < 1 or k > n:
         raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     if k == n:

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from hashclust.datasets import (
     shard_dataset,
 )
 from hashclust.errors import InvalidSpecError, ShapeError
+
+from conftest import BAD_SEEDS
 
 
 def replay_transform_and_shift(spec: ClusterSpec):
@@ -128,19 +133,21 @@ def test_shard_single_site_gets_everything():
     assert len(shards[0]) == 30
 
 
+def normalize(rows):
+    """Min-max scale each column of ``rows`` by its own minimum and range."""
+    low = rows.min(axis=0)
+    span = rows.max(axis=0) - low
+    return (rows - low) / np.where(span > 0, span, 1.0)
+
+
 def test_shards_partition_dataset():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(57, 2))
-    labels = rng.integers(0, 3, 57)
-    shards = shard_dataset(x, labels, 3, min_per_site=10, seed=4)
-    assert sum(len(s) for s in shards) == 57
-    rows = np.concatenate([s.x for s in shards])
-    assert np.array_equal(np.sort(rows.sum(axis=1)), np.sort(x.sum(axis=1)))
-    # labels travel with their samples
+    # each label is its row's index, so a shard's labels say which rows it holds
+    shards = shard_dataset(x, np.arange(57), 3, min_per_site=10, seed=4)
+    assert np.array_equal(np.sort(np.concatenate([s.labels for s in shards])), np.arange(57))
     for shard in shards:
-        for row, lab in zip(shard.x, shard.labels):
-            matches = np.where(np.isclose(x, row).all(axis=1))[0]
-            assert lab in labels[matches]
+        assert np.array_equal(shard.x, normalize(x[shard.labels]))
 
 
 def test_shard_min_size_respected():
@@ -186,8 +193,9 @@ def test_shard_keeps_a_finite_range_up_to_the_largest_float():
     big = np.finfo(np.float64).max
     x = np.array([[0.0, -big / 2], [big, big / 2], [1.0, 0.0]])
     shard = make_shard(x, np.zeros(3, dtype=int), 0)
-    assert np.array_equal(shard.feature_range, x.max(axis=0) - x.min(axis=0))
-    assert np.array_equal(shard.feature_range, [big, big])
+    # both ranges are exactly big, so nothing overflows and nothing is clipped
+    assert np.array_equal(shard.x, [[0.0, 0.0], [1.0, 1.0], [1.0 / big, 0.5]])
+    assert np.array_equal(shard.x, normalize(x))
 
 
 def test_shard_refuses_an_empty_feature_table():
@@ -223,12 +231,12 @@ def test_shard_normalized_is_one_read_only_array():
     x[:, 2] = 7.0
     shard = make_shard(x, np.zeros(30, dtype=int), 0)
     z = shard.normalized
-    assert shard.normalized is z
+    assert z is shard.x and shard.normalized is z
     assert not z.flags.writeable
     with pytest.raises(ValueError):
         z[0, 0] = 0.5
-    safe = np.where(shard.feature_range > 0, shard.feature_range, 1.0)
-    assert np.array_equal(z, (x - shard.feature_min) / safe)
+    assert [f.name for f in dataclasses.fields(Shard)] == ["x", "labels", "site_index"]
+    assert np.array_equal(z, normalize(x))
 
 
 def test_shard_constant_feature_maps_to_zero():
@@ -240,9 +248,32 @@ def test_shard_constant_feature_maps_to_zero():
 def test_normalization_constants_are_local():
     x = np.array([[0.0, 10.0], [1.0, 20.0], [0.5, 15.0]])
     shard = make_shard(x, np.zeros(3, dtype=int), 2)
-    assert np.array_equal(shard.feature_min, np.array([0.0, 10.0]))
-    assert np.array_equal(shard.feature_range, np.array([1.0, 10.0]))
+    assert np.array_equal(shard.x, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     assert shard.site_index == 2
+    # the same rows in other shards are scaled by those shards' rows alone
+    assert np.array_equal(make_shard(x[1:], np.zeros(2, dtype=int), 0).x, [[1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(make_shard(x[2:], np.zeros(1, dtype=int), 0).x, [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_make_shard_leaves_its_input_and_spans_exactly_zero_to_one(seed):
+    rng = np.random.default_rng(seed)
+    big = np.finfo(np.float64).max
+    n = 40
+    x = np.column_stack([
+        np.full(n, rng.normal()),  # constant
+        1.0 + rng.integers(0, 4, n) * np.finfo(np.float64).eps,  # a range of a few ulps
+        rng.integers(1, 7, n) * 5e-324,  # subnormal values, a range of a few of the least float
+        rng.uniform(-big / 2, big / 2, n),  # a range near the largest float
+        rng.normal(size=n) * 1e3,
+    ])
+    x[0, 3], x[1, 3] = -big / 2, big / 2
+    before = x.copy()
+    shard = make_shard(x, np.zeros(n, dtype=int), 0)
+    assert np.array_equal(x, before)
+    assert shard.x is not x
+    assert np.array_equal(shard.x.min(axis=0), np.zeros(5))
+    assert np.array_equal(shard.x.max(axis=0), [0.0, 1.0, 1.0, 1.0, 1.0])
 
 
 # --- csv ---
@@ -347,8 +378,9 @@ def test_shard_refuses_counts_that_are_not_integers(n_sites, min_per_site, messa
 
 def test_shard_takes_numpy_integer_counts():
     x = np.arange(80.0).reshape(40, 2)
-    shards = shard_dataset(x, np.zeros(40, dtype=int), np.int64(2), np.int32(10), 0)
-    assert [len(s) for s in shards] == [len(s) for s in shard_dataset(x, np.zeros(40, dtype=int), 2, 10, 0)]
+    shards = shard_dataset(x, np.arange(40), np.int64(2), np.int32(10), np.uint64(9))
+    expect = shard_dataset(x, np.arange(40), 2, 10, 9)
+    assert all(np.array_equal(s.labels, t.labels) for s, t in zip(shards, expect))
 
 
 @pytest.mark.parametrize(
@@ -368,7 +400,26 @@ def test_dataset_spec_refuses_sizes_that_are_not_integers(call, message):
         call()
 
 
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_dataset_spec_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        make_dataset_spec(3, 6, 2, 40, seed=seed)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_cluster_spec_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        ClusterSpec(6, 2, 40, seed=seed)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_shard_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        shard_dataset(np.arange(20.0).reshape(10, 2), np.zeros(10, dtype=int), 2, 5, seed)
+
+
 def test_dataset_spec_takes_numpy_integers():
-    clusters = make_dataset_spec(np.int64(3), np.int32(6), np.int64(2), np.int16(40), seed=0)
+    clusters = make_dataset_spec(np.int64(3), np.int32(6), np.int64(2), np.int16(40), seed=np.uint32(0))
+    assert ClusterSpec(6, 2, 40, seed=np.int64(7)) == ClusterSpec(6, 2, 40, seed=7)
     assert clusters == make_dataset_spec(3, 6, 2, 40, seed=0)
     assert np.array_equal(gen_dataset(clusters)[0], gen_dataset(make_dataset_spec(3, 6, 2, 40, seed=0))[0])

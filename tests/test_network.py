@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hashclust.network import (
     ForwardTrace,
     LayerSpec,
     NetworkParams,
-    as_float32_grid,
     backward,
     code_words,
     forward,
@@ -22,6 +23,7 @@ from hashclust.network import (
 from hashclust.training import global_merge
 from hashclust.wire import deserialize_params, serialize_params, serialize_values, write_blob
 
+from conftest import BAD_SEEDS
 from oracles import (
     activations,
     binarize,
@@ -114,6 +116,18 @@ def test_init_draws_each_layers_weights_then_zero_biases_bitwise(hidden):
 def test_init_values_on_float32_grid():
     params = tiny_params(seed=9)
     assert np.array_equal(params.values, params.values.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_init_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        init_network(mlp_spec(3, (), 2), seed)
+
+
+def test_init_takes_numpy_integer_seeds():
+    spec = mlp_spec(3, (4,), 2)
+    for seed in (np.uint32(5), np.int64(5), np.uint64(5)):
+        assert np.array_equal(init_network(spec, seed).values, init_network(spec, 5).values)
 
 
 # --- forward ---
@@ -395,13 +409,6 @@ def test_serialize_values_rejects_another_length(delta):
     n = param_count(params)
     with pytest.raises(ShapeError, match=rf"values have shape \({n + delta},\), expected \({n},\)"):
         serialize_values(params, np.zeros(n + delta))
-
-
-def test_float32_grid_idempotent():
-    v = np.array([0.1, 1.0 / 3.0, -2.5e-8])
-    g = as_float32_grid(v)
-    assert np.array_equal(g, as_float32_grid(g))
-    assert g.dtype == np.float64
 
 
 def _backward_of_a_wrong_shape():

@@ -2,11 +2,13 @@ import copy
 import csv
 import dataclasses
 import errno
+import gc
 import json
 import re
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -605,6 +607,29 @@ def test_wire_site_index_out_of_range():
         run_pipeline(config_from_dict(raw))
 
 
+def test_connect_site_keeps_only_its_own_shard_while_it_trains(monkeypatch):
+    made = []
+
+    def setup_run(cfg, timings=None):
+        n, shards, net_spec, tcfg = pipeline_setup_run(cfg, timings)
+        made.extend(weakref.ref(s) for s in shards)
+        return n, shards, net_spec, tcfg
+
+    def run_sub_site(host, port, site, shard, net_spec, tcfg, timeout):
+        gc.collect()
+        alive = [ref() for ref in made]
+        assert [s is not None for s in alive] == [i == site for i in range(3)]
+        assert alive[site] is shard
+
+    pipeline_setup_run = pipeline.setup_run
+    monkeypatch.setattr(pipeline, "setup_run", setup_run)
+    monkeypatch.setattr(pipeline, "run_sub_site", run_sub_site)
+    raw = make_raw(mode="wire", sites=3)
+    raw["wire"] = {"connect": "127.0.0.1:1", "site": 1, "timeout": 1.0}
+    assert run_pipeline(config_from_dict(raw))["site"] == 1
+    assert len(made) == 3
+
+
 def test_site_with_another_site_count_fails_fast():
     """A site configured for 3 sites names index 2 to a 2-site coordinator:
     both ends fail at once instead of waiting out their timeouts."""
@@ -733,7 +758,8 @@ def test_run_report_rejects_malformed(tmp_path):
         ("seed", True, "seed must be an integer, got True"),
         ("purity", "0.9", "purity must be a number, got '0.9'"),
         ("nmi", None, "nmi must be a number, got None"),
-        ("total_bits", False, "ledger.total_bits must be a number, got False"),
+        ("total_bits", False, "ledger.total_bits must be an integer, got False"),
+        ("total_bits", 1024.5, "ledger.total_bits must be an integer, got 1024.5"),
         ("mode", "Wire", "mode must be 'sim' or 'wire', got 'Wire'"),
         ("mode", None, "mode must be 'sim' or 'wire', got None"),
     ],
@@ -750,6 +776,17 @@ def test_cli_report_refuses_a_wrongly_typed_field(tmp_path, capsys, key, value, 
     assert main(["report", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: report: {bad}: {reason}\n"
+
+
+def test_report_reads_each_field_as_the_config_reads_it(tmp_path):
+    # a whole number written as a float is an integer, as a config file takes it
+    p = tmp_path / "r.json"
+    res = dict(fake_result("d", 2.0, 8 * 2 ** 20 * 1.0), purity=1)
+    p.write_text(json.dumps(res))
+    (row,) = run_report([str(p)])
+    assert (row["seed"], row["total_bits"], row["purity"]) == (2, 8 * 2 ** 20, 1.0)
+    assert [type(row[k]) for k in ("seed", "total_bits", "purity")] == [int, int, float]
+    assert config_from_dict(dict(make_raw(), seed=2.0)).seed == row["seed"]
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])

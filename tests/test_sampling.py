@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hashclust.network import (
 )
 from hashclust.sampling import BucketIndex, build_buckets, select_batch
 
+from conftest import BAD_COUNTS, BAD_SEEDS
 from oracles import binarize, hamming_sum, pack_bits_batch, packed, unpacked, word_bytes
 
 
@@ -198,3 +201,24 @@ def test_select_batch_rejects_batch_size_below_one(batch_size):
     buckets = build_buckets(zero_net(2, 3), np.zeros((1, 2)))
     with pytest.raises(InvalidSpecError, match="^batch_size must be >= 1$"):
         select_batch(buckets, batch_size, 0)
+
+
+@pytest.mark.parametrize("batch_size, message", BAD_COUNTS)
+def test_select_batch_refuses_a_batch_size_that_is_not_an_integer(batch_size, message):
+    buckets = build_buckets(zero_net(2, 3), np.zeros((4, 2)))
+    with pytest.raises(InvalidSpecError, match=f"^batch_size {re.escape(message)}$"):
+        select_batch(buckets, batch_size, 0)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_select_batch_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    buckets = build_buckets(zero_net(2, 3), np.zeros((4, 2)))
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        select_batch(buckets, 2, seed)
+
+
+def test_select_batch_takes_numpy_integers():
+    buckets = cube_buckets(per_bucket=3)
+    expect = select_batch(buckets, 5, 7)
+    for batch_size, seed in [(np.int64(5), np.uint64(7)), (np.int32(5), np.uint32(7))]:
+        assert np.array_equal(select_batch(buckets, batch_size, seed), expect)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from hashclust.spectral import (
 )
 
 import oracles
+from conftest import BAD_COUNTS, BAD_SEEDS
 from oracles import (
     InvalidPartitionError,
     OracleSizeError,
@@ -1054,6 +1057,39 @@ def test_kmeans_refuses_a_cluster_count_outside_one_to_n():
     for k in (0, 4):
         with pytest.raises(InvalidSpecError, match=f"^k={k} incompatible with 3 points$"):
             kmeans(np.zeros((3, 2)), k, 0)
+
+
+@pytest.mark.parametrize("k, message", BAD_COUNTS)
+def test_kmeans_refuses_a_cluster_count_that_is_not_an_integer(k, message):
+    with pytest.raises(InvalidSpecError, match=f"^k {re.escape(message)}$"):
+        kmeans(np.arange(8.0).reshape(4, 2), k, 0)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_kmeans_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        kmeans(np.arange(8.0).reshape(4, 2), 2, seed)
+
+
+@pytest.mark.parametrize("k, message", BAD_COUNTS)
+def test_spectral_cluster_refuses_a_cluster_count_that_is_not_an_integer(k, message):
+    with pytest.raises(InvalidSpecError, match=f"^k {re.escape(message)}$"):
+        spectral_cluster(planted_codebook(np.random.default_rng(0), 2, 6)[0], k, 0)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_spectral_cluster_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        spectral_cluster(planted_codebook(np.random.default_rng(0), 2, 6)[0], 2, seed)
+
+
+def test_kmeans_and_spectral_cluster_take_numpy_integers():
+    points = np.random.default_rng(3).normal(size=(30, 2))
+    labels, inertia = kmeans(points, 3, 11)
+    got_labels, got_inertia = kmeans(points, np.int64(3), np.uint32(11))
+    assert np.array_equal(got_labels, labels) and got_inertia == inertia
+    book = planted_codebook(np.random.default_rng(0), 2, 6)[0]
+    assert np.array_equal(spectral_cluster(book, np.int32(2), np.uint64(5)), spectral_cluster(book, 2, 5))
 
 
 def test_spectral_refuses_a_matrix_that_is_not_square_and_a_partition_of_another_size():
