@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
+from .errors import InvalidSpecError, ShapeError, check_integer
 
 
 @dataclass(frozen=True)
@@ -38,27 +38,20 @@ class ClusterSpec:
     seed: int
 
     def __post_init__(self):
-        for key in ("ambient_dim", "embed_dim", "n_samples"):
-            check_integer(getattr(self, key), key)
-        check_seed(self.seed, "seed")
-        if self.ambient_dim < 2:
-            # the shift range is 20 / ln(ambient_dim); ambient 1 would divide by 0
-            raise InvalidSpecError(f"ambient_dim must be >= 2, got {self.ambient_dim}")
-        if not 1 <= self.embed_dim <= self.ambient_dim:
+        # the shift range is 20 / ln(ambient_dim); ambient 1 would divide by 0
+        for key, least in (("ambient_dim", 2), ("embed_dim", 1), ("n_samples", 1), ("seed", 0)):
+            check_integer(getattr(self, key), key, least)
+        if self.embed_dim > self.ambient_dim:
             raise InvalidSpecError(
                 f"embed_dim must lie in [1, ambient_dim], got {self.embed_dim} "
                 f"with ambient_dim {self.ambient_dim}"
             )
-        if self.n_samples < 1:
-            raise InvalidSpecError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 def make_dataset_spec(n_clusters, ambient_dim, embed_dim, samples_per_cluster, seed) -> tuple[ClusterSpec, ...]:
     """The ClusterSpecs of a uniform dataset, each seed spawned from ``seed``."""
-    check_integer(n_clusters, "n_clusters")
-    if n_clusters < 1:
-        raise InvalidSpecError(f"n_clusters must be >= 1, got {n_clusters}")
-    check_seed(seed, "seed")
+    check_integer(n_clusters, "n_clusters", 1)
+    check_integer(seed, "seed", 0)
     return tuple(
         ClusterSpec(
             ambient_dim=ambient_dim,
@@ -161,13 +154,9 @@ def shard_dataset(samples, labels, n_sites, min_per_site, seed) -> list[Shard]:
     n = samples.shape[0]
     if n != labels.shape[0]:
         raise ShapeError(f"features/labels disagree: {n} vs {labels.shape[0]}")
-    check_integer(n_sites, "n_sites")
-    check_integer(min_per_site, "min_per_site")
-    check_seed(seed, "seed")
-    if n_sites < 1:
-        raise InvalidSpecError(f"n_sites must be >= 1, got {n_sites}")
-    if min_per_site < 1:
-        raise InvalidSpecError(f"min_per_site must be >= 1, got {min_per_site}")
+    check_integer(n_sites, "n_sites", 1)
+    check_integer(min_per_site, "min_per_site", 1)
+    check_integer(seed, "seed", 0)
     if n < n_sites * min_per_site:
         raise InvalidSpecError(
             f"{n} samples cannot cover {n_sites} sites at >= {min_per_site} each"
@@ -188,6 +177,8 @@ def save_csv(path, samples, labels) -> None:
     """Write one sample per row: features, then the integer truth label."""
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
+    if samples.ndim != 2:
+        raise ShapeError(f"samples must be a 2-D array, got shape {samples.shape}")
     if samples.shape[0] != labels.shape[0]:
         raise ShapeError(f"features/labels disagree: {samples.shape[0]} vs {labels.shape[0]}")
     d = samples.shape[1]

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one check of a real-valued
-setting, of a count and of a seed. Every refusal is a HashClustError:
-InvalidSpecError, ShapeError, InconsistentStateError, PipelineError or
-ProtocolError."""
+"""Exception types shared across the package, and the two value checks every
+entry uses: ``check_positive_finite`` for a real-valued setting and
+``check_integer`` for a count, size, width or seed, each with its minimum.
+No other module words "must be an integer" or "must be >= N, got" itself.
+Every refusal is a HashClustError: InvalidSpecError, ShapeError,
+InconsistentStateError, PipelineError or ProtocolError."""
 
 import numbers
 
@@ -53,14 +55,10 @@ def check_positive_finite(value, name: str) -> None:
         raise InvalidSpecError(f"{name} must be a positive finite number, got {value}")
 
 
-def check_integer(value, name: str) -> None:
-    """Refuse a count or seed that is not an integer; a bool is none."""
+def check_integer(value, name: str, least: int) -> None:
+    """Refuse a count, size or seed that is not an integer (a bool is none)
+    or is below ``least``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-
-
-def check_seed(value, name: str) -> None:
-    """Refuse a seed that is not an integer, or is negative."""
-    check_integer(value, name)
-    if value < 0:
-        raise InvalidSpecError(f"{name} must be >= 0, got {value}")
+    if value < least:
+        raise InvalidSpecError(f"{name} must be >= {least}, got {value}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
+from .errors import InvalidSpecError, ShapeError, check_integer
 
 N_RESTARTS = 10
 MAX_ITER = 300
@@ -164,9 +164,9 @@ def kmeans(points, k: int, seed):
         row = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ShapeError(f"point {row} is not finite: {points[row].tolist()}")
     n = points.shape[0]
-    check_integer(k, "k")
-    check_seed(seed, "seed")
-    if k < 1 or k > n:
+    check_integer(k, "k", 1)
+    check_integer(seed, "seed", 0)
+    if k > n:
         raise InvalidSpecError(f"k={k} incompatible with {n} points")
     if k == n:
         return np.arange(n), 0.0

@@ -43,6 +43,9 @@ def batch_loss(batch_x, batch_h, cfg: LossConfig):
     """
     batch_x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
     batch_h = np.atleast_2d(np.asarray(batch_h, dtype=np.float64))
+    for name, batch in (("batch_x", batch_x), ("batch_h", batch_h)):
+        if batch.ndim != 2:
+            raise ShapeError(f"{name} must be a 2-D array, got shape {batch.shape}")
     n = batch_x.shape[0]
     if batch_h.shape[0] != n:
         raise ShapeError("batch_x and batch_h disagree on batch size")

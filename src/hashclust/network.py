@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
+from .errors import InvalidSpecError, ShapeError, check_integer
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -41,9 +41,7 @@ class LayerSpec:
 
     def __post_init__(self):
         for key in ("input_dim", "output_dim"):
-            check_integer(getattr(self, key), key)
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise InvalidSpecError(f"layer dims must be positive: {self}")
+            check_integer(getattr(self, key), key, 1)
         if self.activation not in ACTIVATIONS:
             raise InvalidSpecError(f"unknown activation {self.activation!r}")
 
@@ -114,7 +112,7 @@ def init_network(spec, seed: int) -> NetworkParams:
     vector, which rounds them onto the grid the wire carries.
     """
     layers = validate_spec(spec)
-    check_seed(seed, "seed")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     values = np.zeros(param_count(layers), dtype=np.float32)
     for w, _ in _split(layers, values):
@@ -179,6 +177,8 @@ def forward(params: NetworkParams, x, dtype=np.float64) -> tuple[np.ndarray, For
     trace : ForwardTrace
     """
     x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    if x.ndim != 2:
+        raise ShapeError(f"input must be a 2-D array or a vector, got shape {x.shape}")
     if x.shape[1] != params.input_dim:
         raise ShapeError(
             f"input has dimension {x.shape[1]}, network expects {params.input_dim}"

@@ -31,7 +31,7 @@ import numpy as np
 from . import codebook
 from .codebook import encode_shard, merge_codebooks
 from .datasets import child_seed, gen_dataset, load_csv, make_dataset_spec, save_csv, shard_dataset
-from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_positive_finite, check_seed
+from .errors import HashClustError, InconsistentStateError, InvalidSpecError, PipelineError, check_integer, check_positive_finite
 from .loss import LossConfig
 from .metrics import nmi, purity, total_cost_bits
 from .network import mlp_spec, param_count
@@ -97,9 +97,8 @@ class PipelineConfig:
             object.__setattr__(self, "name", "synthetic" if self.csv is None else Path(self.csv).stem)
         if self.mode not in ("sim", "wire"):
             raise InvalidSpecError(f"mode must be 'sim' or 'wire', got {self.mode!r}")
-        if self.clusters < 1 or self.code_length < 1:
-            raise InvalidSpecError("clusters and code_length must be >= 1")
-        check_seed(self.seed, "seed")
+        for key, least in (("clusters", 1), ("code_length", 1), ("sites", 1), ("min_per_site", 1), ("seed", 0)):
+            check_integer(getattr(self, key), key, least)
         if (self.site is None) != (self.connect is None):
             raise InvalidSpecError("'site' and 'connect' only make sense together: a site dials the coordinator")
         if self.listen is not None and self.connect is not None:
@@ -108,27 +107,30 @@ class PipelineConfig:
             for key in ("listen", "connect", "site"):
                 if getattr(self, key) is not None:
                     raise InvalidSpecError(f"wire.{key} needs mode 'wire', got mode {self.mode!r}")
-        # refused here, before any data loads; sites and min_per_site are left
-        # to the shard phase, so one site stands in for them
-        if any(width < 1 for width in self.hidden_dims or ()):
-            raise InvalidSpecError(f"network.hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        training_config(self, n_sites=1)
+        for i, width in enumerate(self.hidden_dims or ()):
+            check_integer(width, f"network.hidden_dims[{i}]", 1)
+        training_config(self)
         for endpoint in filter(None, (self.listen, self.connect)):
             parse_endpoint(endpoint)
         if self.connect is not None and parse_endpoint(self.connect)[1] == 0:
             raise InvalidSpecError(f"wire.connect {self.connect!r} dials port 0, which only wire.listen may take")
         check_positive_finite(self.timeout, "wire.timeout")
+        # every value is refused here, before any data loads; only the shard
+        # phase's n >= sites * min_per_site waits for the rows
+        if self.site is not None and not 0 <= self.site < self.sites:
+            raise InvalidSpecError(f"wire.site index {self.site} outside [0, {self.sites})")
+        if self.generate is not None:
+            make_dataset_spec(**self.generate, seed=derive_seed(self.seed, "data"))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def training_config(cfg: PipelineConfig, n_sites: int) -> TrainingConfig:
-    """The run's TrainingConfig. ``n_sites`` is apart from ``cfg.sites`` so
-    that the config check can build one before the shard phase checks sites."""
+def training_config(cfg: PipelineConfig) -> TrainingConfig:
+    """The run's TrainingConfig."""
     return TrainingConfig(
         n_rounds=cfg.rounds,
-        n_sites=n_sites,
+        n_sites=cfg.sites,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         loss=LossConfig(distance_scale=cfg.distance_scale, temperature=cfg.temperature),
@@ -298,7 +300,7 @@ def setup_run(cfg: PipelineConfig, timings: dict | None = None):
                                        f"{codebook.MAX_DEGREE} a code's degree may reach")
     n, dim = samples.shape
     hidden = (dim, dim) if cfg.hidden_dims is None else cfg.hidden_dims
-    return n, shards, mlp_spec(dim, hidden, cfg.code_length), training_config(cfg, cfg.sites)
+    return n, shards, mlp_spec(dim, hidden, cfg.code_length), training_config(cfg)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -395,10 +397,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def _run_wire_site(cfg: PipelineConfig, timings: dict) -> dict:
-    """Worker-side wire run: local shard only, no metrics. The site index is
-    checked before any data loads."""
-    if not 0 <= cfg.site < cfg.sites:
-        raise PipelineError(f"site: index {cfg.site} outside [0, {cfg.sites})")
+    """Worker-side wire run: local shard only, no metrics."""
     _n, shards, net_spec, tcfg = setup_run(cfg, timings)
     shard = shards[cfg.site]
     del shards  # the other sites' features are freed before training

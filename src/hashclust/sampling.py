@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeError, check_integer, check_seed
+from .errors import ShapeError, check_integer
 from .network import NetworkParams, forward, group_words, output_words
 
 # the summed distance of a bucket with no member left: far below every real
@@ -75,10 +75,8 @@ def select_batch(buckets: BucketIndex, batch_size: int, seed) -> np.ndarray:
     popcount of the XOR of their ``codes`` rows. Ties between buckets at
     equal summed distance go to the smallest packed code.
     """
-    check_integer(batch_size, "batch_size")
-    if batch_size < 1:
-        raise InvalidSpecError("batch_size must be >= 1")
-    check_seed(seed, "seed")
+    check_integer(batch_size, "batch_size", 1)
+    check_integer(seed, "seed", 0)
     counts = buckets.sizes().tolist()
     n_samples = sum(counts)
     if n_samples == 0:

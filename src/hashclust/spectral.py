@@ -58,7 +58,7 @@ import functools
 import numpy as np
 
 from .codebook import Codebook
-from .errors import InconsistentStateError, InvalidSpecError, ShapeError, check_integer, check_seed
+from .errors import InconsistentStateError, InvalidSpecError, ShapeError, check_integer
 from .kmeans import kmeans
 from .network import group_words
 
@@ -378,9 +378,9 @@ def spectral_cluster(graph, k: int, seed) -> np.ndarray:
     """
     w, product, deg = _operator(graph)
     n = deg.size
-    check_integer(k, "k")
-    check_seed(seed, "seed")
-    if k < 1 or k > n:
+    check_integer(k, "k", 1)
+    check_integer(seed, "seed", 0)
+    if k > n:
         raise InvalidSpecError(f"k={k} incompatible with {n} vertices")
     if k == n:
         return np.arange(n)

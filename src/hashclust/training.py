@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import child_seed
-from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_integer, check_positive_finite, check_seed
+from .errors import DegenerateHistoryWarning, InvalidSpecError, ShapeError, check_integer, check_positive_finite
 from .loss import LossConfig, batch_loss
 from .network import NetworkParams, backward, forward, init_network, param_count
 from .sampling import build_buckets, select_batch
@@ -35,16 +35,10 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("n_rounds", "n_sites", "batch_size"):
-            check_integer(getattr(self, key), key)
-        check_seed(self.seed, "seed")
-        if self.n_rounds < 0:
-            raise InvalidSpecError("n_rounds must be >= 0")
-        if self.n_sites < 1:
-            raise InvalidSpecError(f"n_sites must be >= 1, got {self.n_sites}")
+        # batch_size >= 2: a batch needs a pair
+        for key, least in (("n_rounds", 0), ("n_sites", 1), ("batch_size", 2), ("seed", 0)):
+            check_integer(getattr(self, key), key, least)
         check_positive_finite(self.learning_rate, "learning_rate")
-        if self.batch_size < 2:
-            raise InvalidSpecError(f"batch_size must be >= 2: a batch needs a pair, got {self.batch_size}")
 
 
 def local_round(shard, params: NetworkParams, cfg: TrainingConfig, round_index: int = 0):
@@ -70,6 +64,8 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
     +0.0 in site order. The sum is divided by the site count, scaled by lr,
     subtracted from the parameters and rounded to the float32 grid that gets
     broadcast: one IEEE operation per entry each, as ``values - lr * (sum / M)``.
+    A merged value that is not finite there (a rate so large that it leaves
+    float32's range) raises ShapeError, in sim and wire alike.
     """
     grads = [np.asarray(g) for g in grads]
     if not grads:
@@ -84,7 +80,11 @@ def global_merge(params: NetworkParams, grads, learning_rate: float) -> NetworkP
     total /= len(grads)
     total *= learning_rate
     np.subtract(params.values, total, out=total)
-    total[...] = total.astype(np.float32)
+    with np.errstate(over="ignore"):
+        total[...] = total.astype(np.float32)
+    if not np.isfinite(total).all():
+        i = int(np.argmin(np.isfinite(total)))
+        raise ShapeError(f"merged parameter {i} is {total[i]}, not finite")
     return NetworkParams(params.layers, total)
 
 

@@ -347,7 +347,8 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
     Same frames, sockets and accounting as a distributed run; only the
     process boundary is missing. A bad spec, shard count or timeout raises
     InvalidSpecError before any socket or thread exists. A site thread
-    failure surfaces as ProtocolError once the coordinator returns or fails.
+    failure surfaces as ProtocolError once the coordinator returns or fails;
+    when the coordinator failed too, its reason leads the message.
     """
     host = "127.0.0.1"
     shards = list(shards)
@@ -373,15 +374,21 @@ def run_wire_locally(shards, spec, cfg: TrainingConfig, timeout: float = DEFAULT
     ]
     for t in threads:
         t.start()
+    coordinator = None
     try:
         return serve_global(listener, spec, cfg, timeout=timeout)
+    except Exception as exc:
+        coordinator = exc
+        raise
     finally:
         # short joins: a coordinator failure closes every connection, and
         # after success every site has had DONE
         for t in threads:
             t.join(timeout=1.0)
-        if failures:
+        if failures and coordinator is None:
             raise ProtocolError(f"site thread failed: {failures[0]!r}") from failures[0]
+        if failures:
+            raise ProtocolError(f"{coordinator}; site thread failed: {failures[0]!r}") from coordinator
 
 
 def parse_endpoint(text: str):

@@ -423,3 +423,10 @@ def test_dataset_spec_takes_numpy_integers():
     assert ClusterSpec(6, 2, 40, seed=np.int64(7)) == ClusterSpec(6, 2, 40, seed=7)
     assert clusters == make_dataset_spec(3, 6, 2, 40, seed=0)
     assert np.array_equal(gen_dataset(clusters)[0], gen_dataset(make_dataset_spec(3, 6, 2, 40, seed=0))[0])
+
+
+def test_save_csv_refuses_features_that_are_not_a_matrix(tmp_path):
+    path = tmp_path / "flat.csv"
+    with pytest.raises(ShapeError, match=r"^samples must be a 2-D array, got shape \(4,\)$"):
+        save_csv(path, np.zeros(4), np.zeros(4, dtype=int))
+    assert not path.exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,13 @@ def test_batch_requires_two_samples():
 def test_batch_loss_refuses_codes_of_another_batch_size():
     with pytest.raises(ShapeError, match="^batch_x and batch_h disagree on batch size$"):
         batch_loss(np.zeros((3, 2)), np.zeros((2, 4)), LossConfig())
+
+
+@pytest.mark.parametrize(
+    "x_shape, h_shape, message",
+    [((3, 2, 4), (3, 2), "batch_x must be a 2-D array, got shape (3, 2, 4)"),
+     ((3, 4), (3, 1, 2), "batch_h must be a 2-D array, got shape (3, 1, 2)")],
+)
+def test_batch_loss_refuses_a_batch_of_another_rank(x_shape, h_shape, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        batch_loss(np.zeros(x_shape), np.zeros(h_shape), LossConfig())

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hashclust.codebook import checked_code_words
+from hashclust.codebook import checked_code_words, encode_shard
 from hashclust.errors import InvalidSpecError, ShapeError
 from hashclust.network import (
     ForwardTrace,
@@ -419,8 +419,7 @@ def _backward_of_a_wrong_shape():
 
 @pytest.mark.parametrize(
     "call, kind, message",
-    [(lambda: LayerSpec(0, 2, "relu"), InvalidSpecError,
-      r"layer dims must be positive: LayerSpec\(input_dim=0, output_dim=2, activation='relu'\)"),
+    [(lambda: LayerSpec(0, 2, "relu"), InvalidSpecError, "input_dim must be >= 1, got 0"),
      (lambda: LayerSpec(2, 2, "sigmoid"), InvalidSpecError, "unknown activation 'sigmoid'"),
      (lambda: NetworkParams(mlp_spec(3, (), 2), np.zeros(3)), ShapeError,
       r"values has length \(3,\), expected \(8,\)"),
@@ -450,3 +449,13 @@ def test_layer_spec_takes_numpy_integers():
     spec = mlp_spec(np.int64(3), (np.int32(4),), np.int64(2))
     assert spec == mlp_spec(3, (4,), 2)
     assert np.array_equal(init_network(spec, 0).values, init_network(mlp_spec(3, (4,), 2), 0).values)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (2, 2, 4), (1, 1, 1, 4)])
+def test_forward_and_encoding_refuse_an_input_of_another_rank(shape):
+    params = init_network(mlp_spec(4, (4,), 8), seed=0)
+    message = re.escape(f"input must be a 2-D array or a vector, got shape {shape}")
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        forward(params, np.zeros(shape))
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        encode_shard(params, np.zeros(shape))

@@ -156,7 +156,7 @@ def test_config_refuses_a_site_that_dials_port_0():
 
 @pytest.mark.parametrize("key", ["clusters", "code_length"])
 def test_config_refuses_no_clusters_or_no_code_bits(key):
-    with pytest.raises(InvalidSpecError, match="^clusters and code_length must be >= 1$"):
+    with pytest.raises(InvalidSpecError, match=f"^{key} must be >= 1, got 0$"):
         config_from_dict({**make_raw(), key: 0})
 
 
@@ -603,8 +603,9 @@ def test_collapsed_codebook_surfaces_as_pipeline_error():
 def test_wire_site_index_out_of_range():
     raw = make_raw(mode="wire")
     raw["wire"] = {"connect": "127.0.0.1:1", "site": 7, "timeout": 1.0}
-    with pytest.raises(PipelineError):
-        run_pipeline(config_from_dict(raw))
+    # the config refuses it when it is built, before any run starts
+    with pytest.raises(InvalidSpecError, match=r"^wire\.site index 7 outside \[0, 2\)$"):
+        config_from_dict(raw)
 
 
 def test_connect_site_keeps_only_its_own_shard_while_it_trains(monkeypatch):
@@ -923,10 +924,11 @@ def test_cli_config_value_of_wrong_type_returns_one(tmp_path, capsys, path, valu
 
 @pytest.fixture
 def no_data(monkeypatch):
-    """Fail the test if a run generates its dataset."""
-    def gen_dataset(clusters):
-        raise AssertionError("the dataset was generated")
-    monkeypatch.setattr(pipeline, "gen_dataset", gen_dataset)
+    """Fail the test if a run generates or reads its dataset."""
+    def load(source):
+        raise AssertionError(f"the dataset was loaded from {source!r}")
+    monkeypatch.setattr(pipeline, "gen_dataset", load)
+    monkeypatch.setattr(pipeline, "load_csv", load)
 
 
 @pytest.mark.parametrize(
@@ -987,7 +989,7 @@ def test_cli_connect_without_site_fails_before_data(tmp_path, capsys, no_data):
      (("training", "learning_rate"), 0, "learning_rate must be a positive finite number"),
      (("training", "distance_scale"), -1.5, "distance_scale must be a positive finite number"),
      (("training", "temperature"), 0, "temperature must be a positive finite number"),
-     (("network", "hidden_dims"), [4, 0], "network.hidden_dims entries must be >= 1, got [4, 0]")],
+     (("network", "hidden_dims"), [4, 0], "network.hidden_dims[1] must be >= 1, got 0")],
     ids=["rounds", "batch_size", "learning_rate", "distance_scale", "temperature", "hidden_dims"],
 )
 def test_cli_out_of_range_training_or_network_value_fails_before_data(
@@ -1082,7 +1084,7 @@ def test_config_rejects_a_timeout_that_is_not_positive(timeout):
 
 @pytest.mark.parametrize(
     "changes, message",
-    [({"sites": 500, "min_per_site": 0}, "shard: min_per_site must be >= 1"),
+    [({"sites": 500, "min_per_site": 0}, "error: min_per_site must be >= 1, got 0\n"),
      ({"mode": "wire", "wire": {"timeout": -1}}, "wire.timeout"),
      ({"seed": -1}, "seed must be >= 0, got -1")],
     ids=["empty_shards", "negative_timeout", "negative_seed"],
@@ -1117,3 +1119,78 @@ def test_shipped_default_config_parses():
     assert cfg.clusters == 4
     assert cfg.rounds == 50
     assert PipelineConfig(**cfg.to_dict()) == cfg
+
+
+def _set_key(raw, key, value):
+    *sections, name = key.split(".")
+    target = raw
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[name] = value
+
+
+# each integer file key: a value below its minimum and the refusal that names it
+_BELOW_LEAST = {
+    "code_length": (0, "code_length must be >= 1, got 0"),
+    "clusters": (0, "clusters must be >= 1, got 0"),
+    "sites": (0, "sites must be >= 1, got 0"),
+    "min_per_site": (0, "min_per_site must be >= 1, got 0"),
+    "seed": (-1, "seed must be >= 0, got -1"),
+    "training.rounds": (-1, "n_rounds must be >= 0, got -1"),
+    "training.batch_size": (1, "batch_size must be >= 2, got 1"),
+    "network.hidden_dims": ([4, 0], "network.hidden_dims[1] must be >= 1, got 0"),
+    "wire.site": (-1, "wire.site index -1 outside [0, 2)"),
+    "dataset.generate.n_clusters": (0, "n_clusters must be >= 1, got 0"),
+    "dataset.generate.ambient_dim": (1, "ambient_dim must be >= 2, got 1"),
+    "dataset.generate.embed_dim": (0, "embed_dim must be >= 1, got 0"),
+    "dataset.generate.samples_per_cluster": (0, "n_samples must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("fault", ["below_least", "fraction", "bool"])
+@pytest.mark.parametrize("key", list(_BELOW_LEAST))
+def test_config_refuses_each_integer_key_when_it_is_built(no_data, key, fault):
+    raw = make_raw(mode="wire")
+    raw["wire"] = {"connect": "127.0.0.1:1", "site": 0}
+    below, message = _BELOW_LEAST[key]
+    if fault != "below_least":
+        value = {"fraction": 2.5, "bool": True}[fault]
+        below = [4, value] if key == "network.hidden_dims" else value
+        message = f"{key} must be an integer, got {value!r}"
+    _set_key(raw, key, below)
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("sites", 0, "sites must be >= 1, got 0"),
+     ("min_per_site", 0, "min_per_site must be >= 1, got 0"),
+     ("wire.site", 2, "wire.site index 2 outside [0, 2)"),
+     ("dataset.generate.n_clusters", 0, "n_clusters must be >= 1, got 0"),
+     ("dataset.generate.embed_dim", 7, "embed_dim must lie in [1, ambient_dim], got 7 with ambient_dim 6"),
+     ("dataset.csv", "data.csv", "sites must be >= 1, got 0")],
+    ids=["sites", "min_per_site", "site_index", "n_clusters", "embed_dim", "csv_sites"],
+)
+def test_cli_refuses_a_site_count_or_a_dataset_value_before_any_data_loads(
+    tmp_path, capsys, no_data, key, value, message
+):
+    raw = make_raw(mode="wire")
+    raw["wire"] = {"connect": "127.0.0.1:1", "site": 0}
+    if key == "dataset.csv":
+        raw["dataset"], raw["sites"] = {"csv": str(tmp_path / value)}, 0
+    else:
+        _set_key(raw, key, value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# wire adds what a site saw when the coordinator stopped
+@pytest.mark.parametrize("mode, after", [("sim", ""), ("wire", "(; site thread failed: .*)?")])
+def test_a_merge_past_float32_stops_sim_and_wire_in_the_train_phase(mode, after):
+    raw = make_raw(mode=mode, rounds=5)
+    raw["training"]["learning_rate"] = 1e300
+    with pytest.raises(PipelineError, match=rf"^train: merged parameter \d+ is -?inf, not finite{after}$"):
+        run_pipeline(config_from_dict(raw))

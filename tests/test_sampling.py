@@ -199,7 +199,7 @@ def test_select_batch_empty_buckets():
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_select_batch_rejects_batch_size_below_one(batch_size):
     buckets = build_buckets(zero_net(2, 3), np.zeros((1, 2)))
-    with pytest.raises(InvalidSpecError, match="^batch_size must be >= 1$"):
+    with pytest.raises(InvalidSpecError, match=f"^batch_size must be >= 1, got {batch_size}$"):
         select_batch(buckets, batch_size, 0)
 
 

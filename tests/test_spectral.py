@@ -1054,8 +1054,8 @@ def test_global_site_path_builds_no_code_objects(monkeypatch):
 
 
 def test_kmeans_refuses_a_cluster_count_outside_one_to_n():
-    for k in (0, 4):
-        with pytest.raises(InvalidSpecError, match=f"^k={k} incompatible with 3 points$"):
+    for k, message in ((0, "k must be >= 1, got 0"), (4, "k=4 incompatible with 3 points")):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
             kmeans(np.zeros((3, 2)), k, 0)
 
 

@@ -39,7 +39,7 @@ def small_cfg(**kw):
 
 @pytest.mark.parametrize("batch_size", [1, 0, -3])
 def test_config_rejects_a_batch_without_a_pair(batch_size):
-    with pytest.raises(InvalidSpecError, match="a batch needs a pair"):
+    with pytest.raises(InvalidSpecError, match=f"^batch_size must be >= 2, got {batch_size}$"):
         small_cfg(batch_size=batch_size)
     small_cfg(batch_size=2)
 
@@ -289,7 +289,7 @@ def test_rer_of_no_rounds_raises():
      ({"batch_size": True}, "batch_size must be an integer, got True"),
      ({"seed": 1.5}, "seed must be an integer, got 1.5"),
      ({"seed": -1}, "seed must be >= 0, got -1"),
-     ({"n_rounds": -1}, "n_rounds must be >= 0"),
+     ({"n_rounds": -1}, "n_rounds must be >= 0, got -1"),
      ({"n_sites": 0}, "n_sites must be >= 1, got 0")],
 )
 def test_training_config_refuses_counts_and_seeds_that_are_not_nonnegative_integers(changes, message):
@@ -308,3 +308,17 @@ def test_training_refuses_no_gradients_and_a_shard_count_unlike_the_config():
         global_merge(params, [], 0.05)
     with pytest.raises(InvalidSpecError, match="^config says 2 sites but 1 shards supplied$"):
         train([np.zeros((4, 3))], mlp_spec(3, (), 2), small_cfg(n_sites=2))
+
+
+@pytest.mark.parametrize(
+    "fill, rate, message",
+    [(1.0, 1e300, "merged parameter 0 is -inf, not finite"),
+     (np.nan, 0.05, "merged parameter 0 is nan, not finite")],
+    ids=["overflow", "nan_gradient"],
+)
+def test_global_merge_refuses_a_vector_that_is_not_finite(fill, rate, message):
+    # float32 overflow is refused, not warned about; sim and wire stop alike
+    params = init_network(mlp_spec(3, (), 2), seed=0)
+    grads = [np.full(param_count(params), fill, dtype=np.float32)]
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        global_merge(params, grads, rate)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import free_port
 
-from hashclust import wire
+from hashclust import training, wire
 from hashclust.codebook import decode_codes_payload, encode_codes_payload, encode_shard, merge_codebooks
 from hashclust.datasets import gen_dataset, make_dataset_spec, shard_dataset
 from hashclust.errors import InvalidSpecError, ProtocolError, ShapeError
@@ -698,3 +698,20 @@ def test_a_site_whose_dial_is_refused_past_its_timeout_fails():
     with pytest.raises(ConnectionRefusedError):
         run_sub_site("127.0.0.1", free_port(), 0, shards[0], net, cfg, timeout=0.2)
     assert time.monotonic() - start >= 0.2
+
+
+def test_loopback_run_reports_the_coordinators_error_before_a_sites(monkeypatch):
+    # the merge of round 1 fails; every site then loses its connection
+    merge, calls = training.global_merge, []
+
+    def global_merge(params, grads, learning_rate):
+        calls.append(len(grads))
+        if len(calls) == 2:
+            raise ShapeError("boom in the merge")
+        return merge(params, grads, learning_rate)
+
+    monkeypatch.setattr(training, "global_merge", global_merge)
+    shards, net, cfg = small_setup(n_sites=2)
+    with pytest.raises(ProtocolError, match=r"^boom in the merge; site thread failed: ") as info:
+        run_wire_locally(shards, net, cfg, timeout=20.0)
+    assert isinstance(info.value.__cause__, ShapeError)
